@@ -3,10 +3,13 @@ greedy batch construction by multi-start L-BFGS.
 
 qEI uses common random numbers: the base normal draws are a fixed function of
 the configured seed, drawn block-wise per batch slot so that the draws for
-the first q slots coincide for every batch size >= q. The batch is built
-greedily: each slot maximizes the qEI of (already chosen + candidate), which
-only needs a rank-one border on the fixed prefix Cholesky factor and is
-evaluated vectorized over many candidates at once.
+the first q slots coincide for every batch size >= q; a batch draws them once
+and slot j reads the first j + 1 columns. The batch is built greedily: each
+slot maximizes the qEI of (already chosen + candidate), which only needs a
+rank-one border on the fixed prefix Cholesky factor. A per-slot scorer
+computes the prefix posterior, that factor and the per-draw prefix maximum
+once; each of its calls then adds only the candidate columns, vectorized over
+many candidates at once.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .surrogate import (
     GpModel,
     NumericalError,
     _chol_with_jitter,
-    _rbf_matrix,
+    _rbf_from_scaled,
+    _scaled,
     from_unit_cube,
     gp_predict,
     gp_predict_diag,
@@ -87,73 +91,54 @@ def qei_mc(
     return float(np.mean(np.clip(improvement, 0.0, None)))
 
 
-def _posterior_parts(model, P, C):
-    """Joint posterior pieces for a fixed prefix P and many candidates C.
+def _slot_scorer(model, prefix, Z, best):
+    """qEI of (prefix + candidate) for every candidate row, common draws ``Z``.
 
-    Returns destandardized (mean_P, mean_C, cov_PP, cov_PC, var_C); the P
-    blocks are None when the prefix is empty.
+    ``Z`` holds the base draws for the prefix slots plus the candidate slot.
+    The joint sample for each candidate is the prefix sample plus one
+    bordered coordinate, so everything that depends only on the prefix (its
+    posterior, Cholesky factor and per-draw maximum) is computed here once
+    and shared by every call of the returned ``score(cands)``.
     """
     std2 = model.target_std**2
-    Ks_C = _rbf_matrix(
-        model.train_inputs, C, model.lengthscales, model.signal_variance
-    )
-    V_C = solve_triangular(model.chol, Ks_C, lower=True)
-    mean_C = model.target_mean + model.target_std * (Ks_C.T @ model.alpha)
-    var_C = std2 * np.maximum(
-        model.signal_variance - np.sum(V_C**2, axis=0), 0.0
-    )
-    if P.shape[0] == 0:
-        return None, mean_C, None, None, var_C
-    Ks_P = _rbf_matrix(
-        model.train_inputs, P, model.lengthscales, model.signal_variance
-    )
-    V_P = solve_triangular(model.chol, Ks_P, lower=True)
-    mean_P = model.target_mean + model.target_std * (Ks_P.T @ model.alpha)
-    cov_PP = std2 * (
-        _rbf_matrix(P, P, model.lengthscales, model.signal_variance) - V_P.T @ V_P
-    )
-    cov_PP = 0.5 * (cov_PP + cov_PP.T)
-    cov_PC = std2 * (
-        _rbf_matrix(P, C, model.lengthscales, model.signal_variance) - V_P.T @ V_C
-    )
-    return mean_P, mean_C, cov_PP, cov_PC, var_C
-
-
-def _qei_scores(model, prefix, cands, best, config) -> np.ndarray:
-    """qEI of (prefix + candidate) for every candidate row, common draws.
-
-    The joint sample for each candidate is the prefix sample plus one
-    bordered coordinate, so the prefix part is computed once and shared.
-    """
-    P = np.atleast_2d(np.asarray(prefix, dtype=float)) if len(prefix) else (
-        np.empty((0, cands.shape[1]))
-    )
-    C = np.atleast_2d(np.asarray(cands, dtype=float))
-    s = P.shape[0] + 1
-    Z = _base_draws(config.seed, s, config.mc_samples)
-    mean_P, mean_C, cov_PP, cov_PC, var_C = _posterior_parts(model, P, C)
-
-    if P.shape[0] == 0:
-        sigma = np.sqrt(var_C)
-        f_last = mean_C[None, :] + Z[:, 0][:, None] * sigma[None, :]
-        best_prefix = np.full(config.mc_samples, -np.inf)
+    sv = model.signal_variance
+    train = _scaled(model.train_inputs, model.lengthscales)
+    k = prefix.shape[0]
+    if k == 0:
+        best_prefix = np.full(Z.shape[0], -np.inf)
     else:
+        pre = _scaled(prefix, model.lengthscales)
+        Ks_P = _rbf_from_scaled(train, pre, sv)
+        V_P = solve_triangular(model.chol, Ks_P, lower=True)
+        mean_P = model.target_mean + model.target_std * (Ks_P.T @ model.alpha)
+        cov_PP = std2 * (_rbf_from_scaled(pre, pre, sv) - V_P.T @ V_P)
+        cov_PP = 0.5 * (cov_PP + cov_PP.T)
         L_A, _ = _chol_with_jitter(cov_PP)
-        W = solve_triangular(L_A, cov_PC, lower=True)
-        border = np.sqrt(np.clip(var_C - np.sum(W**2, axis=0), 0.0, None))
-        prefix_samples = mean_P[None, :] + Z[:, : s - 1] @ L_A.T
+        prefix_samples = mean_P[None, :] + Z[:, :k] @ L_A.T
         best_prefix = np.max(prefix_samples, axis=1)
-        f_last = (
-            mean_C[None, :]
-            + Z[:, : s - 1] @ W
-            + Z[:, s - 1][:, None] * border[None, :]
-        )
-    values = np.maximum(best_prefix[:, None], f_last) - best
-    return np.mean(np.clip(values, 0.0, None), axis=0)
 
+    def score(cands: np.ndarray) -> np.ndarray:
+        cand = _scaled(cands, model.lengthscales)
+        Ks_C = _rbf_from_scaled(train, cand, sv)
+        V_C = solve_triangular(model.chol, Ks_C, lower=True)
+        mean_C = model.target_mean + model.target_std * (Ks_C.T @ model.alpha)
+        var_C = std2 * np.maximum(sv - np.sum(V_C**2, axis=0), 0.0)
+        if k == 0:
+            sigma = np.sqrt(var_C)
+            f_last = mean_C[None, :] + Z[:, 0][:, None] * sigma[None, :]
+        else:
+            cov_PC = std2 * (_rbf_from_scaled(pre, cand, sv) - V_P.T @ V_C)
+            W = solve_triangular(L_A, cov_PC, lower=True)
+            border = np.sqrt(np.clip(var_C - np.sum(W**2, axis=0), 0.0, None))
+            f_last = (
+                mean_C[None, :]
+                + Z[:, :k] @ W
+                + Z[:, k][:, None] * border[None, :]
+            )
+        values = np.maximum(best_prefix[:, None], f_last) - best
+        return np.mean(np.clip(values, 0.0, None), axis=0)
 
-def _sigmoid(z):
-    return expit(z)
+    return score
 
 
 def _logit(x):
@@ -169,38 +154,37 @@ def propose_batch(
 ) -> list[DesignPoint]:
     """Greedy sequential batch maximizing Monte-Carlo qEI.
 
-    Each slot scores ``raw_candidates`` uniform points, refines the top
+    The base draws are made once per batch; slot ``j`` uses their first
+    ``j + 1`` columns. Each slot builds one scorer over its fixed prefix,
+    scores ``raw_candidates`` uniform points with it, refines the top
     ``restarts`` of them with L-BFGS through a logistic reparameterization of
-    the unit cube (central finite differences on the fixed-draw objective),
-    and keeps the best raw candidate as a fallback if every start fails.
+    the unit cube (central finite differences on the fixed-draw objective,
+    all 1 + 2d stencil points scored in one call), and keeps the best raw
+    candidate as a fallback if every start fails.
     """
     d = space.dimension
+    Z = _base_draws(config.seed, config.batch_size, config.mc_samples)
+    # Row 0 is the centre, rows 1 + 2j / 2 + 2j step coordinate j up / down.
+    stencil = np.zeros((1 + 2 * d, d))
+    stencil[1 + 2 * np.arange(d), np.arange(d)] = _FD_STEP
+    stencil[2 + 2 * np.arange(d), np.arange(d)] = -_FD_STEP
     chosen: list[np.ndarray] = []
-    for _ in range(config.batch_size):
+    for slot in range(config.batch_size):
         prefix = np.array(chosen) if chosen else np.empty((0, d))
         cands = rng.uniform(size=(config.raw_candidates, d))
-        scores = _qei_scores(model, prefix, cands, best, config)
+        score = _slot_scorer(model, prefix, Z[:, : slot + 1], best)
+        scores = score(cands)
         order = np.argsort(-scores, kind="stable")
         slot_x = cands[order[0]]
         slot_val = scores[order[0]]
 
+        def fun_and_grad(z):
+            vals = score(expit(z + stencil))
+            grad = (vals[1::2] - vals[2::2]) / (2.0 * _FD_STEP)
+            return -vals[0], -grad
+
         for start_idx in order[: config.restarts]:
             z0 = _logit(cands[start_idx])
-
-            def fun_and_grad(z):
-                pts = np.empty((1 + 2 * d, d))
-                pts[0] = _sigmoid(z)
-                for j in range(d):
-                    zp = z.copy()
-                    zp[j] += _FD_STEP
-                    pts[1 + 2 * j] = _sigmoid(zp)
-                    zm = z.copy()
-                    zm[j] -= _FD_STEP
-                    pts[2 + 2 * j] = _sigmoid(zm)
-                vals = _qei_scores(model, prefix, pts, best, config)
-                grad = (vals[1::2] - vals[2::2]) / (2.0 * _FD_STEP)
-                return -vals[0], -grad
-
             try:
                 result = minimize(
                     fun_and_grad,
@@ -211,8 +195,8 @@ def propose_batch(
                 )
                 if not np.all(np.isfinite(result.x)):
                     continue
-                x_opt = np.clip(_sigmoid(result.x), 0.0, 1.0)
-                val = _qei_scores(model, prefix, x_opt[None, :], best, config)[0]
+                x_opt = np.clip(expit(result.x), 0.0, 1.0)
+                val = score(x_opt[None, :])[0]
             except (NumericalError, FloatingPointError, np.linalg.LinAlgError):
                 continue
             if val > slot_val:

@@ -8,6 +8,7 @@ values are stored in the reporting units of the active FOM configuration
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
@@ -155,12 +156,19 @@ class EvalRecord:
 
 
 class Dataset:
-    """Insertion-ordered, append-only collection of evaluation records."""
+    """Insertion-ordered, append-only collection of evaluation records.
 
-    __slots__ = ("_records",)
+    Alongside the records it keeps their ranking, the sorted list of
+    ``(-fom, index)`` pairs, so descending-FOM queries need no re-sort.
+    """
+
+    __slots__ = ("_records", "_ranking")
 
     def __init__(self, records: Sequence[EvalRecord] = ()) -> None:
         self._records: list[EvalRecord] = list(records)
+        self._ranking: list[tuple[float, int]] = sorted(
+            (-r.fom, i) for i, r in enumerate(self._records)
+        )
 
     @property
     def records(self) -> tuple[EvalRecord, ...]:
@@ -174,6 +182,10 @@ class Dataset:
 
     def __getitem__(self, index: int) -> EvalRecord:
         return self._records[index]
+
+    def ranked(self, k: int) -> list[EvalRecord]:
+        """The k highest-FOM records, descending; ties keep earlier insertions."""
+        return [self._records[i] for _, i in self._ranking[:k]]
 
 
 def design_space_contains(space: DesignSpace, point: DesignPoint) -> bool:
@@ -189,6 +201,7 @@ def design_space_contains(space: DesignSpace, point: DesignPoint) -> bool:
 
 def dataset_append(dataset: Dataset, record: EvalRecord) -> Dataset:
     """Append one record; existing records are never touched."""
+    bisect.insort(dataset._ranking, (-record.fom, len(dataset._records)))
     dataset._records.append(record)
     return dataset
 

@@ -9,6 +9,7 @@ experts can edit them without touching code.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -267,6 +268,7 @@ def estimate_tokens(text: str) -> int:
     return (len(text) + 3) // 4
 
 
+@functools.cache
 def _template(name: str) -> str:
     return resources.files("analogopt.templates").joinpath(name).read_text(
         encoding="utf-8"

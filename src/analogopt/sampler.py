@@ -18,8 +18,7 @@ def top_k(dataset: Dataset, k: int) -> list[EvalRecord]:
         raise ValueError("k must be >= 1")
     if len(dataset) == 0:
         raise EmptyDatasetError("top_k needs at least one record")
-    order = sorted(range(len(dataset)), key=lambda i: (-dataset[i].fom, i))
-    return [dataset[i] for i in order[:k]]
+    return dataset.ranked(k)
 
 
 def uniform_k(dataset: Dataset, k: int, rng: np.random.Generator) -> list[EvalRecord]:

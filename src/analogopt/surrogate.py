@@ -118,15 +118,23 @@ def rbf_kernel(
     return float(signal_variance * np.exp(-0.5 * np.dot(d, d)))
 
 
-def _rbf_matrix(x1, x2, lengthscales, signal_variance):
-    s1 = x1 / lengthscales
-    s2 = x2 / lengthscales
-    sq = (
-        np.sum(s1**2, axis=1)[:, None]
-        + np.sum(s2**2, axis=1)[None, :]
-        - 2.0 * s1 @ s2.T
-    )
+def _scaled(x, lengthscales):
+    """Inputs divided by the lengthscales, with their squared row norms."""
+    s = x / lengthscales
+    return s, np.sum(s**2, axis=1)
+
+
+def _rbf_from_scaled(a, b, signal_variance):
+    """RBF matrix between two :func:`_scaled` input sets."""
+    (s1, sq1), (s2, sq2) = a, b
+    sq = sq1[:, None] + sq2[None, :] - 2.0 * s1 @ s2.T
     return signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
+
+
+def _rbf_matrix(x1, x2, lengthscales, signal_variance):
+    return _rbf_from_scaled(
+        _scaled(x1, lengthscales), _scaled(x2, lengthscales), signal_variance
+    )
 
 
 def _chol_with_jitter(matrix):
@@ -162,6 +170,7 @@ def log_marginal_likelihood(
         np.asarray(lengthscales, dtype=float) * np.ones(X.shape[1]),
         signal_variance,
         noise_variance,
+        *_fit_invariants(X),
     )
     return lml
 
@@ -181,16 +190,26 @@ def lml_gradient(
         np.asarray(lengthscales, dtype=float) * np.ones(X.shape[1]),
         signal_variance,
         noise_variance,
+        *_fit_invariants(X),
     )
     return grad
 
 
-def _lml_and_grad(X, y, lengthscales, signal_variance, noise_variance):
+def _fit_invariants(X):
+    """The parts of the LML that depend on X alone, fixed for a whole fit.
+
+    Returns the per-dimension pairwise differences, shape (d, n, n) with
+    ``diffs[i] = X[:, i, None] - X[None, :, i]``, and the n x n identity.
+    """
+    return X.T[:, :, None] - X.T[:, None, :], np.eye(X.shape[0])
+
+
+def _lml_and_grad(X, y, lengthscales, signal_variance, noise_variance, diffs, eye):
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
     n = X.shape[0]
     K = _rbf_matrix(X, X, lengthscales, signal_variance)
-    L, _ = _chol_with_jitter(K + noise_variance * np.eye(n))
+    L, _ = _chol_with_jitter(K + noise_variance * eye)
     alpha = cho_solve((L, True), y)
     lml = (
         -0.5 * float(y @ alpha)
@@ -201,12 +220,15 @@ def _lml_and_grad(X, y, lengthscales, signal_variance, noise_variance):
     # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j),
     # theta in log space: dK/dlog l_i = K . D_i, dK/dlog sv = K,
     # d(K + nv I)/dlog nv = nv I.
-    Kinv = cho_solve((L, True), np.eye(n))
+    Kinv = cho_solve((L, True), eye)
     W = np.outer(alpha, alpha) - Kinv
     grad = np.empty(X.shape[1] + 2)
+    scaled = diffs / lengthscales[:, None, None]
+    terms = W * (K * scaled**2)
+    # One np.sum per contiguous n x n slab: summing the (d, n*n) reshape
+    # along axis 1 rounds differently.
     for i in range(X.shape[1]):
-        diff = (X[:, i][:, None] - X[:, i][None, :]) / lengthscales[i]
-        grad[i] = 0.5 * float(np.sum(W * (K * diff**2)))
+        grad[i] = 0.5 * float(np.sum(terms[i]))
     grad[-2] = 0.5 * float(np.sum(W * K))
     grad[-1] = 0.5 * noise_variance * float(np.trace(W))
     return lml, grad
@@ -235,7 +257,7 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
     y_std, mean, std = _standardize(y)
-    n, d = X.shape
+    d = X.shape[1]
 
     lo = np.log(
         np.concatenate(
@@ -252,13 +274,14 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
         )
     )
     bounds = list(zip(lo, hi))
+    diffs, eye = _fit_invariants(X)
 
     def objective(theta):
         ls = np.exp(theta[:d])
         sv = math.exp(theta[d])
         nv = math.exp(theta[d + 1])
         try:
-            lml, grad = _lml_and_grad(X, y_std, ls, sv, nv)
+            lml, grad = _lml_and_grad(X, y_std, ls, sv, nv, diffs, eye)
         except NumericalError:
             return 1e25, np.zeros_like(theta)
         return -lml, -grad
@@ -293,6 +316,8 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
                 np.exp(candidate[:d]),
                 math.exp(candidate[d]),
                 math.exp(candidate[d + 1]),
+                diffs,
+                eye,
             )
         except NumericalError:
             continue
@@ -306,7 +331,7 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
     sv = math.exp(best_theta[d])
     nv = math.exp(best_theta[d + 1])
     K = _rbf_matrix(X, X, ls, sv)
-    L, jitter = _chol_with_jitter(K + nv * np.eye(n))
+    L, jitter = _chol_with_jitter(K + nv * eye)
     alpha = cho_solve((L, True), y_std)
     return GpModel(
         train_inputs=X,

@@ -4,12 +4,20 @@ from scipy.stats import norm
 
 from analogopt.acquisition import (
     AcquisitionConfig,
+    _base_draws,
+    _slot_scorer,
     ei,
     propose_batch,
     qei_mc,
 )
 from analogopt.core import DesignSpace, Parameter, design_space_contains
-from analogopt.surrogate import GpFitConfig, gp_fit, to_unit_cube
+from analogopt.surrogate import (
+    GpFitConfig,
+    GpModel,
+    NumericalError,
+    gp_fit,
+    to_unit_cube,
+)
 
 from conftest import model_with_prior
 
@@ -131,3 +139,52 @@ def test_propose_batch_handles_tiny_search_budget(fitted_model):
     )
     batch = propose_batch(model, space, best, config, np.random.default_rng(0))
     assert all(design_space_contains(space, p) for p in batch)
+
+
+# ------------------------------------------- premises of the per-slot scorer
+
+@pytest.mark.parametrize("q", [1, 2, 4, 5])
+def test_base_draws_prefix_columns_are_bitwise_stable(q):
+    full = _base_draws(11, q, 257)
+    for s in range(1, q + 1):
+        assert np.array_equal(full[:, :s], _base_draws(11, s, 257))
+        assert full[:, :s].strides == _base_draws(11, s, 257).strides
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_slot_scorer_matches_qei_of_extended_batch(fitted_model, k):
+    model, _ = fitted_model
+    best = -0.3  # below every training target: every batch's qEI is positive
+    config = AcquisitionConfig(batch_size=k + 1, mc_samples=2048, seed=5)
+    prefix = np.array([[0.1, 0.2], [0.8, 0.3], [0.4, 0.9]])[:k]
+    cands = np.random.default_rng(100 + k).uniform(size=(6, 2))
+    score = _slot_scorer(
+        model, prefix, _base_draws(config.seed, k + 1, config.mc_samples), best
+    )
+    scores = score(cands)
+    for value, c in zip(scores, cands):
+        expected = qei_mc(model, np.vstack([prefix, c[None, :]]), best, config)
+        assert expected > 0.0
+        assert value == pytest.approx(expected, rel=1e-9)
+
+
+def test_propose_batch_propagates_prefix_factor_failure(unit_space):
+    # A Cholesky factor far too small for its kernel makes every prefix
+    # covariance strongly negative, beyond what diagonal jitter can repair.
+    bogus = GpModel(
+        train_inputs=np.array([[0.5, 0.5]]),
+        train_targets=np.array([0.0]),
+        lengthscales=np.array([10.0, 10.0]),
+        signal_variance=1.0,
+        noise_variance=1e-6,
+        chol=np.array([[1e-3]]),
+        alpha=np.array([0.0]),
+        target_mean=0.0,
+        target_std=1.0,
+        log_marginal=0.0,
+    )
+    config = AcquisitionConfig(
+        batch_size=2, mc_samples=64, restarts=1, raw_candidates=8, maxiter=3
+    )
+    with pytest.raises(NumericalError):
+        propose_batch(bogus, unit_space, 0.0, config, np.random.default_rng(0))

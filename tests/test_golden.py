@@ -1,0 +1,50 @@
+"""Golden run logs: one short seeded run per method must stay byte-identical.
+
+A pure refactor or a bitwise-identical speed-up leaves every hash below
+unchanged. A change that moves the numbers on purpose regenerates them and
+says so in CHANGES.md. The hashes were recorded with numpy 2.4 / scipy 1.17
+on scipy-openblas 0.3.31 (x86-64); another BLAS or libm may round differently.
+"""
+
+import hashlib
+
+import pytest
+
+from analogopt.acquisition import AcquisitionConfig
+from analogopt.config import RunConfig
+from analogopt.orchestrator import run
+from analogopt.surrogate import GpFitConfig
+
+TINY_ACQ = AcquisitionConfig(mc_samples=64, restarts=2, raw_candidates=32, maxiter=5)
+TINY_FIT = GpFitConfig(restarts=2, maxiter=20)
+
+GOLDEN = [
+    (
+        dict(method="ado_llm", preset="amp2", n_iter=4,
+             llm_queries_per_step=1, gp_queries_per_step=4),
+        "567f03cdcaeeb67586ae93cf9b0a9c6098916a276a53ccef2940da3269e480e5",
+    ),
+    (
+        dict(method="gp_bo", preset="branin", n_iter=4, llm_queries_per_step=0,
+             gp_queries_per_step=5, init_strategy="uniform_random"),
+        "4b5c8234df5e5fc2f9c0f54b57dbe20d6018c326f91f22fb1c81d84914ffe05d",
+    ),
+    (
+        # many all-failed designs share one FOM, so top_k's tie order matters
+        dict(method="llm_only", preset="amp2", n_iter=60,
+             llm_queries_per_step=1, gp_queries_per_step=0),
+        "ccec2da817d89c8751371898e9619b7c512242d23cd053d8e1afb924b02d31c6",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, sha256", GOLDEN, ids=[fields["method"] for fields, _ in GOLDEN]
+)
+def test_golden_log_hash(fields, sha256):
+    config = RunConfig(
+        **fields, n_init=5, seed=7, mock="random",
+        acquisition=TINY_ACQ, gp_fit=TINY_FIT,
+    )
+    text = run(config).text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256

@@ -97,3 +97,18 @@ def test_uniform_k_frequencies_uniform():
 def test_uniform_k_empty_dataset():
     with pytest.raises(EmptyDatasetError):
         uniform_k(Dataset(), 2, np.random.default_rng(0))
+
+
+def test_top_k_after_interleaved_tied_appends_matches_sort_reference():
+    rng = np.random.default_rng(9)
+    foms = list(rng.choice([-9.5, -2.0, 0.0, 1.5], size=8))
+    dataset = make_dataset(foms)
+    for _ in range(40):
+        fom = float(rng.choice([-9.5, -2.0, 0.0, 1.5, rng.normal()]))
+        dataset_append(dataset, make_record(fom))
+        foms.append(fom)
+        for k in (1, 5, len(foms) + 1):
+            order = sorted(range(len(foms)), key=lambda i: (-foms[i], i))[:k]
+            assert [id(r) for r in top_k(dataset, k)] == [id(dataset[i]) for i in order]
+    copy = Dataset(dataset.records)
+    assert [id(r) for r in top_k(copy, 12)] == [id(r) for r in top_k(dataset, 12)]
