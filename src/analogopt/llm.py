@@ -125,7 +125,11 @@ class LlmConfig:
 
 @dataclass(frozen=True)
 class TaskCard:
-    """Everything the proposer knows about the task except the demonstrations."""
+    """Everything the proposer knows about the task except the demonstrations.
+
+    A card renders its fixed prompt sections once, and each demonstration
+    body once, and keeps both for its own lifetime (one run).
+    """
 
     name: str
     space: DesignSpace
@@ -133,26 +137,53 @@ class TaskCard:
     circuit_text: str
     principles_text: str
 
+    @functools.cached_property
+    def _sections(self) -> dict[str, str]:
+        """The prompt template fields fixed by the card, by placeholder name."""
+        names = ", ".join(self.space.names)
+        return {
+            "circuit": self.circuit_text.strip(),
+            "specs": "\n".join(
+                f"- {m.label or m.name}: {m.spec_text()}" for m in self.fom.metrics
+            ),
+            "principles": self.principles_text.strip(),
+            "parameters": "\n".join(
+                f"- {p.name}: {format_si(p.lower, p.unit)} to "
+                f"{format_si(p.upper, p.unit)}"
+                for p in self.space.parameters
+            ),
+            "format": (
+                "Reply with a fenced code block (```) containing one line per "
+                "parameter in the form `name = value unit`, for example "
+                "`w1 = 2.5 um`. Use exactly these parameter names: "
+                f"{names}. Every value must lie inside its allowed range. "
+                "Values without a unit are interpreted in SI base units."
+            ),
+        }
+
     def spec_lines(self) -> str:
-        return "\n".join(
-            f"- {m.label or m.name}: {m.spec_text()}" for m in self.fom.metrics
-        )
+        return self._sections["specs"]
 
     def parameter_lines(self) -> str:
-        return "\n".join(
-            f"- {p.name}: {format_si(p.lower, p.unit)} to {format_si(p.upper, p.unit)}"
-            for p in self.space.parameters
-        )
+        return self._sections["parameters"]
 
     def format_lines(self) -> str:
-        names = ", ".join(self.space.names)
-        return (
-            "Reply with a fenced code block (```) containing one line per "
-            "parameter in the form `name = value unit`, for example "
-            "`w1 = 2.5 um`. Use exactly these parameter names: "
-            f"{names}. Every value must lie inside its allowed range. "
-            "Values without a unit are interpreted in SI base units."
+        return self._sections["format"]
+
+    @functools.cached_property
+    def _demo_bodies(self) -> dict:
+        return {}
+
+    def _demo_body(self, demo: Demonstration) -> str:
+        """A demonstration's parameter, metric and region lines, rendered once."""
+        key = (
+            demo.point, demo.fom,
+            tuple(demo.metrics.items()), tuple(demo.regions.items()),
         )
+        body = self._demo_bodies.get(key)
+        if body is None:
+            body = self._demo_bodies[key] = _render_demo_body(demo, self)
+        return body
 
 
 @dataclass(frozen=True)
@@ -275,7 +306,7 @@ def _template(name: str) -> str:
     )
 
 
-def _render_demo(index: int, demo: Demonstration, card: TaskCard) -> str:
+def _render_demo_body(demo: Demonstration, card: TaskCard) -> str:
     params = ", ".join(
         f"{p.name} = {format_si(v, p.unit)}"
         for p, v in zip(card.space.parameters, demo.point.values)
@@ -286,12 +317,15 @@ def _render_demo(index: int, demo: Demonstration, card: TaskCard) -> str:
         if m.name in demo.metrics
     )
     regions = ", ".join(f"{d}: {r.value}" for d, r in demo.regions.items())
-    lines = [f"Demonstration {index} (FOM = {demo.fom:.4g}):"]
-    lines.append(f"  parameters: {params}")
-    lines.append(f"  metrics: {metrics}")
+    lines = [f"  parameters: {params}", f"  metrics: {metrics}"]
     if regions:
         lines.append(f"  operating regions: {regions}")
     return "\n".join(lines)
+
+
+def _render_demo(index: int, demo: Demonstration, card: TaskCard) -> str:
+    # Only this header depends on the demonstration's rank.
+    return f"Demonstration {index} (FOM = {demo.fom:.4g}):\n" + card._demo_body(demo)
 
 
 def _messages_tokens(messages: list[ChatMessage]) -> int:
@@ -304,14 +338,7 @@ def build_init_prompt(
     """Zero-shot initialization prompt asking for ``n`` distinct points."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    body = _template("init_prompt.txt").format(
-        circuit=card.circuit_text.strip(),
-        specs=card.spec_lines(),
-        principles=card.principles_text.strip(),
-        parameters=card.parameter_lines(),
-        format=card.format_lines(),
-        n=n,
-    )
+    body = _template("init_prompt.txt").format(**card._sections, n=n)
     messages = [
         ChatMessage("system", _template("system.txt").strip()),
         ChatMessage("user", body),
@@ -347,14 +374,7 @@ def build_iteration_prompt(
             )
         else:
             demo_text = "(no demonstrations are available for this task)"
-        body = template.format(
-            circuit=card.circuit_text.strip(),
-            specs=card.spec_lines(),
-            demos=demo_text,
-            principles=card.principles_text.strip(),
-            parameters=card.parameter_lines(),
-            format=card.format_lines(),
-        )
+        body = template.format(**card._sections, demos=demo_text)
         return [system, ChatMessage("user", body)]
 
     messages = render(kept)

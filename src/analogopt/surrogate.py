@@ -198,13 +198,14 @@ def lml_gradient(
 def _fit_invariants(X):
     """The parts of the LML that depend on X alone, fixed for a whole fit.
 
-    Returns the per-dimension pairwise differences, shape (d, n, n) with
-    ``diffs[i] = X[:, i, None] - X[None, :, i]``, and the n x n identity.
+    Returns X centred per dimension (the lengthscale gradient depends on
+    pairwise differences only, and centring keeps its matmul form from
+    cancelling) and the n x n identity.
     """
-    return X.T[:, :, None] - X.T[:, None, :], np.eye(X.shape[0])
+    return X - np.mean(X, axis=0), np.eye(X.shape[0])
 
 
-def _lml_and_grad(X, y, lengthscales, signal_variance, noise_variance, diffs, eye):
+def _lml_and_grad(X, y, lengthscales, signal_variance, noise_variance, centered, eye):
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
     n = X.shape[0]
@@ -222,14 +223,14 @@ def _lml_and_grad(X, y, lengthscales, signal_variance, noise_variance, diffs, ey
     # d(K + nv I)/dlog nv = nv I.
     Kinv = cho_solve((L, True), eye)
     W = np.outer(alpha, alpha) - Kinv
+    M = W * K
+    r = np.sum(M, axis=1)
     grad = np.empty(X.shape[1] + 2)
-    scaled = diffs / lengthscales[:, None, None]
-    terms = W * (K * scaled**2)
-    # One np.sum per contiguous n x n slab: summing the (d, n*n) reshape
-    # along axis 1 rounds differently.
-    for i in range(X.shape[1]):
-        grad[i] = 0.5 * float(np.sum(terms[i]))
-    grad[-2] = 0.5 * float(np.sum(W * K))
+    # 0.5 sum_jk M_jk (x_ji - x_ki)^2 = r @ x_i^2 - x_i @ M @ x_i, M symmetric.
+    grad[:-2] = (
+        r @ centered**2 - np.sum(centered * (M @ centered), axis=0)
+    ) / lengthscales**2
+    grad[-2] = 0.5 * float(np.sum(r))
     grad[-1] = 0.5 * noise_variance * float(np.trace(W))
     return lml, grad
 
@@ -274,14 +275,14 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
         )
     )
     bounds = list(zip(lo, hi))
-    diffs, eye = _fit_invariants(X)
+    centered, eye = _fit_invariants(X)
 
     def objective(theta):
         ls = np.exp(theta[:d])
         sv = math.exp(theta[d])
         nv = math.exp(theta[d + 1])
         try:
-            lml, grad = _lml_and_grad(X, y_std, ls, sv, nv, diffs, eye)
+            lml, grad = _lml_and_grad(X, y_std, ls, sv, nv, centered, eye)
         except NumericalError:
             return 1e25, np.zeros_like(theta)
         return -lml, -grad
@@ -316,7 +317,7 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
                 np.exp(candidate[:d]),
                 math.exp(candidate[d]),
                 math.exp(candidate[d + 1]),
-                diffs,
+                centered,
                 eye,
             )
         except NumericalError:

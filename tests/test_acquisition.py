@@ -168,6 +168,39 @@ def test_slot_scorer_matches_qei_of_extended_batch(fitted_model, k):
         assert value == pytest.approx(expected, rel=1e-9)
 
 
+def _model_in(d):
+    rng = np.random.default_rng(3)
+    X = rng.uniform(size=(8 if d == 2 else 30, d))
+    y = np.sin(3.0 * X[:, 0]) * np.cos(2.0 * X[:, 1])
+    y = y + 0.3 * np.sum(np.sin(4.0 * X[:, 2:]), axis=1)
+    return gp_fit(X, y, GpFitConfig(restarts=4, seed=1)), float(y.min()) - 0.1
+
+
+@pytest.mark.parametrize("d", [2, 14])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_slot_scorer_gradient_matches_central_differences(d, k):
+    model, best = _model_in(d)
+    prefix = np.random.default_rng(8).uniform(size=(k, d))
+    cands = np.random.default_rng(100 + k).uniform(size=(3, d))
+    # 512 draws at h = 1e-6 leave every draw's bordered sample clear of its
+    # threshold across the stencil for these inputs; a crossed kink of the
+    # Monte-Carlo estimator shifts a difference quotient by ~|df/dx| / 1024.
+    score = _slot_scorer(model, prefix, _base_draws(5, k + 1, 512), best)
+    values, grad = score(cands, grad=True)
+    assert grad.shape == cands.shape
+    assert np.allclose(values, score(cands), rtol=1e-12, atol=0.0)
+    h = 1e-6
+    fd = np.empty_like(grad)
+    for a in range(d):
+        step = np.zeros(d)
+        step[a] = h
+        fd[:, a] = (score(cands + step) - score(cands - step)) / (2.0 * h)
+    assert np.any(fd != 0.0)
+    for g_row, fd_row in zip(grad, fd):
+        scale = max(np.max(np.abs(fd_row)), 1e-8)
+        assert np.max(np.abs(g_row - fd_row)) <= 1e-6 * scale
+
+
 def test_propose_batch_propagates_prefix_factor_failure(unit_space):
     # A Cholesky factor far too small for its kernel makes every prefix
     # covariance strongly negative, beyond what diagonal jitter can repair.

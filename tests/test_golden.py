@@ -22,12 +22,12 @@ GOLDEN = [
     (
         dict(method="ado_llm", preset="amp2", n_iter=4,
              llm_queries_per_step=1, gp_queries_per_step=4),
-        "567f03cdcaeeb67586ae93cf9b0a9c6098916a276a53ccef2940da3269e480e5",
+        "29b720e063f62a0e8794ff618a477b8613bcd1ffe1416ccfa5cc59c34ec6a2b7",
     ),
     (
         dict(method="gp_bo", preset="branin", n_iter=4, llm_queries_per_step=0,
              gp_queries_per_step=5, init_strategy="uniform_random"),
-        "4b5c8234df5e5fc2f9c0f54b57dbe20d6018c326f91f22fb1c81d84914ffe05d",
+        "674cbcaa22f38ed5b028e5ad69cdc1455cf2e403289e689f53feb78567eac0d7",
     ),
     (
         # many all-failed designs share one FOM, so top_k's tie order matters

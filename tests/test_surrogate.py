@@ -194,10 +194,18 @@ def test_lml_scale_equivariance():
     assert scaled == pytest.approx(base - len(y) * math.log(c), abs=1e-9)
 
 
-def test_lml_gradient_matches_central_differences():
-    X, y = _training_set(n=6, seed=10)
-    d = X.shape[1]
-    theta = np.log(np.array([0.45, 0.9, 1.3, 4e-3]))
+@pytest.mark.parametrize(
+    "n, d, lengthscales",
+    [
+        (6, 2, [0.45, 0.9]),
+        # the benchmark's amp2 shape, where the matmul form would cancel
+        (55, 14, np.linspace(0.3, 2.0, 14)),
+    ],
+    ids=["n6_d2", "n55_d14"],
+)
+def test_lml_gradient_matches_central_differences(n, d, lengthscales):
+    X, y = _training_set(n=n, d=d, seed=10)
+    theta = np.log(np.concatenate([lengthscales, [1.3, 4e-3]]))
 
     def lml_at(t):
         return log_marginal_likelihood(
