@@ -3,6 +3,8 @@ proposer interleaved with an LLM proposer over a shared evaluation dataset,
 driving pluggable analytic circuit models through a spec-gated figure of
 merit."""
 
+__version__ = "0.1.0"
+
 from .core import (
     Dataset,
     DesignPoint,
@@ -48,7 +50,6 @@ from .evaluator import (
 )
 from .llm import (
     ChatMessage,
-    Demonstration,
     LlmConfig,
     TaskCard,
     build_init_prompt,
@@ -59,13 +60,4 @@ from .llm import (
 )
 from .sampler import top_k, uniform_k
 from .config import RunConfig, load_run_config
-from .orchestrator import (
-    RunLog,
-    report,
-    run,
-    run_adollm,
-    run_gp_bo,
-    run_llm_only,
-)
-
-__version__ = "0.1.0"
+from .orchestrator import RunLog, report, run

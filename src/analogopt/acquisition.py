@@ -47,7 +47,6 @@ _LOGIT_EPS = 1e-9
 
 @dataclass(frozen=True)
 class AcquisitionConfig:
-    batch_size: int = 4
     mc_samples: int = 4096
     restarts: int = 10
     raw_candidates: int = 512
@@ -55,8 +54,6 @@ class AcquisitionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
         if self.restarts < 1:
@@ -191,10 +188,11 @@ def propose_batch(
     model: GpModel,
     space: DesignSpace,
     best: float,
+    batch_size: int,
     config: AcquisitionConfig,
     rng: np.random.Generator,
 ) -> list[DesignPoint]:
-    """Greedy sequential batch maximizing Monte-Carlo qEI.
+    """Greedy sequential batch of ``batch_size`` points maximizing Monte-Carlo qEI.
 
     The base draws are made once per batch; slot ``j`` uses their first
     ``j + 1`` columns. Each slot builds one scorer over its fixed prefix and
@@ -206,9 +204,9 @@ def propose_batch(
     its re-scored value is finite and higher, and a failed run keeps it.
     """
     d = space.dimension
-    Z = _base_draws(config.seed, config.batch_size, config.mc_samples)
+    Z = _base_draws(config.seed, batch_size, config.mc_samples)
     chosen: list[np.ndarray] = []
-    for slot in range(config.batch_size):
+    for slot in range(batch_size):
         prefix = np.array(chosen) if chosen else np.empty((0, d))
         cands = rng.uniform(size=(config.raw_candidates, d))
         score = _slot_scorer(model, prefix, Z[:, : slot + 1], best)

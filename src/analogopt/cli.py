@@ -50,16 +50,11 @@ def _overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
-def _write(log, out: str | None, fallback: str) -> str:
-    path = out or fallback
-    log.write(path)
-    return path
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, **_overrides(args))
     log = run(config)
-    path = _write(log, config.out, "run_log.jsonl")
+    path = config.out or "run_log.jsonl"
+    log.write(path)
     summary = log.summary
     print(
         f"{config.method} on {config.preset}: {summary['n_evals']} evaluations, "
@@ -78,15 +73,14 @@ def _variant_path(base: str | None, stem: str, variant: str) -> str:
 
 def _cmd_ablate_init(args: argparse.Namespace) -> int:
     base = load_run_config(args.config, **_overrides(args))
-    # keep the per-iteration evaluation budget of the base configuration
-    batch = max(base.llm_queries_per_step + base.gp_queries_per_step, 1)
     paths = []
     for strategy in ("uniform_random", "llm_zero_shot"):
         config = dataclasses.replace(
             base,
             method="gp_bo",
             llm_queries_per_step=0,
-            gp_queries_per_step=batch,
+            # keep the per-iteration evaluation budget of the base configuration
+            gp_queries_per_step=base.batch_size,
             init_strategy=strategy,
         )
         log = run(config)

@@ -11,12 +11,11 @@ from __future__ import annotations
 import configparser
 import dataclasses
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .acquisition import AcquisitionConfig
 from .core import ConfigError
 from .evaluator import CircuitModel, ProcessConstants, circuit_model
-from .llm import LlmConfig, TaskCard
+from .llm import LlmConfig, TaskCard, _template
 from .surrogate import GpFitConfig
 
 METHODS = ("ado_llm", "gp_bo", "llm_only")
@@ -85,10 +84,6 @@ class RunConfig:
     def total_evaluations(self) -> int:
         return self.n_init + self.batch_size * self.n_iter
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        return out
-
 
 def build_model(config: RunConfig) -> CircuitModel:
     return circuit_model(config.preset, config.constants)
@@ -96,41 +91,63 @@ def build_model(config: RunConfig) -> CircuitModel:
 
 def build_task_card(config: RunConfig, model: CircuitModel) -> TaskCard:
     circuit_name, principles_name = _CARD_TEMPLATES[config.preset]
-    circuit_text = (
-        resources.files("analogopt.templates").joinpath(circuit_name).read_text(
-            encoding="utf-8"
-        )
-    )
     if config.principles_file:
         with open(config.principles_file, encoding="utf-8") as handle:
             principles_text = handle.read()
     else:
-        principles_text = (
-            resources.files("analogopt.templates")
-            .joinpath(principles_name)
-            .read_text(encoding="utf-8")
-        )
+        principles_text = _template(principles_name)
     return TaskCard(
         name=config.preset,
         space=model.space,
         fom=model.fom,
-        circuit_text=circuit_text,
+        circuit_text=_template(circuit_name),
         principles_text=principles_text,
     )
 
 
-_RUN_KEYS = {
-    "method", "preset", "n_init", "n_iter", "llm_queries_per_step",
-    "gp_queries_per_step", "init_strategy", "seed", "out",
+# The dataclass behind each INI target; "run" is RunConfig itself.
+_TARGETS = {
+    "constants": ProcessConstants,
+    "llm": LlmConfig,
+    "acquisition": AcquisitionConfig,
+    "gp_fit": GpFitConfig,
+    "run": RunConfig,
 }
-_LLM_KEYS = {
-    "endpoint", "model", "temperature", "max_tokens", "context_budget",
-    "retry_limit", "api_key_env", "timeout", "transport_attempts", "backoff",
-    "mock", "principles_file",
+
+
+def _same_name(target: str, skip=("seed",)) -> dict:
+    """A key named after each field of ``target`` except ``skip``.
+
+    By default that skips the nested configs' seeds, which the orchestrator
+    draws from the run seed for every call.
+    """
+    fields = dataclasses.fields(_TARGETS[target])
+    return {f.name: (target, f.name) for f in fields if f.name not in skip}
+
+
+# section -> INI key -> (target, field). Only the keys that rename a field or
+# set one of another target are written out.
+INI_KEYS = {
+    # [run] sets neither the nested configs nor the fields other sections set.
+    "run": _same_name(
+        "run", skip=(*_TARGETS, "sampler_kind", "sampler_k", "mock", "principles_file")
+    ),
+    "llm": {
+        **_same_name("llm"),
+        "mock": ("run", "mock"),
+        "principles_file": ("run", "principles_file"),
+    },
+    "acquisition": {
+        **_same_name("acquisition"),
+        "gp_restarts": ("gp_fit", "restarts"),
+        "noise_floor": ("gp_fit", "noise_floor"),
+        "gp_maxiter": ("gp_fit", "maxiter"),
+    },
+    "sampler": {"kind": ("run", "sampler_kind"), "k": ("run", "sampler_k")},
+    "evaluator": {
+        f"constants.{name}": key for name, key in _same_name("constants").items()
+    },
 }
-_ACQ_KEYS = {"mc_samples", "restarts", "raw_candidates", "maxiter"}
-_GP_KEYS = {"gp_restarts", "noise_floor", "gp_maxiter"}
-_SAMPLER_KEYS = {"kind", "k"}
 
 
 def load_run_config(path: str, **overrides) -> RunConfig:
@@ -147,105 +164,55 @@ def load_run_config(path: str, **overrides) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _check_keys(section, present, allowed):
-    unknown = set(present) - allowed
-    if unknown:
+def _check_section(name: str, section) -> None:
+    allowed = INI_KEYS[name]
+    unknown = [key for key in section if key not in allowed]
+    if not unknown:
+        return
+    if name != "evaluator":
         raise ConfigError(
-            f"unknown key(s) in [{section}]: {sorted(unknown)}; "
+            f"unknown key(s) in [{name}]: {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}"
         )
+    key = unknown[0]
+    if not key.startswith("constants."):
+        raise ConfigError(f"unknown key in [evaluator]: {key!r}; use constants.<name>")
+    raise ConfigError(f"unknown process constant {key.split('.', 1)[1]!r}")
+
+
+def _convert(cls, name: str, raw):
+    """INI text as its field's type: int and float fields convert, text stays."""
+    default = cls.__dataclass_fields__[name].default
+    return type(default)(raw) if isinstance(default, (int, float)) else raw
 
 
 def _from_parser(parser: configparser.ConfigParser, overrides: dict) -> RunConfig:
     if "run" not in parser:
         raise ConfigError("config file needs a [run] section")
-    run = parser["run"]
-    _check_keys("run", run.keys(), _RUN_KEYS)
-    method = overrides.get("method", run.get("method"))
-    preset = overrides.get("preset", run.get("preset"))
+    sections = {name: parser[name] for name in INI_KEYS if name in parser}
+    for name, section in sections.items():
+        _check_section(name, section)
+    method = overrides.get("method", sections["run"].get("method"))
+    preset = overrides.get("preset", sections["run"].get("preset"))
     if not method or not preset:
         raise ConfigError("[run] must set both method and preset")
-    default_llm_q, default_gp_q = _METHOD_QUERIES.get(method, (1, 4))
 
-    llm_section = parser["llm"] if "llm" in parser else {}
-    _check_keys("llm", llm_section.keys(), _LLM_KEYS)
-    acq_section = parser["acquisition"] if "acquisition" in parser else {}
-    _check_keys("acquisition", acq_section.keys(), _ACQ_KEYS | _GP_KEYS)
-    sampler_section = parser["sampler"] if "sampler" in parser else {}
-    _check_keys("sampler", sampler_section.keys(), _SAMPLER_KEYS)
+    llm_q, gp_q = _METHOD_QUERIES.get(method, (1, 4))
+    raw: dict[str, dict] = {target: {} for target in _TARGETS}
+    raw["run"] = {
+        "llm_queries_per_step": llm_q,
+        "gp_queries_per_step": gp_q,
+        "init_strategy": "uniform_random" if method == "gp_bo" else "llm_zero_shot",
+    }
+    for name, section in sections.items():
+        for key, value in section.items():
+            target, field_name = INI_KEYS[name][key]
+            raw[target][field_name] = value
+    raw["run"].update(overrides)
 
-    constants = ProcessConstants()
-    if "evaluator" in parser:
-        updates = {}
-        for key, raw in parser["evaluator"].items():
-            if not key.startswith("constants."):
-                raise ConfigError(
-                    f"unknown key in [evaluator]: {key!r}; use constants.<name>"
-                )
-            name = key.split(".", 1)[1]
-            if name not in ProcessConstants.__dataclass_fields__:
-                raise ConfigError(f"unknown process constant {name!r}")
-            updates[name] = float(raw)
-        constants = dataclasses.replace(constants, **updates)
-
-    def geti(section, key, default):
-        return int(section.get(key, default))
-
-    def getf(section, key, default):
-        return float(section.get(key, default))
-
-    llm_config = LlmConfig(
-        endpoint=llm_section.get("endpoint", LlmConfig.endpoint),
-        model=llm_section.get("model", LlmConfig.model),
-        temperature=getf(llm_section, "temperature", LlmConfig.temperature),
-        max_tokens=geti(llm_section, "max_tokens", LlmConfig.max_tokens),
-        context_budget=geti(llm_section, "context_budget", LlmConfig.context_budget),
-        retry_limit=geti(llm_section, "retry_limit", LlmConfig.retry_limit),
-        api_key_env=llm_section.get("api_key_env", LlmConfig.api_key_env),
-        timeout=getf(llm_section, "timeout", LlmConfig.timeout),
-        transport_attempts=geti(
-            llm_section, "transport_attempts", LlmConfig.transport_attempts
-        ),
-        backoff=getf(llm_section, "backoff", LlmConfig.backoff),
-    )
-    acquisition = AcquisitionConfig(
-        batch_size=max(int(run.get("gp_queries_per_step", default_gp_q)), 1),
-        mc_samples=geti(acq_section, "mc_samples", AcquisitionConfig.mc_samples),
-        restarts=geti(acq_section, "restarts", AcquisitionConfig.restarts),
-        raw_candidates=geti(
-            acq_section, "raw_candidates", AcquisitionConfig.raw_candidates
-        ),
-        maxiter=geti(acq_section, "maxiter", AcquisitionConfig.maxiter),
-    )
-    gp_fit = GpFitConfig(
-        restarts=geti(acq_section, "gp_restarts", GpFitConfig.restarts),
-        noise_floor=getf(acq_section, "noise_floor", GpFitConfig.noise_floor),
-        maxiter=geti(acq_section, "gp_maxiter", GpFitConfig.maxiter),
-    )
-
-    config = RunConfig(
-        method=method,
-        preset=preset,
-        n_init=geti(run, "n_init", 5),
-        n_iter=geti(run, "n_iter", 20),
-        llm_queries_per_step=geti(run, "llm_queries_per_step", default_llm_q),
-        gp_queries_per_step=geti(run, "gp_queries_per_step", default_gp_q),
-        init_strategy=overrides.get(
-            "init_strategy",
-            run.get(
-                "init_strategy",
-                "uniform_random" if method == "gp_bo" else "llm_zero_shot",
-            ),
-        ),
-        sampler_kind=sampler_section.get("kind", "top_k"),
-        sampler_k=geti(sampler_section, "k", 5),
-        seed=int(overrides.get("seed", run.get("seed", 0))),
-        out=overrides.get("out", run.get("out")),
-        mock=overrides.get("mock", llm_section.get("mock")),
-        principles_file=llm_section.get("principles_file"),
-        llm=llm_config,
-        acquisition=acquisition,
-        gp_fit=gp_fit,
-        constants=constants,
-    )
-    return config
+    # Nested configs first, each validating itself; RunConfig takes them all.
+    built = {}
+    for target, cls in _TARGETS.items():
+        values = {name: _convert(cls, name, v) for name, v in raw[target].items()}
+        built[target] = cls(**values, **(built if target == "run" else {}))
+    return built["run"]

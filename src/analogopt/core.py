@@ -98,12 +98,6 @@ class DesignSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)
 
-    def parameter(self, name: str) -> Parameter:
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
     def index(self, name: str) -> int:
         for i, p in enumerate(self.parameters):
             if p.name == name:
@@ -183,6 +177,13 @@ class Dataset:
     def __getitem__(self, index: int) -> EvalRecord:
         return self._records[index]
 
+    @property
+    def best_index(self) -> int:
+        """Index of the highest-FOM record; ties go to the earliest insertion."""
+        if not self._records:
+            raise EmptyDatasetError("an empty dataset has no best record")
+        return self._ranking[0][1]
+
     def ranked(self, k: int) -> list[EvalRecord]:
         """The k highest-FOM records, descending; ties keep earlier insertions."""
         return [self._records[i] for _, i in self._ranking[:k]]
@@ -208,10 +209,4 @@ def dataset_append(dataset: Dataset, record: EvalRecord) -> Dataset:
 
 def dataset_best(dataset: Dataset) -> EvalRecord:
     """The record with maximal FOM; ties go to the earliest insertion."""
-    if len(dataset) == 0:
-        raise EmptyDatasetError("dataset_best needs at least one record")
-    best = dataset[0]
-    for record in dataset:
-        if record.fom > best.fom:
-            best = record
-    return best
+    return dataset[dataset.best_index]

@@ -81,13 +81,6 @@ class Stack:
 
 
 @dataclass(frozen=True)
-class BiasSolution:
-    """Per-device gate overdrives of the quiescent operating point (volts)."""
-
-    overdrives: dict[str, float]
-
-
-@dataclass(frozen=True)
 class CircuitModel:
     name: str
     space: DesignSpace
@@ -99,9 +92,6 @@ class CircuitModel:
     @property
     def devices(self) -> tuple[str, ...]:
         return tuple(self.sharing)
-
-    def value(self, point: DesignPoint, name: str) -> float:
-        return point.values[self.space.index(name)]
 
 
 def _amp2_space() -> DesignSpace:
@@ -234,7 +224,7 @@ def _parallel(a: float, b: float) -> float:
 
 def _amp2_solve(model: CircuitModel, point: DesignPoint):
     c = model.constants
-    v = lambda name: model.value(point, name)
+    v = lambda name: point.value(model.space, name)
     w1, l1 = v("w1"), v("l1")
     w3, l3 = v("w3"), v("l3")
     w6, l6 = v("w6"), v("l6")
@@ -276,25 +266,23 @@ def _amp2_solve(model: CircuitModel, point: DesignPoint):
     vov1 = math.sqrt(2.0 * i_d1 / (c.kp_n * (w1 / l1)))
     vov3 = math.sqrt(2.0 * i_d1 / (c.kp_p * (w3 / l3)))
     vov6 = math.sqrt(2.0 * i_stage2 / (c.kp_p * (w6 / l6)))
-    bias = BiasSolution(
-        overdrives={
-            "M1": vov1,
-            "M2": vov1,
-            "M3": vov3,
-            "M4": vov3,
-            "M5": c.v_ov_bias,
-            "M6": vov6,
-            "M7": c.v_ov_bias,
-            "Mb": c.v_ov_bias,
-        }
-    )
+    overdrives = {
+        "M1": vov1,
+        "M2": vov1,
+        "M3": vov3,
+        "M4": vov3,
+        "M5": c.v_ov_bias,
+        "M6": vov6,
+        "M7": c.v_ov_bias,
+        "Mb": c.v_ov_bias,
+    }
     ok = i_tail > 0 and i_stage2 > 0
-    return metrics, bias, ok
+    return metrics, overdrives, ok
 
 
 def _comparator_solve(model: CircuitModel, point: DesignPoint):
     c = model.constants
-    v = lambda name: model.value(point, name)
+    v = lambda name: point.value(model.space, name)
     w1, l1 = v("w1"), v("l1")
     w3, l3 = v("w3"), v("l3")
     w5, l5 = v("w5"), v("l5")
@@ -333,44 +321,38 @@ def _comparator_solve(model: CircuitModel, point: DesignPoint):
     }
     vov_load = math.sqrt(2.0 * i_diode / (c.kp_p * (w3 / l3)))
     vov7 = math.sqrt(2.0 * i_out / (c.kp_p * (w7 / l7)))
-    bias = BiasSolution(
-        overdrives={
-            "M1": vov1,
-            "M2": vov1,
-            "M3": vov_load,
-            "M4": vov_load,
-            "M5": vov_load,
-            "M6": vov_load,
-            "M7": vov7,
-            "M8": vov7,
-            "M9": c.v_ov_bias,
-            "M10": c.v_ov_bias,
-            "M11": c.v_ov_bias,
-            "Mb": c.v_ov_bias,
-        }
-    )
+    overdrives = {
+        "M1": vov1,
+        "M2": vov1,
+        "M3": vov_load,
+        "M4": vov_load,
+        "M5": vov_load,
+        "M6": vov_load,
+        "M7": vov7,
+        "M8": vov7,
+        "M9": c.v_ov_bias,
+        "M10": c.v_ov_bias,
+        "M11": c.v_ov_bias,
+        "Mb": c.v_ov_bias,
+    }
     ok = i_tail > 0 and i_out > 0
-    return metrics, bias, ok
+    return metrics, overdrives, ok
 
 
 def classify_regions(
-    model: CircuitModel, point: DesignPoint, bias: BiasSolution
+    model: CircuitModel, overdrives: dict[str, float]
 ) -> dict[str, Region]:
     """Classify every device from its overdrive and its stack's headroom.
 
+    ``overdrives`` maps each device to its quiescent gate overdrive (volts).
     cutoff when the overdrive is non-positive; triode when the device sits in
     a stack whose summed overdrives exceed vdd - v_headroom; saturation
-    otherwise. Classification depends only on the bias solution.
+    otherwise.
     """
-    budget = model.constants.vdd - model.constants.v_headroom
-    crowded: set[str] = set()
-    for stack in model.stacks:
-        total = sum(bias.overdrives[name] for name in stack.levels)
-        if total > budget:
-            crowded.update(stack.members)
+    crowded = {d for stack in _crowded_stacks(model, overdrives) for d in stack.members}
     report = {}
     for device in model.devices:
-        vov = bias.overdrives[device]
+        vov = overdrives[device]
         if vov <= 0:
             report[device] = Region.CUTOFF
         elif device in crowded:
@@ -380,14 +362,10 @@ def classify_regions(
     return report
 
 
-def _headroom_ok(model: CircuitModel, bias: BiasSolution) -> bool:
+def _crowded_stacks(model: CircuitModel, overdrives: dict[str, float]) -> list[Stack]:
+    """The stacks whose summed level overdrives exceed vdd - v_headroom."""
     budget = model.constants.vdd - model.constants.v_headroom
-    for stack in model.stacks:
-        if not stack.gain_path:
-            continue
-        if sum(bias.overdrives[name] for name in stack.levels) > budget:
-            return False
-    return True
+    return [s for s in model.stacks if sum(overdrives[n] for n in s.levels) > budget]
 
 
 def synthetic_eval(fn: str, x) -> float:
@@ -453,14 +431,17 @@ def evaluate(
     else:
         solver = _amp2_solve if model.name == "amp2" else _comparator_solve
         try:
-            metrics, bias, ok = solver(model, point)
-            ok = ok and _headroom_ok(model, bias) and all(
+            metrics, overdrives, ok = solver(model, point)
+            headroom_ok = not any(
+                stack.gain_path for stack in _crowded_stacks(model, overdrives)
+            )
+            ok = ok and headroom_ok and all(
                 math.isfinite(m) for m in metrics.values()
             )
         except (ValueError, ZeroDivisionError, OverflowError):
             metrics, ok = {}, False
-            bias = BiasSolution(overdrives={d: 0.0 for d in model.devices})
-        regions = classify_regions(model, point, bias)
+            overdrives = {d: 0.0 for d in model.devices}
+        regions = classify_regions(model, overdrives)
         if not ok:
             metrics = failed_metrics(model.fom)
     return EvalRecord(

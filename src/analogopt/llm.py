@@ -22,7 +22,7 @@ from urllib.parse import urlparse
 import numpy as np
 import requests
 
-from .core import DesignPoint, DesignSpace, Region
+from .core import DesignPoint, DesignSpace, EvalRecord
 from .fom import FomConfig
 from .surrogate import from_unit_cube
 
@@ -161,20 +161,11 @@ class TaskCard:
             ),
         }
 
-    def spec_lines(self) -> str:
-        return self._sections["specs"]
-
-    def parameter_lines(self) -> str:
-        return self._sections["parameters"]
-
-    def format_lines(self) -> str:
-        return self._sections["format"]
-
     @functools.cached_property
     def _demo_bodies(self) -> dict:
         return {}
 
-    def _demo_body(self, demo: Demonstration) -> str:
+    def _demo_body(self, demo: EvalRecord) -> str:
         """A demonstration's parameter, metric and region lines, rendered once."""
         key = (
             demo.point, demo.fom,
@@ -184,25 +175,6 @@ class TaskCard:
         if body is None:
             body = self._demo_bodies[key] = _render_demo_body(demo, self)
         return body
-
-
-@dataclass(frozen=True)
-class Demonstration:
-    """An evaluated record rendered verbatim as a few-shot example."""
-
-    point: DesignPoint
-    metrics: dict[str, float]
-    regions: dict[str, Region]
-    fom: float
-
-    @classmethod
-    def from_record(cls, record) -> "Demonstration":
-        return cls(
-            point=record.point,
-            metrics=dict(record.metrics),
-            regions=dict(record.regions),
-            fom=record.fom,
-        )
 
 
 _SI_PREFIXES = (
@@ -306,7 +278,7 @@ def _template(name: str) -> str:
     )
 
 
-def _render_demo_body(demo: Demonstration, card: TaskCard) -> str:
+def _render_demo_body(demo: EvalRecord, card: TaskCard) -> str:
     params = ", ".join(
         f"{p.name} = {format_si(v, p.unit)}"
         for p, v in zip(card.space.parameters, demo.point.values)
@@ -323,7 +295,7 @@ def _render_demo_body(demo: Demonstration, card: TaskCard) -> str:
     return "\n".join(lines)
 
 
-def _render_demo(index: int, demo: Demonstration, card: TaskCard) -> str:
+def _render_demo(index: int, demo: EvalRecord, card: TaskCard) -> str:
     # Only this header depends on the demonstration's rank.
     return f"Demonstration {index} (FOM = {demo.fom:.4g}):\n" + card._demo_body(demo)
 
@@ -352,7 +324,7 @@ def build_init_prompt(
 
 def build_iteration_prompt(
     card: TaskCard,
-    demos: list[Demonstration],
+    demos: list[EvalRecord],
     context_budget: int = 16000,
 ) -> list[ChatMessage]:
     """Four-step iteration prompt with few-shot demonstrations.
@@ -367,7 +339,7 @@ def build_iteration_prompt(
     system = ChatMessage("system", _template("system.txt").strip())
     kept = list(demos)
 
-    def render(current: list[Demonstration]) -> list[ChatMessage]:
+    def render(current: list[EvalRecord]) -> list[ChatMessage]:
         if current:
             demo_text = "\n\n".join(
                 _render_demo(i + 1, d, card) for i, d in enumerate(current)
@@ -529,14 +501,14 @@ def _corrective_message(error: ParseError, card: TaskCard) -> ChatMessage:
         f"Your previous response was not usable: {error}. "
         "Reply again with a single fenced code block containing one "
         "`name = value unit` line for every parameter, all inside the "
-        "allowed ranges:\n" + card.parameter_lines(),
+        "allowed ranges:\n" + card._sections["parameters"],
     )
 
 
 def propose(
     client,
     card: TaskCard,
-    demos: list[Demonstration],
+    demos: list[EvalRecord],
     space: DesignSpace,
     config: LlmConfig,
 ) -> tuple[DesignPoint, list[ChatMessage]]:
@@ -598,7 +570,7 @@ def propose_init(
             f"far{detail}. Provide exactly one more distinct design point in "
             "a single fenced code block, one `name = value unit` line per "
             "parameter, all inside the allowed ranges:\n"
-            + card.parameter_lines(),
+            + card._sections["parameters"],
         )
         transcript.append(request)
         accepted = False

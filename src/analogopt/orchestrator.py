@@ -22,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .acquisition import propose_batch, qei_mc
 from .config import RunConfig, build_model, build_task_card
 from .core import (
-    ConfigError,
     Dataset,
     DesignPoint,
+    EvalRecord,
     Source,
     dataset_append,
     dataset_best,
@@ -35,7 +36,6 @@ from .core import (
 from .evaluator import CircuitModel, evaluate
 from .fom import FOM_PRESETS, compute_fom, count_missed_specs, hits_spec
 from .llm import (
-    Demonstration,
     HttpLlmClient,
     ProposerExhausted,
     RandomPointLlmClient,
@@ -47,7 +47,6 @@ from .llm import (
 from .sampler import top_k, uniform_k
 from .surrogate import from_unit_cube, gp_fit, to_unit_cube
 
-VERSION = "0.1.0"
 _SEED_STREAMS = ("init", "llm", "acquisition", "surrogate", "sampler")
 
 
@@ -66,10 +65,6 @@ class RunLog:
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(self.text())
-
-    @property
-    def header(self) -> dict:
-        return self.lines[0]
 
     @property
     def summary(self) -> dict:
@@ -93,11 +88,11 @@ def _preset_checksum(model: CircuitModel) -> str:
 
 
 def _header_line(config: RunConfig, model: CircuitModel) -> dict:
-    echo = config.to_dict()
+    echo = dataclasses.asdict(config)
     echo.pop("out", None)  # not experiment-defining; keeps reruns byte-identical
     return {
         "type": "header",
-        "version": VERSION,
+        "version": __version__,
         "method": config.method,
         "preset": config.preset,
         "seed": config.seed,
@@ -136,26 +131,16 @@ def _uniform_point(space, rng) -> DesignPoint:
     return from_unit_cube(space, rng.uniform(size=space.dimension))
 
 
-def _select_demos(config: RunConfig, dataset: Dataset, sampler_rng) -> list[Demonstration]:
+def _select_demos(config: RunConfig, dataset: Dataset, sampler_rng) -> list[EvalRecord]:
     if config.sampler_kind == "none" or len(dataset) == 0:
         return []
     if config.sampler_kind == "top_k":
-        records = top_k(dataset, config.sampler_k)
-    else:
-        records = uniform_k(dataset, config.sampler_k, sampler_rng)
-        records = sorted(records, key=lambda r: -r.fom)
-    return [Demonstration.from_record(r) for r in records]
+        return top_k(dataset, config.sampler_k)
+    records = uniform_k(dataset, config.sampler_k, sampler_rng)
+    return sorted(records, key=lambda r: -r.fom)
 
 
-def _best_index(dataset: Dataset) -> int:
-    best = 0
-    for i, record in enumerate(dataset):
-        if record.fom > dataset[best].fom:
-            best = i
-    return best
-
-
-def run_experiment(config: RunConfig) -> RunLog:
+def run(config: RunConfig) -> RunLog:
     """Execute one configured run and return its in-memory log."""
     model = build_model(config)
     space = model.space
@@ -177,23 +162,20 @@ def run_experiment(config: RunConfig) -> RunLog:
     index = 0
 
     # Initialization (iteration 0 records).
-    n_substituted = 0
-    init_transcript = None
+    init_line = {"type": "init", "strategy": config.init_strategy, "n_substituted": 0}
     if config.init_strategy == "llm_zero_shot":
         try:
             points, transcript = propose_init(
                 client, card, config.n_init, space, config.llm
             )
-            sources = [Source.LLM_INIT] * len(points)
         except ProposerExhausted as exc:
-            points = list(exc.partial)
-            sources = [Source.LLM_INIT] * len(points)
-            transcript = exc.transcript
-            while len(points) < config.n_init:
-                points.append(_uniform_point(space, streams["init"]))
-                sources.append(Source.RANDOM)
-                n_substituted += 1
-        init_transcript = _transcript_dump(transcript)
+            points, transcript = list(exc.partial), exc.transcript
+        sources = [Source.LLM_INIT] * len(points)
+        while len(points) < config.n_init:
+            points.append(_uniform_point(space, streams["init"]))
+            sources.append(Source.RANDOM)
+            init_line["n_substituted"] += 1
+        init_line["transcript"] = _transcript_dump(transcript)
     else:
         points = [_uniform_point(space, streams["init"]) for _ in range(config.n_init)]
         sources = [Source.RANDOM] * config.n_init
@@ -202,13 +184,6 @@ def run_experiment(config: RunConfig) -> RunLog:
         dataset_append(dataset, record)
         lines.append(_eval_line(index, record))
         index += 1
-    init_line: dict = {
-        "type": "init",
-        "strategy": config.init_strategy,
-        "n_substituted": n_substituted,
-    }
-    if init_transcript is not None:
-        init_line["transcript"] = init_transcript
     lines.append(init_line)
 
     for iteration in range(1, config.n_iter + 1):
@@ -242,10 +217,12 @@ def run_experiment(config: RunConfig) -> RunLog:
             best = dataset_best(dataset).fom
             acq_config = dataclasses.replace(
                 config.acquisition,
-                batch_size=config.gp_queries_per_step,
                 seed=int(streams["acquisition"].integers(2**31 - 1)),
             )
-            batch = propose_batch(gp, space, best, acq_config, streams["acquisition"])
+            batch = propose_batch(
+                gp, space, best, config.gp_queries_per_step, acq_config,
+                streams["acquisition"],
+            )
             batch_u = np.array([to_unit_cube(space, p) for p in batch])
             diag["gp"] = {
                 "lengthscales": [float(v) for v in gp.lengthscales],
@@ -268,7 +245,7 @@ def run_experiment(config: RunConfig) -> RunLog:
         raise RuntimeError(
             f"budget accounting broken: {len(dataset)} records, expected {expected}"
         )
-    best_idx = _best_index(dataset)
+    best_idx = dataset.best_index
     best = dataset[best_idx]
     lines.append(
         {
@@ -284,32 +261,6 @@ def run_experiment(config: RunConfig) -> RunLog:
         }
     )
     return RunLog(lines=lines, dataset=dataset)
-
-
-def run_adollm(config: RunConfig) -> RunLog:
-    if config.method != "ado_llm":
-        raise ConfigError(f"run_adollm got method {config.method!r}")
-    return run_experiment(config)
-
-
-def run_gp_bo(config: RunConfig) -> RunLog:
-    if config.method != "gp_bo":
-        raise ConfigError(f"run_gp_bo got method {config.method!r}")
-    return run_experiment(config)
-
-
-def run_llm_only(config: RunConfig) -> RunLog:
-    if config.method != "llm_only":
-        raise ConfigError(f"run_llm_only got method {config.method!r}")
-    return run_experiment(config)
-
-
-def run(config: RunConfig) -> RunLog:
-    return {
-        "ado_llm": run_adollm,
-        "gp_bo": run_gp_bo,
-        "llm_only": run_llm_only,
-    }[config.method](config)
 
 
 def _load_log_lines(path: str) -> list[tuple[int, dict]]:

@@ -163,16 +163,7 @@ def log_marginal_likelihood(
     noise_variance: float,
 ) -> float:
     """Exact Gaussian log marginal likelihood of ``y`` under the RBF kernel."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    lml, _ = _lml_and_grad(
-        X,
-        np.asarray(y, dtype=float),
-        np.asarray(lengthscales, dtype=float) * np.ones(X.shape[1]),
-        signal_variance,
-        noise_variance,
-        *_fit_invariants(X),
-    )
-    return lml
+    return _lml_at(X, y, lengthscales, signal_variance, noise_variance)[0]
 
 
 def lml_gradient(
@@ -183,8 +174,13 @@ def lml_gradient(
     noise_variance: float,
 ) -> np.ndarray:
     """Gradient of the LML w.r.t. (log lengthscales, log signal, log noise)."""
+    return _lml_at(X, y, lengthscales, signal_variance, noise_variance)[1]
+
+
+def _lml_at(X, y, lengthscales, signal_variance, noise_variance):
+    """:func:`_lml_and_grad` for one caller-supplied hyperparameter setting."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    _, grad = _lml_and_grad(
+    return _lml_and_grad(
         X,
         np.asarray(y, dtype=float),
         np.asarray(lengthscales, dtype=float) * np.ones(X.shape[1]),
@@ -192,7 +188,6 @@ def lml_gradient(
         noise_variance,
         *_fit_invariants(X),
     )
-    return grad
 
 
 def _fit_invariants(X):

@@ -14,7 +14,6 @@ from analogopt.acquisition import AcquisitionConfig, ei, propose_batch, qei_mc
 from analogopt.config import RunConfig, build_model, build_task_card
 from analogopt.core import DesignPoint, Region, design_space_contains
 from analogopt.evaluator import (
-    BiasSolution,
     circuit_model,
     classify_regions,
     evaluate,
@@ -28,7 +27,7 @@ from analogopt.llm import (
     parse_response,
     propose,
 )
-from analogopt.orchestrator import run_adollm, run_gp_bo
+from analogopt.orchestrator import run
 from analogopt.surrogate import (
     GpFitConfig,
     _rbf_matrix,
@@ -154,7 +153,7 @@ def test_criterion_3_gp_correctness():
 def test_criterion_4_acquisition_correctness(unit_space):
     with criterion(4, "qEI vs closed-form EI (2% at 1e5), in-box, deterministic"):
         rng = np.random.default_rng(17)
-        config = AcquisitionConfig(batch_size=1, mc_samples=100_000, seed=23)
+        config = AcquisitionConfig(mc_samples=100_000, seed=23)
         far = np.array([[0.0]])
         for _ in range(20):
             mu = rng.normal()
@@ -170,12 +169,12 @@ def test_criterion_4_acquisition_correctness(unit_space):
         y = np.sin(3.0 * X[:, 0]) * np.cos(2.0 * X[:, 1])
         model = gp_fit(X, y, GpFitConfig(restarts=4, seed=1))
         acq = AcquisitionConfig(
-            batch_size=4, mc_samples=512, restarts=3, raw_candidates=128,
+            mc_samples=512, restarts=3, raw_candidates=128,
             maxiter=20, seed=3,
         )
-        batch1 = propose_batch(model, unit_space, float(y.max()), acq,
+        batch1 = propose_batch(model, unit_space, float(y.max()), 4, acq,
                                np.random.default_rng(9))
-        batch2 = propose_batch(model, unit_space, float(y.max()), acq,
+        batch2 = propose_batch(model, unit_space, float(y.max()), 4, acq,
                                np.random.default_rng(9))
         assert all(design_space_contains(unit_space, p) for p in batch1)
         assert [p.values for p in batch1] == [p.values for p in batch2]
@@ -197,7 +196,7 @@ def test_criterion_5_gp_bo_beats_random_on_branin():
                 ),
                 gp_fit=GpFitConfig(restarts=3, maxiter=60),
             )
-            log = run_gp_bo(config)
+            log = run(config)
             assert len(log.dataset) == 105
             gp_bests.append(log.summary["best_fom"])
 
@@ -227,14 +226,14 @@ def test_criterion_6_hybrid_loop_contract():
             ),
             gp_fit=GpFitConfig(restarts=3, maxiter=60),
         )
-        log = run_adollm(config)
+        log = run(config)
         assert len(log.dataset) == 105
         for iteration in range(1, 21):
             sources = Counter(
                 r.source.value for r in log.dataset if r.iteration == iteration
             )
             assert sources == {"llm": 1, "gp_bo": 4}, iteration
-        rerun = run_adollm(config)
+        rerun = run(config)
         assert log.text() == rerun.text()
 
 
@@ -290,14 +289,14 @@ def test_criterion_7_evaluator_properties():
         assert offsets[0] > offsets[1] > offsets[2]
 
         # region classifier on constructed bias solutions (1.0 V budget)
-        sat = BiasSolution({d: 0.2 for d in amp2.devices})
-        report = classify_regions(amp2, base, sat)  # first stack sums to 0.6 V
+        sat = {d: 0.2 for d in amp2.devices}
+        report = classify_regions(amp2, sat)  # first stack sums to 0.6 V
         assert report["M1"] is Region.SATURATION
-        crowded = BiasSolution({**sat.overdrives, "M1": 0.4, "M3": 0.5})
-        report = classify_regions(amp2, base, crowded)  # sums to 1.1 V
+        crowded = {**sat, "M1": 0.4, "M3": 0.5}
+        report = classify_regions(amp2, crowded)  # sums to 1.1 V
         assert report["M1"] is Region.TRIODE
-        cut = BiasSolution({**sat.overdrives, "M6": -0.01})
-        assert classify_regions(amp2, base, cut)["M6"] is Region.CUTOFF
+        cut = {**sat, "M6": -0.01}
+        assert classify_regions(amp2, cut)["M6"] is Region.CUTOFF
 
 
 # --- 8. Proposer robustness ---------------------------------------------------
@@ -331,9 +330,7 @@ def test_criterion_8_proposer_robustness(tmp_path):
             llm_queries_per_step=1, gp_queries_per_step=0,
             init_strategy="uniform_random", mock=str(script), seed=0,
         )
-        from analogopt.orchestrator import run_llm_only
-
-        log = run_llm_only(run_config)
+        log = run(run_config)
         assert len(log.dataset) == 4
         iter_records = [r for r in log.dataset if r.iteration >= 1]
         assert all(r.source.value == "random" for r in iter_records)

@@ -60,7 +60,7 @@ def test_ei_nonnegative_everywhere():
 def test_qei_q1_matches_closed_form():
     # 20 (mu, sigma, best) triples with meaningful improvement probability
     rng = np.random.default_rng(17)
-    config = AcquisitionConfig(batch_size=1, mc_samples=100_000, seed=23)
+    config = AcquisitionConfig(mc_samples=100_000, seed=23)
     for _ in range(20):
         mu = rng.normal()
         sigma = rng.uniform(0.3, 2.0)
@@ -75,7 +75,7 @@ def test_qei_duplicate_point_equals_singleton(fitted_model):
     model, _ = fitted_model
     x = np.array([[0.21, 0.84]])
     best = float(model.target_mean - 3.0 * model.target_std)  # improvement certain
-    config = AcquisitionConfig(batch_size=2, mc_samples=20_000, seed=7)
+    config = AcquisitionConfig(mc_samples=20_000, seed=7)
     single = qei_mc(model, x, best, config)
     pair = qei_mc(model, np.vstack([x, x]), best, config)
     assert single > 0
@@ -85,7 +85,7 @@ def test_qei_duplicate_point_equals_singleton(fitted_model):
 def test_qei_superset_dominates(fitted_model):
     model, best = fitted_model
     rng = np.random.default_rng(11)
-    config = AcquisitionConfig(batch_size=3, mc_samples=8_192, seed=5)
+    config = AcquisitionConfig(mc_samples=8_192, seed=5)
     for _ in range(10):
         batch = rng.uniform(size=(3, 2))
         extra = np.vstack([batch, rng.uniform(size=(1, 2))])
@@ -97,18 +97,18 @@ def test_qei_superset_dominates(fitted_model):
 def test_qei_is_pure_function_of_inputs(fitted_model):
     model, best = fitted_model
     batch = np.array([[0.2, 0.3], [0.8, 0.1]])
-    config = AcquisitionConfig(batch_size=2, mc_samples=4_096, seed=13)
+    config = AcquisitionConfig(mc_samples=4_096, seed=13)
     assert qei_mc(model, batch, best, config) == qei_mc(model, batch, best, config)
 
 
 def test_propose_batch_in_box_and_deterministic(fitted_model, unit_space):
     model, best = fitted_model
     config = AcquisitionConfig(
-        batch_size=4, mc_samples=512, restarts=3, raw_candidates=128,
+        mc_samples=512, restarts=3, raw_candidates=128,
         maxiter=20, seed=3,
     )
-    batch1 = propose_batch(model, unit_space, best, config, np.random.default_rng(9))
-    batch2 = propose_batch(model, unit_space, best, config, np.random.default_rng(9))
+    batch1 = propose_batch(model, unit_space, best, 4, config, np.random.default_rng(9))
+    batch2 = propose_batch(model, unit_space, best, 4, config, np.random.default_rng(9))
     assert [p.values for p in batch1] == [p.values for p in batch2]
     assert len(batch1) == 4
     assert all(design_space_contains(unit_space, p) for p in batch1)
@@ -117,10 +117,10 @@ def test_propose_batch_in_box_and_deterministic(fitted_model, unit_space):
 def test_propose_batch_beats_random_batches(fitted_model, unit_space):
     model, best = fitted_model
     config = AcquisitionConfig(
-        batch_size=3, mc_samples=1024, restarts=3, raw_candidates=128,
+        mc_samples=1024, restarts=3, raw_candidates=128,
         maxiter=25, seed=3,
     )
-    batch = propose_batch(model, unit_space, best, config, np.random.default_rng(4))
+    batch = propose_batch(model, unit_space, best, 3, config, np.random.default_rng(4))
     u = np.array([to_unit_cube(unit_space, p) for p in batch])
     value = qei_mc(model, u, best, config)
     rng = np.random.default_rng(100)
@@ -135,9 +135,9 @@ def test_propose_batch_handles_tiny_search_budget(fitted_model):
     model, best = fitted_model
     space = DesignSpace((Parameter("a", 0.0, 1.0), Parameter("b", 0.0, 1.0)))
     config = AcquisitionConfig(
-        batch_size=2, mc_samples=64, restarts=1, raw_candidates=4, maxiter=1, seed=0
+        mc_samples=64, restarts=1, raw_candidates=4, maxiter=1, seed=0
     )
-    batch = propose_batch(model, space, best, config, np.random.default_rng(0))
+    batch = propose_batch(model, space, best, 2, config, np.random.default_rng(0))
     assert all(design_space_contains(space, p) for p in batch)
 
 
@@ -155,7 +155,7 @@ def test_base_draws_prefix_columns_are_bitwise_stable(q):
 def test_slot_scorer_matches_qei_of_extended_batch(fitted_model, k):
     model, _ = fitted_model
     best = -0.3  # below every training target: every batch's qEI is positive
-    config = AcquisitionConfig(batch_size=k + 1, mc_samples=2048, seed=5)
+    config = AcquisitionConfig(mc_samples=2048, seed=5)
     prefix = np.array([[0.1, 0.2], [0.8, 0.3], [0.4, 0.9]])[:k]
     cands = np.random.default_rng(100 + k).uniform(size=(6, 2))
     score = _slot_scorer(
@@ -217,7 +217,7 @@ def test_propose_batch_propagates_prefix_factor_failure(unit_space):
         log_marginal=0.0,
     )
     config = AcquisitionConfig(
-        batch_size=2, mc_samples=64, restarts=1, raw_candidates=8, maxiter=3
+        mc_samples=64, restarts=1, raw_candidates=8, maxiter=3
     )
     with pytest.raises(NumericalError):
-        propose_batch(bogus, unit_space, 0.0, config, np.random.default_rng(0))
+        propose_batch(bogus, unit_space, 0.0, 2, config, np.random.default_rng(0))

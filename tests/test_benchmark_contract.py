@@ -1,0 +1,65 @@
+"""The benchmark tracer's contract with the orchestrator.
+
+``benchmarks/tracer.py`` times each layer by swapping the functions the
+orchestrator imported into its own namespace. A refactor that renames,
+inlines or stops calling one of them through that global would leave the
+benchmark silently reporting zeros; these tests catch it. The tracer module
+is loaded from its file and used read-only.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from analogopt import orchestrator
+from analogopt.acquisition import AcquisitionConfig
+from analogopt.config import RunConfig
+from analogopt.surrogate import GpFitConfig
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their module through sys.modules while being built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_probe_is_an_orchestrator_attribute(tracer):
+    missing = [attr for attr in tracer.PROBES if not hasattr(orchestrator, attr)]
+    assert missing == []
+
+
+def test_traced_hybrid_run_records_every_layer_span(tracer):
+    config = RunConfig(
+        method="ado_llm", preset="branin", n_init=3, n_iter=1, seed=0,
+        mock="random",
+        acquisition=AcquisitionConfig(
+            mc_samples=16, restarts=1, raw_candidates=8, maxiter=2
+        ),
+        gp_fit=GpFitConfig(restarts=1, maxiter=5),
+    )
+    with tracer.instrument(tracer.Tracer()) as recorder:
+        orchestrator.run(config)
+    names = {span.name for span in recorder.spans}
+    expected = {
+        tracer.PROBES[attr]
+        for attr in (
+            "build_model", "build_task_card", "propose_init", "propose", "top_k",
+            "gp_fit", "propose_batch", "qei_mc", "evaluate", "count_missed_specs",
+        )
+    }
+    assert expected <= names
+    # instrument() restores the original functions on exit
+    assert not any(
+        hasattr(getattr(orchestrator, attr), "__wrapped__") for attr in tracer.PROBES
+    )

@@ -1,0 +1,230 @@
+"""The INI loader: every accepted key, and the inputs it must reject."""
+
+import configparser
+import re
+from pathlib import Path
+
+import pytest
+
+from analogopt.acquisition import AcquisitionConfig
+from analogopt.config import INI_KEYS, load_run_config
+from analogopt.core import ConfigError
+from analogopt.evaluator import ProcessConstants
+from analogopt.llm import LlmConfig
+from analogopt.surrogate import GpFitConfig
+
+# Every accepted key, each set to a value that differs from its default.
+FULL_INI = """
+[run]
+method = ado_llm
+preset = comparator
+n_init = 7
+n_iter = 3
+llm_queries_per_step = 2
+gp_queries_per_step = 3
+init_strategy = uniform_random
+seed = 11
+out = runs/full.jsonl
+
+[llm]
+endpoint = http://localhost:8080/v1
+model = local-model
+temperature = 0.25
+max_tokens = 512
+context_budget = 9000
+retry_limit = 5
+api_key_env = LOCAL_KEY
+timeout = 12.5
+transport_attempts = 4
+backoff = 0.5
+mock = script.txt
+principles_file = principles.txt
+
+[acquisition]
+mc_samples = 99
+restarts = 3
+raw_candidates = 77
+maxiter = 21
+gp_restarts = 4
+noise_floor = 1e-5
+gp_maxiter = 33
+
+[sampler]
+kind = uniform
+k = 3
+
+[evaluator]
+constants.vdd = 1.5
+constants.vth_n = 0.4
+constants.vth_p = 0.45
+constants.kp_n = 250e-6
+constants.kp_p = 90e-6
+constants.lambda0 = 0.2e-6
+constants.c_load = 2e-12
+constants.c_node = 0.25e-12
+constants.v_ov_bias = 0.15
+constants.v_headroom = 0.1
+constants.offset_coeff = 4e-9
+"""
+
+
+def _load(tmp_path, text, **overrides):
+    path = tmp_path / "exp.ini"
+    path.write_text(text, encoding="utf-8")
+    return load_run_config(str(path), **overrides)
+
+
+def test_every_ini_key_sets_its_field(tmp_path):
+    config = _load(tmp_path, FULL_INI)
+    assert config.method == "ado_llm"
+    assert config.preset == "comparator"
+    assert config.n_init == 7
+    assert config.n_iter == 3
+    assert config.llm_queries_per_step == 2
+    assert config.gp_queries_per_step == 3
+    assert config.init_strategy == "uniform_random"
+    assert config.sampler_kind == "uniform"
+    assert config.sampler_k == 3
+    assert config.seed == 11
+    assert config.out == "runs/full.jsonl"
+    assert config.mock == "script.txt"
+    assert config.principles_file == "principles.txt"
+    assert config.llm == LlmConfig(
+        endpoint="http://localhost:8080/v1", model="local-model",
+        temperature=0.25, max_tokens=512, context_budget=9000, retry_limit=5,
+        api_key_env="LOCAL_KEY", timeout=12.5, transport_attempts=4, backoff=0.5,
+    )
+    assert config.acquisition == AcquisitionConfig(
+        mc_samples=99, restarts=3, raw_candidates=77, maxiter=21,
+    )
+    assert config.gp_fit == GpFitConfig(restarts=4, noise_floor=1e-5, maxiter=33)
+    assert config.constants == ProcessConstants(
+        vdd=1.5, vth_n=0.4, vth_p=0.45, kp_n=250e-6, kp_p=90e-6,
+        lambda0=0.2e-6, c_load=2e-12, c_node=0.25e-12, v_ov_bias=0.15,
+        v_headroom=0.1, offset_coeff=4e-9,
+    )
+    # integer and float fields hold the converted type, not the INI string
+    assert type(config.n_init) is int and type(config.llm.timeout) is float
+
+
+def test_keyword_overrides_win_over_the_file(tmp_path):
+    config = _load(
+        tmp_path, FULL_INI, seed=9, out="other.jsonl", mock="random",
+        init_strategy="llm_zero_shot",
+    )
+    assert (config.seed, config.out, config.mock) == (9, "other.jsonl", "random")
+    assert config.init_strategy == "llm_zero_shot"
+    # the method's default query split and initialization follow the override
+    config = _load(tmp_path, _RUN, method="gp_bo", preset="branin")
+    assert (config.method, config.preset) == ("gp_bo", "branin")
+    assert (config.llm_queries_per_step, config.gp_queries_per_step) == (0, 5)
+    assert config.init_strategy == "uniform_random"
+
+
+def test_method_sets_the_default_query_split_and_init(tmp_path):
+    for method, split, init in (
+        ("ado_llm", (1, 4), "llm_zero_shot"),
+        ("gp_bo", (0, 5), "uniform_random"),
+        ("llm_only", (1, 0), "llm_zero_shot"),
+    ):
+        config = _load(tmp_path, f"[run]\nmethod = {method}\npreset = amp2\n")
+        assert (config.llm_queries_per_step, config.gp_queries_per_step) == split
+        assert config.init_strategy == init
+
+
+_RUN = "[run]\nmethod = ado_llm\npreset = amp2\n"
+_ALLOWED_RUN = (
+    "['gp_queries_per_step', 'init_strategy', 'llm_queries_per_step', "
+    "'method', 'n_init', 'n_iter', 'out', 'preset', 'seed']"
+)
+_ALLOWED_LLM = (
+    "['api_key_env', 'backoff', 'context_budget', 'endpoint', 'max_tokens', "
+    "'mock', 'model', 'principles_file', 'retry_limit', 'temperature', "
+    "'timeout', 'transport_attempts']"
+)
+_ALLOWED_ACQ = (
+    "['gp_maxiter', 'gp_restarts', 'maxiter', 'mc_samples', 'noise_floor', "
+    "'raw_candidates', 'restarts']"
+)
+
+# (INI text, the ConfigError message; {path} is the file's path)
+MALFORMED = {
+    "unknown_run_key": (
+        _RUN + "batchsize = 4\n",
+        f"unknown key(s) in [run]: ['batchsize']; allowed: {_ALLOWED_RUN}",
+    ),
+    "unknown_llm_key": (
+        _RUN + "[llm]\nseed = 3\n",
+        f"unknown key(s) in [llm]: ['seed']; allowed: {_ALLOWED_LLM}",
+    ),
+    "unknown_acquisition_key": (
+        _RUN + "[acquisition]\nbatch_size = 4\nseed = 1\n",
+        "unknown key(s) in [acquisition]: ['batch_size', 'seed']; "
+        f"allowed: {_ALLOWED_ACQ}",
+    ),
+    "unknown_sampler_key": (
+        _RUN + "[sampler]\nsampler_k = 3\n",
+        "unknown key(s) in [sampler]: ['sampler_k']; allowed: ['k', 'kind']",
+    ),
+    "unknown_evaluator_key": (
+        _RUN + "[evaluator]\nvdd = 1.5\n",
+        "unknown key in [evaluator]: 'vdd'; use constants.<name>",
+    ),
+    "unknown_process_constant": (
+        _RUN + "[evaluator]\nconstants.vcc = 1.5\n",
+        "unknown process constant 'vcc'",
+    ),
+    "fractional_n_iter": (
+        _RUN + "n_iter = 2.5\n",
+        "{path}: invalid literal for int() with base 10: '2.5'",
+    ),
+    "non_numeric_temperature": (
+        _RUN + "[llm]\ntemperature = hot\n",
+        "{path}: could not convert string to float: 'hot'",
+    ),
+    "missing_method": (
+        "[run]\npreset = amp2\n",
+        "[run] must set both method and preset",
+    ),
+    "missing_run_section": (
+        "[llm]\nmock = random\n",
+        "config file needs a [run] section",
+    ),
+    "unknown_method": (
+        "[run]\nmethod = annealing\npreset = amp2\n",
+        "unknown method 'annealing'; expected ('ado_llm', 'gp_bo', 'llm_only')",
+    ),
+    "negative_temperature": (
+        _RUN + "[llm]\ntemperature = -1\n",
+        "{path}: temperature must be >= 0",
+    ),
+    "zero_restarts": (
+        _RUN + "[acquisition]\nrestarts = 0\n",
+        "{path}: restarts must be >= 1",
+    ),
+    "non_positive_constant": (
+        _RUN + "[evaluator]\nconstants.vdd = 0\n",
+        "{path}: process constant vdd must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_ini_raises_config_error(tmp_path, text, message):
+    with pytest.raises(ConfigError) as excinfo:
+        _load(tmp_path, text)
+    assert str(excinfo.value) == message.format(path=tmp_path / "exp.ini")
+
+
+def test_readme_ini_block_loads_and_documents_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+    config = _load(tmp_path, block)
+    assert (config.method, config.preset) == ("ado_llm", "amp2")
+    documented = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    documented.read_string(block)
+    for section, keys in INI_KEYS.items():
+        if section == "evaluator":  # one constants.<name> line stands for all
+            assert set(documented[section]) and set(documented[section]) <= set(keys)
+        else:
+            assert set(documented[section]) == set(keys), section

@@ -5,7 +5,6 @@ import pytest
 
 from analogopt.core import ConfigError, DesignPoint, RangeError, Region
 from analogopt.evaluator import (
-    BiasSolution,
     ProcessConstants,
     circuit_model,
     classify_regions,
@@ -103,19 +102,19 @@ def test_headroom_violation_fails_with_failed_metrics():
 def test_classify_regions_constructed_cases():
     overdrives = {d: 0.2 for d in AMP2.devices}
     # first-stage stack Mb + M1 + M3 sums to 0.6 V against a 1.0 V budget
-    report = classify_regions(AMP2, AMP2_POINT, BiasSolution(overdrives))
+    report = classify_regions(AMP2, overdrives)
     assert report["M1"] is Region.SATURATION
 
     crowded = dict(overdrives)
     crowded.update({"Mb": 0.2, "M1": 0.4, "M3": 0.5})  # stack sums to 1.1 V
-    report = classify_regions(AMP2, AMP2_POINT, BiasSolution(crowded))
+    report = classify_regions(AMP2, crowded)
     for device in ("Mb", "M1", "M2", "M3", "M4"):
         assert report[device] is Region.TRIODE
     assert report["M6"] is Region.SATURATION
 
     cut = dict(overdrives)
     cut["M6"] = -0.05
-    report = classify_regions(AMP2, AMP2_POINT, BiasSolution(cut))
+    report = classify_regions(AMP2, cut)
     assert report["M6"] is Region.CUTOFF
 
 

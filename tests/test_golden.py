@@ -22,18 +22,18 @@ GOLDEN = [
     (
         dict(method="ado_llm", preset="amp2", n_iter=4,
              llm_queries_per_step=1, gp_queries_per_step=4),
-        "29b720e063f62a0e8794ff618a477b8613bcd1ffe1416ccfa5cc59c34ec6a2b7",
+        "41b587bc5fe668c865518245f8716fcb95c14e5884e7c50a06b2ee81728b47bf",
     ),
     (
         dict(method="gp_bo", preset="branin", n_iter=4, llm_queries_per_step=0,
              gp_queries_per_step=5, init_strategy="uniform_random"),
-        "674cbcaa22f38ed5b028e5ad69cdc1455cf2e403289e689f53feb78567eac0d7",
+        "4ef7209ba76e2e059b99862f422078b6e4e203f7b7568dc02fce7821a1a462d3",
     ),
     (
         # many all-failed designs share one FOM, so top_k's tie order matters
         dict(method="llm_only", preset="amp2", n_iter=60,
              llm_queries_per_step=1, gp_queries_per_step=0),
-        "ccec2da817d89c8751371898e9619b7c512242d23cd053d8e1afb924b02d31c6",
+        "178e41931420da1a6ee1351f501d105ab53ef48426bd99fbf4f4b4e3dd0741a9",
     ),
 ]
 

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from analogopt.evaluator import evaluate
 from analogopt.llm import (
     AuthError,
     ChatMessage,
-    Demonstration,
     LlmConfig,
     MissingParameter,
     NotNumeric,
@@ -154,17 +154,13 @@ def test_init_prompt_within_budget(amp2):
     assert sum(estimate_tokens(m.content) for m in messages) <= 16000
 
 
-def _demo_from(model, record):
-    return Demonstration.from_record(record)
-
-
 def test_iteration_prompt_sections_in_order(amp2):
     model, card = amp2
     point = DesignPoint((
         20e-6, 0.5e-6, 10e-6, 0.5e-6, 2e-6, 0.5e-6, 20e-6, 0.5e-6,
         3e-6, 0.5e-6, 2e-6, 0.8e-6, 2000.0, 10e-12,
     ))
-    demos = [_demo_from(model, evaluate(model, point))]
+    demos = [evaluate(model, point)]
     messages = build_iteration_prompt(card, demos)
     body = messages[-1].content
     positions = [body.index(f"Step ({s})") for s in "abcd"]
@@ -178,8 +174,7 @@ def test_iteration_prompt_renders_demos_with_units_and_regions(amp2):
         20e-6, 0.5e-6, 10e-6, 0.5e-6, 2e-6, 0.5e-6, 20e-6, 0.5e-6,
         3e-6, 0.5e-6, 2e-6, 0.8e-6, 2000.0, 10e-12,
     ))
-    records = [evaluate(model, point, iteration=i) for i in range(5)]
-    demos = [_demo_from(model, r) for r in records]
+    demos = [evaluate(model, point, iteration=i) for i in range(5)]
     body = build_iteration_prompt(card, demos)[-1].content
     assert body.count("Demonstration") == 5
     assert "MHz" in body and "dB" in body and "uW" in body
@@ -202,15 +197,7 @@ def test_iteration_prompt_drops_lowest_fom_demos_to_fit(amp2):
         3e-6, 0.5e-6, 2e-6, 0.8e-6, 2000.0, 10e-12,
     ))
     record = evaluate(model, point)
-    demos = []
-    for i in range(8):
-        demo = Demonstration(
-            point=record.point,
-            metrics=dict(record.metrics),
-            regions=dict(record.regions),
-            fom=record.fom - i,  # descending
-        )
-        demos.append(demo)
+    demos = [replace(record, fom=record.fom - i) for i in range(8)]  # descending
     budget = 1400  # enough for the scaffold plus a few demos only
     messages = build_iteration_prompt(card, demos, context_budget=budget)
     body = messages[-1].content

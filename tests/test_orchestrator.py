@@ -9,14 +9,7 @@ from analogopt.cli import main
 from analogopt.config import RunConfig, load_run_config
 from analogopt.core import ConfigError, Source
 from analogopt.fom import FOM_PRESETS, compute_fom
-from analogopt.orchestrator import (
-    ReportError,
-    report,
-    run,
-    run_adollm,
-    run_gp_bo,
-    run_llm_only,
-)
+from analogopt.orchestrator import ReportError, report, run
 from analogopt.surrogate import GpFitConfig
 
 FAST_ACQ = AcquisitionConfig(
@@ -50,7 +43,7 @@ def test_adollm_budget_and_sources():
     from analogopt.core import design_space_contains
 
     config = fast_config(n_iter=3)
-    log = run_adollm(config)
+    log = run(config)
     assert len(log.dataset) == 5 + 5 * 3
     space = build_model(config).space
     assert all(design_space_contains(space, r.point) for r in log.dataset)
@@ -68,12 +61,12 @@ def test_adollm_budget_and_sources():
 
 def test_adollm_rerun_is_byte_identical():
     config = fast_config(n_iter=2, seed=11)
-    assert run_adollm(config).text() == run_adollm(config).text()
+    assert run(config).text() == run(config).text()
 
 
 def test_different_seed_changes_run():
-    a = run_adollm(fast_config(n_iter=2, seed=1))
-    b = run_adollm(fast_config(n_iter=2, seed=2))
+    a = run(fast_config(n_iter=2, seed=1))
+    b = run(fast_config(n_iter=2, seed=2))
     assert a.text() != b.text()
 
 
@@ -86,7 +79,7 @@ def test_gp_bo_budget_and_uniform_init():
         mock=None,
         n_iter=3,
     )
-    log = run_gp_bo(config)
+    log = run(config)
     assert len(log.dataset) == 5 + 5 * 3
     assert all(r.source is Source.RANDOM for r in log.dataset if r.iteration == 0)
     assert all(
@@ -116,7 +109,7 @@ def test_gp_bo_with_llm_init_tags_records():
         init_strategy="llm_zero_shot",
         n_iter=1,
     )
-    log = run_gp_bo(config)
+    log = run(config)
     init_sources = [r.source for r in log.dataset if r.iteration == 0]
     assert init_sources == [Source.LLM_INIT] * 5
 
@@ -130,22 +123,11 @@ def test_llm_only_variants():
             sampler_kind=kind,
             n_iter=4,
         )
-        log = run_llm_only(config)
+        log = run(config)
         assert len(log.dataset) == 5 + 1 * 4
         assert all(
             r.source is Source.LLM for r in log.dataset if r.iteration >= 1
         ), kind
-
-
-def test_run_dispatch_checks_method():
-    with pytest.raises(ConfigError):
-        run_gp_bo(fast_config())
-    with pytest.raises(ConfigError):
-        run_adollm(
-            fast_config(
-                method="llm_only", llm_queries_per_step=1, gp_queries_per_step=0
-            )
-        )
 
 
 def test_proposer_exhaustion_substitutes_random(tmp_path):
@@ -159,7 +141,7 @@ def test_proposer_exhaustion_substitutes_random(tmp_path):
         mock=str(script),
         n_iter=3,
     )
-    log = run_llm_only(config)
+    log = run(config)
     assert len(log.dataset) == 5 + 3  # budget preserved despite exhaustion
     iter_records = [r for r in log.dataset if r.iteration >= 1]
     assert all(r.source is Source.RANDOM for r in iter_records)
@@ -168,7 +150,7 @@ def test_proposer_exhaustion_substitutes_random(tmp_path):
 
 
 def test_iteration_diagnostics_present():
-    log = run_adollm(fast_config(n_iter=2))
+    log = run(fast_config(n_iter=2))
     iter_lines = [l for l in log.lines if l.get("type") == "iteration"]
     assert len(iter_lines) == 2
     for line in iter_lines:
@@ -185,7 +167,7 @@ def test_transcript_replay_reproduces_point():
 
     config = fast_config(n_iter=2)
     model = build_model(config)
-    log = run_adollm(config)
+    log = run(config)
     evals = [l for l in log.lines if l.get("type") == "eval"]
     iter_lines = [l for l in log.lines if l.get("type") == "iteration"]
     for line in iter_lines:
@@ -202,7 +184,7 @@ def test_transcript_replay_reproduces_point():
 
 
 def test_best_so_far_is_monotone():
-    log = run_adollm(fast_config(n_iter=3))
+    log = run(fast_config(n_iter=3))
     best = -np.inf
     series = []
     for line in log.lines:
