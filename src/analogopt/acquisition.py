@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import minimize
-from scipy.special import expit, logit
-from scipy.stats import norm
+from scipy.special import expit, logit, ndtr
 
 from .core import DesignPoint, DesignSpace
 from .surrogate import (
@@ -68,7 +67,10 @@ def ei(model: GpModel, x: np.ndarray, best: float) -> float:
     if sigma < _SIGMA_FLOOR:
         return max(mu - best, 0.0)
     z = (mu - best) / sigma
-    return max(float((mu - best) * norm.cdf(z) + sigma * norm.pdf(z)), 0.0)
+    # Bit-identical to scipy.stats.norm.cdf / .pdf at loc 0, scale 1, without
+    # importing scipy.stats; ``z * z``, not ``z**2``, which rounds differently.
+    pdf = np.exp(-(z * z) / 2.0) / np.sqrt(2.0 * np.pi)
+    return max(float((mu - best) * ndtr(z) + sigma * pdf), 0.0)
 
 
 def _base_draws(seed: int, q: int, mc_samples: int) -> np.ndarray:
@@ -163,8 +165,16 @@ def _slot_scorer(model, prefix, Z, best):
         W = sol[:, :R]
         border = np.sqrt(np.clip(var_C - np.sum(W**2, axis=0), 0.0, None))
         factor = np.vstack([W, border])
-        f_last = mean_C + Z @ factor
-        values = np.mean(np.maximum(threshold, f_last) - best, axis=0)
+        f_last = Z @ factor
+        f_last += mean_C
+        # Only draws whose bordered sample sets the clipped maximum move it.
+        active = f_last > threshold
+        # The clipped improvement overwrites f_last in place: a raw scoring's
+        # (draws, R) temporaries are 0.5 MB each, and allocating them afresh
+        # re-faults their pages on every call.
+        np.maximum(threshold, f_last, out=f_last)
+        f_last -= best
+        values = np.mean(f_last, axis=0)
         if not grad:
             return values
         dmean = model.target_std * (model.alpha @ cols[:n, R:]).reshape(R, d)
@@ -175,8 +185,7 @@ def _slot_scorer(model, prefix, Z, best):
             dvar_border, 2.0 * border[:, None],
             out=np.zeros_like(dvar_border), where=border[:, None] > 0.0,
         )
-        # Only draws whose bordered sample sets the clipped maximum move it.
-        G = (f_last > threshold).astype(float).T @ weights
+        G = active.astype(float).T @ weights
         dfactor = np.concatenate([dW, dborder[None]])
         gradients = G[:, -1:] * dmean + np.einsum("rj,jra->ra", G[:, :-1], dfactor)
         return values, gradients

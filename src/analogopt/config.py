@@ -189,6 +189,11 @@ def _convert(cls, name: str, raw):
 def _from_parser(parser: configparser.ConfigParser, overrides: dict) -> RunConfig:
     if "run" not in parser:
         raise ConfigError("config file needs a [run] section")
+    unknown = [name for name in parser.sections() if name not in INI_KEYS]
+    if unknown:
+        raise ConfigError(
+            f"unknown section(s): {unknown}; allowed: {sorted(INI_KEYS)}"
+        )
     sections = {name: parser[name] for name in INI_KEYS if name in parser}
     for name, section in sections.items():
         _check_section(name, section)

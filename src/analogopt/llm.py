@@ -20,7 +20,6 @@ from importlib import resources
 from urllib.parse import urlparse
 
 import numpy as np
-import requests
 
 from .core import DesignPoint, DesignSpace, EvalRecord
 from .fom import FomConfig
@@ -386,6 +385,9 @@ def chat_complete(config: LlmConfig, messages: list[ChatMessage]) -> str:
         "temperature": config.temperature,
         "max_tokens": config.max_tokens,
     }
+
+    # Imported here so that runs with a mock client never load the HTTP stack.
+    import requests
 
     last_error: Exception | None = None
     for attempt in range(1, config.transport_attempts + 1):

@@ -45,7 +45,7 @@ from .llm import (
     propose_init,
 )
 from .sampler import top_k, uniform_k
-from .surrogate import from_unit_cube, gp_fit, to_unit_cube
+from .surrogate import NumericalError, from_unit_cube, gp_fit, to_unit_cube
 
 _SEED_STREAMS = ("init", "llm", "acquisition", "surrogate", "sampler")
 
@@ -230,7 +230,12 @@ def run(config: RunConfig) -> RunLog:
                 "noise_variance": float(gp.noise_variance),
                 "log_marginal": float(gp.log_marginal),
             }
-            diag["acquisition_value"] = float(qei_mc(gp, batch_u, best, acq_config))
+            # A diagnostic only: a failed factorization is logged, not fatal.
+            try:
+                diag["acquisition_value"] = float(qei_mc(gp, batch_u, best, acq_config))
+            except NumericalError as exc:
+                diag["acquisition_value"] = None
+                diag["acquisition_error"] = str(exc)
             proposals.extend((p, Source.GP_BO) for p in batch)
 
         lines.append(diag)

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from analogopt import acquisition
 from analogopt.acquisition import (
+    _SIGMA_FLOOR,
     AcquisitionConfig,
     _base_draws,
     _slot_scorer,
@@ -16,6 +20,7 @@ from analogopt.surrogate import (
     GpModel,
     NumericalError,
     gp_fit,
+    gp_predict_diag,
     to_unit_cube,
 )
 
@@ -48,6 +53,33 @@ def test_ei_at_mean_equals_phi_zero():
     model = model_with_prior(mu=0.0, sigma=1.0)
     assert ei(model, FAR, best=0.0) == pytest.approx(norm.pdf(0.0), rel=1e-6)
     assert ei(model, FAR, best=0.0) == pytest.approx(0.39894, abs=1e-5)
+
+
+def _ei_scipy_stats(mean, var, best):
+    """``ei`` as written with scipy.stats.norm, the reference it must match."""
+    mu = float(mean[0])
+    sigma = math.sqrt(max(float(var[0]), 0.0))
+    if sigma < _SIGMA_FLOOR:
+        return max(mu - best, 0.0)
+    z = (mu - best) / sigma
+    return max(float((mu - best) * norm.cdf(z) + sigma * norm.pdf(z)), 0.0)
+
+
+def test_ei_is_bitwise_equal_to_scipy_stats_norm(fitted_model, monkeypatch):
+    model, _ = fitted_model
+    for x in ([0.3, 0.7], [0.95, 0.05]):
+        posterior = gp_predict_diag(model, np.atleast_2d(x))
+        for best in np.linspace(-3.0, 3.0, 61):
+            assert ei(model, np.array(x), best) == _ei_scipy_stats(*posterior, best)
+    # A last-bit difference shows on about 0.1% of z, so the dense grid
+    # feeds ei its posterior directly instead of through a GP.
+    monkeypatch.setattr(acquisition, "gp_predict_diag", lambda posterior, x: posterior)
+    for var in (1.7, 2.5e-3, 3e-7, 1e-25, 0.0):  # the last two: sigma < _SIGMA_FLOOR
+        posterior = (np.array([0.4]), np.array([var]))
+        scale = max(math.sqrt(var), 1e-3)
+        for t in np.linspace(-9.0, 9.0, 2001):
+            best = 0.4 - scale * float(t)
+            assert ei(posterior, FAR, best) == _ei_scipy_stats(*posterior, best)
 
 
 def test_ei_nonnegative_everywhere():

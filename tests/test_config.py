@@ -166,6 +166,11 @@ MALFORMED = {
         _RUN + "[sampler]\nsampler_k = 3\n",
         "unknown key(s) in [sampler]: ['sampler_k']; allowed: ['k', 'kind']",
     ),
+    "unknown_section": (
+        _RUN + "[acqusition]\nmc_samples = 99\n",
+        "unknown section(s): ['acqusition']; "
+        "allowed: ['acquisition', 'evaluator', 'llm', 'run', 'sampler']",
+    ),
     "unknown_evaluator_key": (
         _RUN + "[evaluator]\nvdd = 1.5\n",
         "unknown key in [evaluator]: 'vdd'; use constants.<name>",

@@ -1,0 +1,62 @@
+"""Import hygiene: a run loads only the modules it executes.
+
+Each check runs in a fresh interpreter, so modules this test session already
+imported cannot hide a regression.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import chat_body
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(code: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_and_config_build_skip_scipy_stats_and_requests():
+    out = _python(
+        "import sys\n"
+        "import analogopt, analogopt.cli\n"
+        "from analogopt.config import RunConfig, build_model, build_task_card\n"
+        "config = RunConfig(method='ado_llm', preset='amp2', mock='random')\n"
+        "build_task_card(config, build_model(config))\n"
+        "for name in ('scipy.stats', 'requests', 'scipy.linalg', 'scipy.optimize',\n"
+        "             'scipy.special'):\n"
+        "    print(name, name in sys.modules)\n"
+    )
+    loaded = dict(line.split() for line in out.splitlines())
+    assert loaded == {
+        "scipy.stats": "False",
+        "requests": "False",
+        # every run uses these, so they stay module-level imports
+        "scipy.linalg": "True",
+        "scipy.optimize": "True",
+        "scipy.special": "True",
+    }
+
+
+def test_chat_complete_imports_requests_on_first_call(stub_server):
+    server = stub_server([(200, chat_body("deferred reply"))])
+    out = _python(
+        "import sys\n"
+        "from analogopt.llm import ChatMessage, LlmConfig, chat_complete\n"
+        "assert 'requests' not in sys.modules\n"
+        "config = LlmConfig(endpoint=sys.argv[1], backoff=0.0)\n"
+        "print(chat_complete(config, [ChatMessage('user', 'hi')]))\n"
+        "assert 'requests' in sys.modules\n",
+        server.endpoint,
+    )
+    assert out.strip() == "deferred reply"
+    assert server.hits == 1

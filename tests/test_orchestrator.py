@@ -161,6 +161,29 @@ def test_iteration_diagnostics_present():
         assert line["llm_transcripts"]
 
 
+def test_failed_acquisition_diagnostic_is_logged_not_fatal(monkeypatch):
+    from analogopt import orchestrator
+    from analogopt.surrogate import NumericalError
+
+    config = fast_config(n_iter=2)
+    healthy = run(config)
+
+    def failing_qei_mc(*args):
+        raise NumericalError("covariance not positive definite")
+
+    monkeypatch.setattr(orchestrator, "qei_mc", failing_qei_mc)
+    log = run(config)
+    assert log.summary["n_evals"] == config.total_evaluations
+    iter_lines = [l for l in log.lines if l.get("type") == "iteration"]
+    assert len(iter_lines) == 2
+    for line in iter_lines:
+        assert line["acquisition_value"] is None
+        assert line["acquisition_error"] == "covariance not positive definite"
+    # the diagnostic draws no randomness, so every evaluation is unchanged
+    evals = [l for l in log.lines if l.get("type") == "eval"]
+    assert evals == [l for l in healthy.lines if l.get("type") == "eval"]
+
+
 def test_transcript_replay_reproduces_point():
     from analogopt.config import build_model
     from analogopt.llm import parse_response
