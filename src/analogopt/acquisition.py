@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import minimize
 from scipy.special import expit, logit, ndtr
 
@@ -35,6 +34,7 @@ from .surrogate import (
     _chol_with_jitter,
     _rbf_from_scaled,
     _scaled,
+    _solve_lower,
     from_unit_cube,
     gp_predict,
     gp_predict_diag,
@@ -57,6 +57,10 @@ class AcquisitionConfig:
             raise ValueError("mc_samples must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.raw_candidates < 1:
+            raise ValueError("raw_candidates must be >= 1")
+        if self.maxiter < 0:
+            raise ValueError("maxiter must be >= 0")
 
 
 def ei(model: GpModel, x: np.ndarray, best: float) -> float:
@@ -93,15 +97,6 @@ def qei_mc(
     samples = mean[None, :] + Z @ L.T
     improvement = np.max(samples, axis=1) - best
     return float(np.mean(np.clip(improvement, 0.0, None)))
-
-
-def _solve_lower(L, B):
-    """``L^-1 B`` for lower-triangular ``L`` (LAPACK ``trtrs``, the routine
-    behind ``solve_triangular``, without its per-call validation)."""
-    x, info = dtrtrs(L, B, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular triangular factor (trtrs info {info})")
-    return x
 
 
 def _slot_scorer(model, prefix, Z, best):

@@ -4,7 +4,16 @@ Inputs live on the unit cube (see :func:`to_unit_cube`); targets are
 standardized to zero mean and unit variance before fitting. Hyperparameters
 (per-dimension lengthscales, signal variance, noise variance) are chosen by
 maximizing the log marginal likelihood with multi-restart L-BFGS-B in log
-space, using the analytic gradient.
+space, using the analytic gradient (Rasmussen & Williams, *GPML*, Alg. 2.1
+and eq. 5.9).
+
+What a fit needs from the inputs is computed once per fit: the pairwise
+squared differences, as one (n*n, d) table. Each objective call builds the
+kernel from it with one matrix-vector product and takes the lengthscale
+gradient with another. The factorization, the solves and the inverse call
+LAPACK (``potrf``, ``potrs``, ``trtri``, ``trtrs``) directly: at the
+n <= 105 of a run, scipy's per-call argument handling costs as much as the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 from scipy.optimize import minimize
 
 from .core import DesignPoint, DesignSpace, RangeError, Scale
@@ -39,6 +48,10 @@ class GpFitConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if not 0.0 < self.noise_floor < NOISE_CEILING:
+            raise ValueError(f"noise_floor must be in (0, {NOISE_CEILING:g})")
+        if self.maxiter < 0:
+            raise ValueError("maxiter must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -138,21 +151,37 @@ def _rbf_matrix(x1, x2, lengthscales, signal_variance):
 
 
 def _chol_with_jitter(matrix):
-    """Lower Cholesky factor, escalating diagonal jitter x10 up to JITTER_MAX."""
-    try:
-        return cholesky(matrix, lower=True), 0.0
-    except np.linalg.LinAlgError:
-        pass
+    """Lower Cholesky factor, escalating diagonal jitter x10 up to JITTER_MAX.
+
+    Calls LAPACK ``potrf`` directly (the routine behind
+    ``scipy.linalg.cholesky``, without its per-call wrapper); the factor is
+    Fortran-ordered with zeros above the diagonal. Non-finite input raises
+    ``ValueError``, as ``cholesky`` does: ``potrf`` itself can miss a NaN.
+    """
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix must contain only finite values")
+    L, info = dpotrf(matrix, lower=1)
+    if info == 0:
+        return L, 0.0
     jitter = JITTER_START
     eye = np.eye(matrix.shape[0])
     while jitter <= JITTER_MAX:
-        try:
-            return cholesky(matrix + jitter * eye, lower=True), jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+        L, info = dpotrf(matrix + jitter * eye, lower=1)
+        if info == 0:
+            return L, jitter
+        jitter *= 10.0
     raise NumericalError(
         f"kernel matrix not positive definite after jitter {JITTER_MAX:g}"
     )
+
+
+def _solve_lower(L, B):
+    """``L^-1 B`` for lower-triangular ``L`` (LAPACK ``trtrs``, the routine
+    behind ``solve_triangular``, without its per-call validation)."""
+    x, info = dtrtrs(L, B, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular triangular factor (trtrs info {info})")
+    return x
 
 
 def log_marginal_likelihood(
@@ -180,9 +209,11 @@ def lml_gradient(
 def _lml_at(X, y, lengthscales, signal_variance, noise_variance):
     """:func:`_lml_and_grad` for one caller-supplied hyperparameter setting."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("targets must be finite")
     return _lml_and_grad(
-        X,
-        np.asarray(y, dtype=float),
+        y,
         np.asarray(lengthscales, dtype=float) * np.ones(X.shape[1]),
         signal_variance,
         noise_variance,
@@ -193,39 +224,55 @@ def _lml_at(X, y, lengthscales, signal_variance, noise_variance):
 def _fit_invariants(X):
     """The parts of the LML that depend on X alone, fixed for a whole fit.
 
-    Returns X centred per dimension (the lengthscale gradient depends on
-    pairwise differences only, and centring keeps its matmul form from
-    cancelling) and the n x n identity.
+    Returns the pairwise squared differences as one (n*n, d) table, row
+    i*n + j holding (x_i - x_j)**2, and the n x n identity. The table is
+    Fortran-ordered, so both products with it run down contiguous columns.
     """
-    return X - np.mean(X, axis=0), np.eye(X.shape[0])
+    cols = np.ascontiguousarray(X.T)
+    diff = cols[:, :, None] - cols[:, None, :]
+    np.square(diff, out=diff)
+    return diff.reshape(X.shape[1], -1).T, np.eye(X.shape[0])
 
 
-def _lml_and_grad(X, y, lengthscales, signal_variance, noise_variance, centered, eye):
-    if not np.all(np.isfinite(y)):
-        raise ValueError("targets must be finite")
-    n = X.shape[0]
-    K = _rbf_matrix(X, X, lengthscales, signal_variance)
+def _train_kernel(sqdiff, inv_l2, signal_variance, n):
+    """K over the training inputs from the :func:`_fit_invariants` table.
+
+    Summing squared differences directly has none of the cancellation of
+    the |a|^2 + |b|^2 - 2 a.b form, and the diagonal is exactly
+    ``signal_variance``.
+    """
+    K = sqdiff @ (-0.5 * inv_l2)
+    np.exp(K, out=K)
+    K *= signal_variance
+    return K.reshape(n, n)
+
+
+def _lml_and_grad(y, lengthscales, signal_variance, noise_variance, sqdiff, eye):
+    n = y.shape[0]
+    inv_l2 = lengthscales**-2.0
+    K = _train_kernel(sqdiff, inv_l2, signal_variance, n)
     L, _ = _chol_with_jitter(K + noise_variance * eye)
-    alpha = cho_solve((L, True), y)
+    alpha = dpotrs(L, y, lower=1)[0]
     lml = (
         -0.5 * float(y @ alpha)
-        - float(np.sum(np.log(np.diag(L))))
+        - float(np.sum(np.log(L.diagonal())))
         - 0.5 * n * math.log(2.0 * math.pi)
     )
 
-    # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j),
-    # theta in log space: dK/dlog l_i = K . D_i, dK/dlog sv = K,
-    # d(K + nv I)/dlog nv = nv I.
-    Kinv = cho_solve((L, True), eye)
-    W = np.outer(alpha, alpha) - Kinv
+    # d lml / d theta_j = 0.5 sum((alpha alpha^T - K^-1) . dK/dtheta_j),
+    # theta in log space: dK/dlog l_i = K . D_i (D_i the scaled squared
+    # differences), dK/dlog sv = K, d(K + nv I)/dlog nv = nv I.
+    # K^-1 = L^-T L^-1: trtri inverts the factor (potrf left it a positive
+    # diagonal, so trtri cannot find it singular) and one transposed
+    # triangular solve applies L^-T. With OpenBLAS at 1, 2 and 4 threads
+    # (n <= 120) both give the same bits; potri (via lauum) and syrk do not.
+    L_inv = dtrtri(L, lower=1)[0]
+    W = np.outer(alpha, alpha)
+    W -= dtrtrs(L, L_inv, lower=1, trans=1)[0]
     M = W * K
-    r = np.sum(M, axis=1)
-    grad = np.empty(X.shape[1] + 2)
-    # 0.5 sum_jk M_jk (x_ji - x_ki)^2 = r @ x_i^2 - x_i @ M @ x_i, M symmetric.
-    grad[:-2] = (
-        r @ centered**2 - np.sum(centered * (M @ centered), axis=0)
-    ) / lengthscales**2
-    grad[-2] = 0.5 * float(np.sum(r))
+    grad = np.empty(lengthscales.shape[0] + 2)
+    grad[:-2] = 0.5 * (M.ravel() @ sqdiff) * inv_l2
+    grad[-2] = 0.5 * float(np.sum(M))
     grad[-1] = 0.5 * noise_variance * float(np.trace(W))
     return lml, grad
 
@@ -270,14 +317,14 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
         )
     )
     bounds = list(zip(lo, hi))
-    centered, eye = _fit_invariants(X)
+    sqdiff, eye = _fit_invariants(X)
 
     def objective(theta):
         ls = np.exp(theta[:d])
         sv = math.exp(theta[d])
         nv = math.exp(theta[d + 1])
         try:
-            lml, grad = _lml_and_grad(X, y_std, ls, sv, nv, centered, eye)
+            lml, grad = _lml_and_grad(y_std, ls, sv, nv, sqdiff, eye)
         except NumericalError:
             return 1e25, np.zeros_like(theta)
         return -lml, -grad
@@ -309,12 +356,11 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
         # (18 of 400 branin gp_bo restarts; -result.fun moved 10 of 20 run logs).
         try:
             lml, _ = _lml_and_grad(
-                X,
                 y_std,
                 np.exp(candidate[:d]),
                 math.exp(candidate[d]),
                 math.exp(candidate[d + 1]),
-                centered,
+                sqdiff,
                 eye,
             )
         except NumericalError:
@@ -328,9 +374,9 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
     ls = np.exp(best_theta[:d])
     sv = math.exp(best_theta[d])
     nv = math.exp(best_theta[d + 1])
-    K = _rbf_matrix(X, X, ls, sv)
+    K = _train_kernel(sqdiff, ls**-2.0, sv, X.shape[0])
     L, jitter = _chol_with_jitter(K + nv * eye)
-    alpha = cho_solve((L, True), y_std)
+    alpha = dpotrs(L, y_std, lower=1)[0]
     return GpModel(
         train_inputs=X,
         train_targets=y_std,
@@ -356,7 +402,7 @@ def gp_predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndar
     Ks = _rbf_matrix(model.train_inputs, Q, model.lengthscales, model.signal_variance)
     Kqq = _rbf_matrix(Q, Q, model.lengthscales, model.signal_variance)
     mean_std = Ks.T @ model.alpha
-    V = solve_triangular(model.chol, Ks, lower=True)
+    V = _solve_lower(model.chol, Ks)
     cov_std = Kqq - V.T @ V
     cov_std = 0.5 * (cov_std + cov_std.T)
     mean = model.target_mean + model.target_std * mean_std
@@ -369,7 +415,7 @@ def gp_predict_diag(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
     Ks = _rbf_matrix(model.train_inputs, Q, model.lengthscales, model.signal_variance)
     mean_std = Ks.T @ model.alpha
-    V = solve_triangular(model.chol, Ks, lower=True)
+    V = _solve_lower(model.chol, Ks)
     var_std = np.maximum(model.signal_variance - np.sum(V**2, axis=0), 0.0)
     mean = model.target_mean + model.target_std * mean_std
     var = (model.target_std**2) * var_std

@@ -207,6 +207,34 @@ MALFORMED = {
         _RUN + "[acquisition]\nrestarts = 0\n",
         "{path}: restarts must be >= 1",
     ),
+    "zero_noise_floor": (
+        _RUN + "[acquisition]\nnoise_floor = 0\n",
+        "{path}: noise_floor must be in (0, 1000)",
+    ),
+    "negative_noise_floor": (
+        _RUN + "[acquisition]\nnoise_floor = -1\n",
+        "{path}: noise_floor must be in (0, 1000)",
+    ),
+    "noise_floor_above_ceiling": (
+        _RUN + "[acquisition]\nnoise_floor = 5e3\n",
+        "{path}: noise_floor must be in (0, 1000)",
+    ),
+    "noise_floor_at_ceiling": (
+        _RUN + "[acquisition]\nnoise_floor = 1000\n",
+        "{path}: noise_floor must be in (0, 1000)",
+    ),
+    "negative_gp_maxiter": (
+        _RUN + "[acquisition]\ngp_maxiter = -1\n",
+        "{path}: maxiter must be >= 0",
+    ),
+    "zero_raw_candidates": (
+        _RUN + "[acquisition]\nraw_candidates = 0\n",
+        "{path}: raw_candidates must be >= 1",
+    ),
+    "negative_maxiter": (
+        _RUN + "[acquisition]\nmaxiter = -1\n",
+        "{path}: maxiter must be >= 0",
+    ),
     "non_positive_constant": (
         _RUN + "[evaluator]\nconstants.vdd = 0\n",
         "{path}: process constant vdd must be positive",
@@ -219,6 +247,12 @@ def test_malformed_ini_raises_config_error(tmp_path, text, message):
     with pytest.raises(ConfigError) as excinfo:
         _load(tmp_path, text)
     assert str(excinfo.value) == message.format(path=tmp_path / "exp.ini")
+
+
+def test_zero_maxiter_stays_legal(tmp_path):
+    config = _load(tmp_path, _RUN + "[acquisition]\nmaxiter = 0\ngp_maxiter = 0\n")
+    assert config.acquisition.maxiter == 0
+    assert config.gp_fit.maxiter == 0
 
 
 def test_readme_ini_block_loads_and_documents_every_key(tmp_path):

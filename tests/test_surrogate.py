@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,10 @@ from scipy.stats import multivariate_normal
 from analogopt.core import DesignPoint, RangeError
 from analogopt.evaluator import circuit_model
 from analogopt.surrogate import (
+    JITTER_START,
     GpFitConfig,
+    NumericalError,
+    _chol_with_jitter,
     _rbf_matrix,
     from_unit_cube,
     gp_fit,
@@ -91,6 +98,36 @@ def test_rbf_kernel_values():
     ) == pytest.approx(math.exp(-0.5))
 
 
+# ---------------------------------------------------------------- cholesky
+
+def test_chol_with_jitter_spd_needs_no_jitter():
+    A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+    L, jitter = _chol_with_jitter(A)
+    assert jitter == 0.0
+    assert np.allclose(L, np.tril(L))
+    assert np.allclose(L @ L.T, A, rtol=1e-14, atol=0.0)
+
+
+def test_chol_with_jitter_escalates_on_singular_input():
+    A = np.ones((4, 4))
+    L, jitter = _chol_with_jitter(A)
+    assert jitter == JITTER_START == 1e-10
+    assert np.allclose(L, np.tril(L))
+    assert np.allclose(L @ L.T, A + 1e-10 * np.eye(4), rtol=0.0, atol=1e-14)
+
+
+def test_chol_with_jitter_raises_past_the_ceiling():
+    with pytest.raises(NumericalError):
+        _chol_with_jitter(-np.eye(3))
+
+
+def test_chol_with_jitter_rejects_non_finite_input():
+    A = np.eye(3)
+    A[1, 2] = A[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        _chol_with_jitter(A)
+
+
 # --------------------------------------------------------------------- fit
 
 def test_single_point_interpolates():
@@ -114,6 +151,17 @@ def test_fit_beats_default_hyperparameters():
     y_std = (y - y.mean()) / y.std()
     default = log_marginal_likelihood(X, y_std, np.full(2, 0.5), 1.0, 1e-3)
     assert model.log_marginal >= default - 1e-9
+
+
+def test_triplicated_rows_with_constant_targets_fit():
+    # all-failed designs: every FOM is the failure value and rows repeat
+    X = np.repeat(np.random.default_rng(13).uniform(size=(5, 14)), 3, axis=0)
+    model = gp_fit(X, np.full(15, -9.67), GpFitConfig(restarts=3, seed=1))
+    assert math.isfinite(model.log_marginal)
+    assert np.all(np.isfinite(model.chol)) and np.all(np.isfinite(model.alpha))
+    mean, var = gp_predict_diag(model, X[:2])
+    assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
+    assert mean == pytest.approx(-9.67, abs=1e-6)
 
 
 def test_non_finite_targets_rejected():
@@ -183,6 +231,64 @@ def test_lml_matches_gaussian_logpdf():
     K = _rbf_matrix(X, X, ls, sv) + nv * np.eye(4)
     ref = multivariate_normal(mean=np.zeros(4), cov=K).logpdf(y)
     assert log_marginal_likelihood(X, y, ls, sv, nv) == pytest.approx(ref, abs=1e-8)
+
+
+def _dense_lml(X, y, ls, sv, nv):
+    """-0.5 y^T K^-1 y - 0.5 log|K| - n/2 log 2 pi, from an explicit
+    elementwise kernel, a dense solve and slogdet (no Cholesky factor)."""
+    diff = (X[:, None, :] - X[None, :, :]) / ls
+    K = sv * np.exp(-0.5 * np.sum(diff**2, axis=2)) + nv * np.eye(len(y))
+    sign, logdet = np.linalg.slogdet(K)
+    assert sign > 0
+    return (
+        -0.5 * float(y @ np.linalg.solve(K, y))
+        - 0.5 * logdet
+        - 0.5 * len(y) * math.log(2.0 * math.pi)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, d, repeat",
+    [(6, 2, 1), (55, 14, 1), (6, 3, 3)],
+    ids=["n6_d2", "n55_d14", "triplicated_rows"],
+)
+def test_lml_matches_dense_slogdet_and_solve(n, d, repeat):
+    X, y = _training_set(n=n, d=d, seed=11)
+    X, y = np.repeat(X, repeat, axis=0), np.repeat(y, repeat)
+    ls = np.linspace(0.3, 2.0, d)
+    sv, nv = 1.3, 4e-3
+    ref = _dense_lml(X, y, ls, sv, nv)
+    assert log_marginal_likelihood(X, y, ls, sv, nv) == pytest.approx(ref, rel=1e-9)
+
+
+_LML_BITS = """
+import numpy as np
+from analogopt.surrogate import lml_gradient, log_marginal_likelihood
+rng = np.random.default_rng(21)
+for n in (55, 100):
+    X = rng.uniform(size=(n, 14))
+    y = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2
+    args = (X, y, np.linspace(0.3, 2.0, 14), 1.3, 4e-3)
+    print(log_marginal_likelihood(*args).hex(), *(g.hex() for g in lml_gradient(*args)))
+"""
+
+
+def test_lml_bits_do_not_depend_on_the_blas_thread_count():
+    # Run logs must not change with the core count. Some LAPACK/BLAS
+    # routines that could form K^-1 (OpenBLAS potri at every n, syrk from
+    # n = 100) round differently with 1 and 2 threads.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _LML_BITS],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_lml_scale_equivariance():
