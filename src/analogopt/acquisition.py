@@ -9,7 +9,8 @@ slot maximizes the qEI of (already chosen + candidate), which only needs a
 rank-one border on the fixed prefix Cholesky factor. A per-slot scorer
 computes the prefix posterior, that factor and the per-draw prefix maximum
 once; each of its calls then adds only the candidate columns, vectorized over
-many candidates at once.
+many candidates at once. :func:`qei_mc` is that scorer's last slot: the qEI of
+a batch is the score of its last point behind the rest as prefix.
 
 On the fixed draws the estimate is piecewise smooth in the candidate, so the
 scorer also returns its exact pathwise (reparameterization) gradient (Wilson,
@@ -32,12 +33,11 @@ from .surrogate import (
     GpModel,
     NumericalError,
     _chol_with_jitter,
-    _rbf_from_scaled,
-    _scaled,
+    _posterior,
     _solve_lower,
     from_unit_cube,
     gp_predict,
-    gp_predict_diag,
+    rbf_kernel,
 )
 
 _SIGMA_FLOOR = 1e-12
@@ -65,9 +65,9 @@ class AcquisitionConfig:
 
 def ei(model: GpModel, x: np.ndarray, best: float) -> float:
     """Closed-form expected improvement over ``best`` at a single point."""
-    mean, var = gp_predict_diag(model, np.atleast_2d(x))
+    mean, cov = gp_predict(model, np.atleast_2d(x))
     mu = float(mean[0])
-    sigma = math.sqrt(max(float(var[0]), 0.0))
+    sigma = math.sqrt(max(float(cov[0, 0]), 0.0))
     if sigma < _SIGMA_FLOOR:
         return max(mu - best, 0.0)
     z = (mu - best) / sigma
@@ -90,13 +90,8 @@ def qei_mc(
 ) -> float:
     """Monte-Carlo estimate of E[max(0, max_j f(x_j) - best)] for the batch."""
     X = np.atleast_2d(np.asarray(batch, dtype=float))
-    q = X.shape[0]
-    mean, cov = gp_predict(model, X)
-    L, _ = _chol_with_jitter(cov)
-    Z = _base_draws(config.seed, q, config.mc_samples)
-    samples = mean[None, :] + Z @ L.T
-    improvement = np.max(samples, axis=1) - best
-    return float(np.mean(np.clip(improvement, 0.0, None)))
+    Z = _base_draws(config.seed, X.shape[0], config.mc_samples)
+    return float(_slot_scorer(model, X[:-1], Z, best)(X[-1:])[0])
 
 
 def _slot_scorer(model, prefix, Z, best):
@@ -122,16 +117,10 @@ def _slot_scorer(model, prefix, Z, best):
     chol = np.asfortranarray(model.chol)
     # Training inputs and prefix points share one kernel block per call.
     points = np.vstack([model.train_inputs, prefix])
-    scaled = _scaled(points, model.lengthscales)
     if k == 0:
         best_prefix = np.full(Z.shape[0], -np.inf)
     else:
-        pre = (scaled[0][n:], scaled[1][n:])
-        K_P = _rbf_from_scaled(scaled, pre, sv)
-        V_P = _solve_lower(chol, K_P[:n])
-        mean_P = model.target_mean + model.target_std * (K_P[:n].T @ model.alpha)
-        cov_PP = std2 * (K_P[n:] - V_P.T @ V_P)
-        cov_PP = 0.5 * (cov_PP + cov_PP.T)
+        mean_P, cov_PP, V_P = _posterior(model, prefix)
         L_A, _ = _chol_with_jitter(cov_PP)
         L_A = np.asfortranarray(L_A)
         prefix_samples = mean_P[None, :] + Z[:, :k] @ L_A.T
@@ -145,7 +134,7 @@ def _slot_scorer(model, prefix, Z, best):
 
     def score(cands: np.ndarray, grad: bool = False):
         R, d = cands.shape
-        cols = _rbf_from_scaled(scaled, _scaled(cands, model.lengthscales), sv)
+        cols = rbf_kernel(points, cands, model.lengthscales, sv)
         if grad:
             # dk(p, x)/dx_a = k(p, x) (p_a - x_a) / l_a^2, stacked behind the
             # values as column R + r*d + a: one solve per factor covers all.

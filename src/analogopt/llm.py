@@ -172,7 +172,20 @@ class TaskCard:
         )
         body = self._demo_bodies.get(key)
         if body is None:
-            body = self._demo_bodies[key] = _render_demo_body(demo, self)
+            params = ", ".join(
+                f"{p.name} = {format_si(v, p.unit)}"
+                for p, v in zip(self.space.parameters, demo.point.values)
+            )
+            metrics = ", ".join(
+                f"{m.name} = {demo.metrics[m.name]:.4g} {m.unit}".rstrip()
+                for m in self.fom.metrics
+                if m.name in demo.metrics
+            )
+            regions = ", ".join(f"{d}: {r.value}" for d, r in demo.regions.items())
+            lines = [f"  parameters: {params}", f"  metrics: {metrics}"]
+            if regions:
+                lines.append(f"  operating regions: {regions}")
+            body = self._demo_bodies[key] = "\n".join(lines)
         return body
 
 
@@ -277,28 +290,6 @@ def _template(name: str) -> str:
     )
 
 
-def _render_demo_body(demo: EvalRecord, card: TaskCard) -> str:
-    params = ", ".join(
-        f"{p.name} = {format_si(v, p.unit)}"
-        for p, v in zip(card.space.parameters, demo.point.values)
-    )
-    metrics = ", ".join(
-        f"{m.name} = {demo.metrics[m.name]:.4g} {m.unit}".rstrip()
-        for m in card.fom.metrics
-        if m.name in demo.metrics
-    )
-    regions = ", ".join(f"{d}: {r.value}" for d, r in demo.regions.items())
-    lines = [f"  parameters: {params}", f"  metrics: {metrics}"]
-    if regions:
-        lines.append(f"  operating regions: {regions}")
-    return "\n".join(lines)
-
-
-def _render_demo(index: int, demo: EvalRecord, card: TaskCard) -> str:
-    # Only this header depends on the demonstration's rank.
-    return f"Demonstration {index} (FOM = {demo.fom:.4g}):\n" + card._demo_body(demo)
-
-
 def _messages_tokens(messages: list[ChatMessage]) -> int:
     return sum(estimate_tokens(m.content) for m in messages)
 
@@ -340,8 +331,10 @@ def build_iteration_prompt(
 
     def render(current: list[EvalRecord]) -> list[ChatMessage]:
         if current:
+            # Bodies are cached per record; only the header carries the rank.
             demo_text = "\n\n".join(
-                _render_demo(i + 1, d, card) for i, d in enumerate(current)
+                f"Demonstration {i + 1} (FOM = {d.fom:.4g}):\n" + card._demo_body(d)
+                for i, d in enumerate(current)
             )
         else:
             demo_text = "(no demonstrations are available for this task)"

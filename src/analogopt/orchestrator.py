@@ -230,7 +230,8 @@ def run(config: RunConfig) -> RunLog:
                 "noise_variance": float(gp.noise_variance),
                 "log_marginal": float(gp.log_marginal),
             }
-            # A diagnostic only: a failed factorization is logged, not fatal.
+            # A diagnostic only: the prefix factor, the one factorization in
+            # qei_mc that can fail, is logged on failure, not fatal.
             try:
                 diag["acquisition_value"] = float(qei_mc(gp, batch_u, best, acq_config))
             except NumericalError as exc:

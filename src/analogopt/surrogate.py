@@ -13,7 +13,8 @@ kernel from it with one matrix-vector product and takes the lengthscale
 gradient with another. The factorization, the solves and the inverse call
 LAPACK (``potrf``, ``potrs``, ``trtri``, ``trtrs``) directly: at the
 n <= 105 of a run, scipy's per-call argument handling costs as much as the
-arithmetic.
+arithmetic. Past the fit there is one cross kernel, :func:`rbf_kernel`, and
+one posterior helper, which :func:`gp_predict` and the qEI scorer share.
 """
 
 from __future__ import annotations
@@ -117,37 +118,17 @@ def from_unit_cube(space: DesignSpace, u: np.ndarray) -> DesignPoint:
 
 
 def rbf_kernel(
-    a: np.ndarray,
-    b: np.ndarray,
+    A: np.ndarray,
+    B: np.ndarray,
     lengthscales: np.ndarray | float,
     signal_variance: float,
-) -> float:
-    """k(a, b) = signal_variance * exp(-0.5 * sum(((a_i - b_i) / l_i)^2))."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = (a - b) / lengthscales
-    return float(signal_variance * np.exp(-0.5 * np.dot(d, d)))
-
-
-def _scaled(x, lengthscales):
-    """Inputs divided by the lengthscales, with their squared row norms."""
-    s = x / lengthscales
-    return s, np.sum(s**2, axis=1)
-
-
-def _rbf_from_scaled(a, b, signal_variance):
-    """RBF matrix between two :func:`_scaled` input sets."""
-    (s1, sq1), (s2, sq2) = a, b
-    sq = sq1[:, None] + sq2[None, :] - 2.0 * s1 @ s2.T
+) -> np.ndarray:
+    """k(a, b) = signal_variance * exp(-0.5 |s_a - s_b|^2), s = x / l, for the
+    rows of A and B, as |s_a|^2 + |s_b|^2 - 2 s_a.s_b clipped at 0."""
+    a = A / lengthscales
+    b = B / lengthscales
+    sq = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T
     return signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
-
-
-def _rbf_matrix(x1, x2, lengthscales, signal_variance):
-    return _rbf_from_scaled(
-        _scaled(x1, lengthscales), _scaled(x2, lengthscales), signal_variance
-    )
 
 
 def _chol_with_jitter(matrix):
@@ -190,24 +171,9 @@ def log_marginal_likelihood(
     lengthscales: np.ndarray | float,
     signal_variance: float,
     noise_variance: float,
-) -> float:
-    """Exact Gaussian log marginal likelihood of ``y`` under the RBF kernel."""
-    return _lml_at(X, y, lengthscales, signal_variance, noise_variance)[0]
-
-
-def lml_gradient(
-    X: np.ndarray,
-    y: np.ndarray,
-    lengthscales: np.ndarray | float,
-    signal_variance: float,
-    noise_variance: float,
-) -> np.ndarray:
-    """Gradient of the LML w.r.t. (log lengthscales, log signal, log noise)."""
-    return _lml_at(X, y, lengthscales, signal_variance, noise_variance)[1]
-
-
-def _lml_at(X, y, lengthscales, signal_variance, noise_variance):
-    """:func:`_lml_and_grad` for one caller-supplied hyperparameter setting."""
+) -> tuple[float, np.ndarray]:
+    """Exact Gaussian log marginal likelihood of ``y`` under the RBF kernel,
+    and its gradient w.r.t. (log lengthscales, log signal, log noise)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -392,31 +358,25 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
     )
 
 
+def _posterior(model, Q):
+    """Mean and symmetrized covariance at the rows of ``Q`` in target units,
+    and ``V = L^-1 k(train, Q)``; train and query rows share one kernel block."""
+    n = model.train_inputs.shape[0]
+    K = rbf_kernel(
+        np.vstack([model.train_inputs, Q]), Q, model.lengthscales,
+        model.signal_variance,
+    )
+    V = _solve_lower(model.chol, K[:n])
+    mean = model.target_mean + model.target_std * (K[:n].T @ model.alpha)
+    cov = model.target_std**2 * (K[n:] - V.T @ V)
+    return mean, 0.5 * (cov + cov.T), V
+
+
 def gp_predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and full covariance at the query points, in target units.
 
     The covariance is the latent (noise-free) posterior covariance,
     symmetrized to guard against round-off.
     """
-    Q = np.atleast_2d(np.asarray(queries, dtype=float))
-    Ks = _rbf_matrix(model.train_inputs, Q, model.lengthscales, model.signal_variance)
-    Kqq = _rbf_matrix(Q, Q, model.lengthscales, model.signal_variance)
-    mean_std = Ks.T @ model.alpha
-    V = _solve_lower(model.chol, Ks)
-    cov_std = Kqq - V.T @ V
-    cov_std = 0.5 * (cov_std + cov_std.T)
-    mean = model.target_mean + model.target_std * mean_std
-    cov = (model.target_std**2) * cov_std
+    mean, cov, _ = _posterior(model, np.atleast_2d(np.asarray(queries, dtype=float)))
     return mean, cov
-
-
-def gp_predict_diag(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and marginal variance (cheaper than the full covariance)."""
-    Q = np.atleast_2d(np.asarray(queries, dtype=float))
-    Ks = _rbf_matrix(model.train_inputs, Q, model.lengthscales, model.signal_variance)
-    mean_std = Ks.T @ model.alpha
-    V = _solve_lower(model.chol, Ks)
-    var_std = np.maximum(model.signal_variance - np.sum(V**2, axis=0), 0.0)
-    mean = model.target_mean + model.target_std * mean_std
-    var = (model.target_std**2) * var_std
-    return mean, var

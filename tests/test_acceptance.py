@@ -30,13 +30,11 @@ from analogopt.llm import (
 from analogopt.orchestrator import run
 from analogopt.surrogate import (
     GpFitConfig,
-    _rbf_matrix,
     from_unit_cube,
     gp_fit,
     gp_predict,
-    gp_predict_diag,
-    lml_gradient,
     log_marginal_likelihood,
+    rbf_kernel,
 )
 
 from conftest import model_with_prior
@@ -111,11 +109,11 @@ def test_criterion_3_gp_correctness():
         # posterior mean/covariance vs an explicit-inverse dense solve
         Q = rng.uniform(size=(4, 2))
         mean, cov = gp_predict(model, Q)
-        K = _rbf_matrix(X, X, model.lengthscales, model.signal_variance) + (
+        K = rbf_kernel(X, X, model.lengthscales, model.signal_variance) + (
             model.noise_variance + model.jitter
         ) * np.eye(5)
-        Ks = _rbf_matrix(X, Q, model.lengthscales, model.signal_variance)
-        Kqq = _rbf_matrix(Q, Q, model.lengthscales, model.signal_variance)
+        Ks = rbf_kernel(X, Q, model.lengthscales, model.signal_variance)
+        Kqq = rbf_kernel(Q, Q, model.lengthscales, model.signal_variance)
         Kinv = np.linalg.inv(K)
         mean_ref = model.target_mean + model.target_std * (
             Ks.T @ Kinv @ model.train_targets
@@ -130,11 +128,11 @@ def test_criterion_3_gp_correctness():
         def lml_at(t):
             return log_marginal_likelihood(
                 X, y, np.exp(t[:2]), math.exp(t[2]), math.exp(t[3])
-            )
+            )[0]
 
-        grad = lml_gradient(
+        grad = log_marginal_likelihood(
             X, y, np.exp(theta[:2]), math.exp(theta[2]), math.exp(theta[3])
-        )
+        )[1]
         h = 1e-6
         for i in range(4):
             e = np.zeros(4)
@@ -143,7 +141,7 @@ def test_criterion_3_gp_correctness():
             assert abs(grad[i] - fd) <= 1e-4 * max(abs(fd), 1e-8)
 
         # posterior variance at the training inputs stays within the noise
-        _, var = gp_predict_diag(model, X)
+        var = np.diag(gp_predict(model, X)[1])
         noise = model.noise_variance * model.target_std**2
         assert np.all(var <= noise + 1e-6)
 

@@ -23,7 +23,7 @@ GOLDEN = [
     (
         dict(method="ado_llm", preset="amp2", n_iter=4,
              llm_queries_per_step=1, gp_queries_per_step=4),
-        "fc04744ebcaf9d605f20f75aa4ec1f021a2cbe539a476f9ebc43ec52f5e61ffc",
+        "436d0e9326a2f3655609c8dbaf43bf2a27ff7e418f5ffec1ccfbf6f8f11eb262",
     ),
     (
         dict(method="gp_bo", preset="branin", n_iter=4, llm_queries_per_step=0,

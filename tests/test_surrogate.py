@@ -15,12 +15,9 @@ from analogopt.surrogate import (
     GpFitConfig,
     NumericalError,
     _chol_with_jitter,
-    _rbf_matrix,
     from_unit_cube,
     gp_fit,
     gp_predict,
-    gp_predict_diag,
-    lml_gradient,
     log_marginal_likelihood,
     rbf_kernel,
     to_unit_cube,
@@ -37,12 +34,12 @@ def _training_set(n=5, d=2, seed=0):
 def dense_posterior(model, Q):
     """Textbook posterior via an explicit inverse (independent of the
     Cholesky path used by gp_predict)."""
-    K = _rbf_matrix(
+    K = rbf_kernel(
         model.train_inputs, model.train_inputs, model.lengthscales,
         model.signal_variance,
     ) + (model.noise_variance + model.jitter) * np.eye(len(model.train_targets))
-    Ks = _rbf_matrix(model.train_inputs, Q, model.lengthscales, model.signal_variance)
-    Kqq = _rbf_matrix(Q, Q, model.lengthscales, model.signal_variance)
+    Ks = rbf_kernel(model.train_inputs, Q, model.lengthscales, model.signal_variance)
+    Kqq = rbf_kernel(Q, Q, model.lengthscales, model.signal_variance)
     Kinv = np.linalg.inv(K)
     mean = model.target_mean + model.target_std * (Ks.T @ Kinv @ model.train_targets)
     cov = model.target_std**2 * (Kqq - Ks.T @ Kinv @ Ks)
@@ -89,13 +86,13 @@ def test_unit_cube_rejects_outside():
 # ------------------------------------------------------------------ kernel
 
 def test_rbf_kernel_values():
-    x = np.array([0.3, 0.7])
-    assert rbf_kernel(x, x, np.array([0.5, 0.5]), 2.5) == pytest.approx(2.5)
-    far = rbf_kernel(np.zeros(2), np.full(2, 50.0), np.ones(2), 1.0)
+    x = np.array([[0.3, 0.7]])
+    assert rbf_kernel(x, x, np.array([0.5, 0.5]), 2.5)[0, 0] == pytest.approx(2.5)
+    far = rbf_kernel(np.zeros((1, 2)), np.full((1, 2), 50.0), np.ones(2), 1.0)[0, 0]
     assert far == pytest.approx(0.0, abs=1e-300)
     assert rbf_kernel(
-        np.array([0.0]), np.array([1.0]), np.array([1.0]), 1.0
-    ) == pytest.approx(math.exp(-0.5))
+        np.array([[0.0]]), np.array([[1.0]]), np.array([1.0]), 1.0
+    )[0, 0] == pytest.approx(math.exp(-0.5))
 
 
 # ---------------------------------------------------------------- cholesky
@@ -149,7 +146,7 @@ def test_fit_beats_default_hyperparameters():
     config = GpFitConfig(restarts=6, seed=2)
     model = gp_fit(X, y, config)
     y_std = (y - y.mean()) / y.std()
-    default = log_marginal_likelihood(X, y_std, np.full(2, 0.5), 1.0, 1e-3)
+    default = log_marginal_likelihood(X, y_std, np.full(2, 0.5), 1.0, 1e-3)[0]
     assert model.log_marginal >= default - 1e-9
 
 
@@ -159,7 +156,8 @@ def test_triplicated_rows_with_constant_targets_fit():
     model = gp_fit(X, np.full(15, -9.67), GpFitConfig(restarts=3, seed=1))
     assert math.isfinite(model.log_marginal)
     assert np.all(np.isfinite(model.chol)) and np.all(np.isfinite(model.alpha))
-    mean, var = gp_predict_diag(model, X[:2])
+    mean, cov = gp_predict(model, X[:2])
+    var = np.diag(cov)
     assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
     assert mean == pytest.approx(-9.67, abs=1e-6)
 
@@ -184,7 +182,8 @@ def test_predict_matches_dense_oracle():
 def test_predict_at_training_point_within_noise():
     X, y = _training_set()
     model = gp_fit(X, y, GpFitConfig(restarts=4, seed=0))
-    mean, var = gp_predict_diag(model, X)
+    mean, cov = gp_predict(model, X)
+    var = np.diag(cov)
     noise = model.noise_variance * model.target_std**2
     assert np.all(np.abs(mean - y) <= 3.0 * np.sqrt(noise) + 1e-6)
     assert np.all(var <= noise + 1e-6)
@@ -193,7 +192,8 @@ def test_predict_at_training_point_within_noise():
 def test_far_query_reverts_to_prior():
     X, y = _training_set()
     model = gp_fit(X, y, GpFitConfig(restarts=4, seed=0))
-    mean, var = gp_predict_diag(model, np.array([[40.0, -40.0]]))
+    mean, cov = gp_predict(model, np.array([[40.0, -40.0]]))
+    var = np.diag(cov)
     assert mean[0] == pytest.approx(model.target_mean, abs=1e-9)
     prior_var = model.signal_variance * model.target_std**2
     noise = model.noise_variance * model.target_std**2
@@ -228,9 +228,9 @@ def test_lml_matches_gaussian_logpdf():
     X, y = _training_set(n=4, seed=6)
     ls = np.array([0.4, 0.8])
     sv, nv = 1.5, 1e-2
-    K = _rbf_matrix(X, X, ls, sv) + nv * np.eye(4)
+    K = rbf_kernel(X, X, ls, sv) + nv * np.eye(4)
     ref = multivariate_normal(mean=np.zeros(4), cov=K).logpdf(y)
-    assert log_marginal_likelihood(X, y, ls, sv, nv) == pytest.approx(ref, abs=1e-8)
+    assert log_marginal_likelihood(X, y, ls, sv, nv)[0] == pytest.approx(ref, abs=1e-8)
 
 
 def _dense_lml(X, y, ls, sv, nv):
@@ -258,18 +258,19 @@ def test_lml_matches_dense_slogdet_and_solve(n, d, repeat):
     ls = np.linspace(0.3, 2.0, d)
     sv, nv = 1.3, 4e-3
     ref = _dense_lml(X, y, ls, sv, nv)
-    assert log_marginal_likelihood(X, y, ls, sv, nv) == pytest.approx(ref, rel=1e-9)
+    assert log_marginal_likelihood(X, y, ls, sv, nv)[0] == pytest.approx(ref, rel=1e-9)
 
 
 _LML_BITS = """
 import numpy as np
-from analogopt.surrogate import lml_gradient, log_marginal_likelihood
+from analogopt.surrogate import log_marginal_likelihood
 rng = np.random.default_rng(21)
 for n in (55, 100):
     X = rng.uniform(size=(n, 14))
     y = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2
     args = (X, y, np.linspace(0.3, 2.0, 14), 1.3, 4e-3)
-    print(log_marginal_likelihood(*args).hex(), *(g.hex() for g in lml_gradient(*args)))
+    lml, grad = log_marginal_likelihood(*args)
+    print(lml.hex(), *(g.hex() for g in grad))
 """
 
 
@@ -295,8 +296,8 @@ def test_lml_scale_equivariance():
     X, y = _training_set(n=5, seed=8)
     ls = np.array([0.6, 0.6])
     c = 3.7
-    base = log_marginal_likelihood(X, y, ls, 1.2, 1e-3)
-    scaled = log_marginal_likelihood(X, c * y, ls, c**2 * 1.2, c**2 * 1e-3)
+    base = log_marginal_likelihood(X, y, ls, 1.2, 1e-3)[0]
+    scaled = log_marginal_likelihood(X, c * y, ls, c**2 * 1.2, c**2 * 1e-3)[0]
     assert scaled == pytest.approx(base - len(y) * math.log(c), abs=1e-9)
 
 
@@ -316,10 +317,10 @@ def test_lml_gradient_matches_central_differences(n, d, lengthscales):
     def lml_at(t):
         return log_marginal_likelihood(
             X, y, np.exp(t[:d]), math.exp(t[d]), math.exp(t[d + 1])
-        )
+        )[0]
 
-    grad = lml_gradient(X, y, np.exp(theta[:d]), math.exp(theta[d]),
-                        math.exp(theta[d + 1]))
+    grad = log_marginal_likelihood(X, y, np.exp(theta[:d]), math.exp(theta[d]),
+                                   math.exp(theta[d + 1]))[1]
     h = 1e-6
     for i in range(d + 2):
         e = np.zeros(d + 2)
@@ -331,7 +332,7 @@ def test_lml_gradient_matches_central_differences(n, d, lengthscales):
 def test_factorization_reproduces_kernel():
     X, y = _training_set(n=6, seed=12)
     model = gp_fit(X, y, GpFitConfig(restarts=3, seed=3))
-    K = _rbf_matrix(X, X, model.lengthscales, model.signal_variance)
+    K = rbf_kernel(X, X, model.lengthscales, model.signal_variance)
     target = K + (model.noise_variance + model.jitter) * np.eye(len(y))
     assert np.allclose(model.chol @ model.chol.T, target, atol=1e-8)
 
@@ -339,5 +340,5 @@ def test_factorization_reproduces_kernel():
 def test_constant_targets_fit():
     X = np.random.default_rng(0).uniform(size=(4, 2))
     model = gp_fit(X, np.full(4, 2.5), GpFitConfig(restarts=2))
-    mean, _ = gp_predict_diag(model, np.array([[0.5, 0.5]]))
+    mean, _ = gp_predict(model, np.array([[0.5, 0.5]]))
     assert mean[0] == pytest.approx(2.5, abs=1e-6)
