@@ -71,49 +71,46 @@ def _variant_path(base: str | None, stem: str, variant: str) -> str:
     return f"{stem}_{variant}.jsonl"
 
 
+def _ablate(base, stem: str, variants) -> int:
+    """Run ``base`` once per (tag, label, field overrides) variant, then report."""
+    paths = []
+    for tag, label, fields in variants:
+        log = run(dataclasses.replace(base, **fields))
+        path = _variant_path(base.out, stem, tag)
+        log.write(path)
+        paths.append(path)
+        print(f"{label}: best FOM {log.summary['best_fom']:.4g}")
+    print()
+    print(report(paths))
+    return EXIT_OK
+
+
 def _cmd_ablate_init(args: argparse.Namespace) -> int:
     base = load_run_config(args.config, **_overrides(args))
-    paths = []
-    for strategy in ("uniform_random", "llm_zero_shot"):
-        config = dataclasses.replace(
-            base,
+    return _ablate(base, "ablate_init", [
+        (strategy, f"gp_bo with {strategy}", dict(
             method="gp_bo",
             llm_queries_per_step=0,
             # keep the per-iteration evaluation budget of the base configuration
             gp_queries_per_step=base.batch_size,
             init_strategy=strategy,
-        )
-        log = run(config)
-        path = _variant_path(base.out, "ablate_init", strategy)
-        log.write(path)
-        paths.append(path)
-        print(f"gp_bo with {strategy}: best FOM {log.summary['best_fom']:.4g}")
-    print()
-    print(report(paths))
-    return EXIT_OK
+        ))
+        for strategy in ("uniform_random", "llm_zero_shot")
+    ])
 
 
 def _cmd_ablate_icl(args: argparse.Namespace) -> int:
     base = load_run_config(args.config, **_overrides(args))
-    variants = (("none", "no_icl"), ("uniform", "rand_k"), ("top_k", "top_k"))
-    paths = []
-    for kind, tag in variants:
-        config = dataclasses.replace(
-            base,
+    return _ablate(base, "ablate_icl", [
+        (tag, f"llm_only with sampler={kind}", dict(
             method="llm_only",
             llm_queries_per_step=max(base.llm_queries_per_step, 1),
             gp_queries_per_step=0,
             init_strategy="llm_zero_shot",
             sampler_kind=kind,
-        )
-        log = run(config)
-        path = _variant_path(base.out, "ablate_icl", tag)
-        log.write(path)
-        paths.append(path)
-        print(f"llm_only with sampler={kind}: best FOM {log.summary['best_fom']:.4g}")
-    print()
-    print(report(paths))
-    return EXIT_OK
+        ))
+        for kind, tag in (("none", "no_icl"), ("uniform", "rand_k"), ("top_k", "top_k"))
+    ])
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

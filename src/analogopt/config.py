@@ -65,6 +65,8 @@ class RunConfig:
             raise ConfigError(f"unknown sampler kind {self.sampler_kind!r}")
         if self.n_init < 1 or self.n_iter < 0:
             raise ConfigError("n_init must be >= 1 and n_iter >= 0")
+        if self.sampler_k < 1:
+            raise ConfigError("[sampler] k must be >= 1")
         if self.method == "gp_bo" and self.llm_queries_per_step != 0:
             raise ConfigError("gp_bo runs with llm_queries_per_step = 0")
         if self.method == "llm_only" and self.gp_queries_per_step != 0:

@@ -1,6 +1,11 @@
 """Analytic circuit evaluation: reference models of the two benchmark
 circuits plus synthetic test functions for validating the optimizer.
 
+Each :class:`CircuitModel` carries its own solver, ``solve(model, point) ->
+(metrics, overdrives, ok)``; :func:`evaluate` runs it and then applies the
+headroom check and the region classification the model's devices and
+stacks define. A synthetic preset has neither, so both are no-ops for it.
+
 The circuit models use textbook square-law device physics:
 
     I_D = 0.5 * k' * (W/L) * V_ov^2
@@ -18,7 +23,8 @@ feedback channel without a transistor-level simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,13 +91,10 @@ class CircuitModel:
     name: str
     space: DesignSpace
     constants: ProcessConstants
-    sharing: dict[str, tuple[str, str]] = field(default_factory=dict)
+    solve: Callable[[CircuitModel, DesignPoint], tuple[dict, dict, bool]]
+    devices: tuple[str, ...] = ()
     stacks: tuple[Stack, ...] = ()
     fom: FomConfig = SYNTHETIC_FOM
-
-    @property
-    def devices(self) -> tuple[str, ...]:
-        return tuple(self.sharing)
 
 
 def _amp2_space() -> DesignSpace:
@@ -163,16 +166,8 @@ def circuit_model(
             name="amp2",
             space=_amp2_space(),
             constants=constants,
-            sharing={
-                "M1": ("w1", "l1"),
-                "M2": ("w1", "l1"),
-                "M3": ("w3", "l3"),
-                "M4": ("w3", "l3"),
-                "M5": ("w5", "l5"),
-                "M6": ("w6", "l6"),
-                "M7": ("w7", "l7"),
-                "Mb": ("wb", "lb"),
-            },
+            solve=_amp2_solve,
+            devices=("M1", "M2", "M3", "M4", "M5", "M6", "M7", "Mb"),
             stacks=(
                 Stack(("Mb", "M1", "M3"), ("Mb", "M1", "M2", "M3", "M4")),
                 Stack(("M6", "M7"), ("M6", "M7")),
@@ -185,20 +180,11 @@ def circuit_model(
             name="comparator",
             space=_comparator_space(),
             constants=constants,
-            sharing={
-                "M1": ("w1", "l1"),
-                "M2": ("w1", "l1"),
-                "M3": ("w3", "l3"),
-                "M4": ("w3", "l3"),
-                "M5": ("w5", "l5"),
-                "M6": ("w5", "l5"),
-                "M7": ("w7", "l7"),
-                "M8": ("w7", "l7"),
-                "M9": ("w9", "l9"),
-                "M10": ("w9", "l9"),
-                "M11": ("w9", "l9"),
-                "Mb": ("wb", "lb"),
-            },
+            solve=_comparator_solve,
+            devices=(
+                "M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M9", "M10", "M11",
+                "Mb",
+            ),
             stacks=(
                 Stack(
                     ("Mb", "M1", "M3"),
@@ -213,6 +199,9 @@ def circuit_model(
             name=f"synthetic:{name}",
             space=_synthetic_space(name),
             constants=constants,
+            solve=lambda model, point: (
+                {"objective": synthetic_eval(name, np.array(point.values))}, {}, True
+            ),
             fom=SYNTHETIC_FOM,
         )
     raise ConfigError(f"unknown circuit model {name!r}")
@@ -423,27 +412,18 @@ def evaluate(
     """
     if not design_space_contains(model.space, point):
         raise RangeError(f"point outside the {model.name} design space")
-    if model.name.startswith("synthetic:"):
-        value = synthetic_eval(model.name.split(":", 1)[1], np.array(point.values))
-        metrics: dict[str, float] = {"objective": value}
-        regions: dict[str, Region] = {}
-        ok = True
-    else:
-        solver = _amp2_solve if model.name == "amp2" else _comparator_solve
-        try:
-            metrics, overdrives, ok = solver(model, point)
-            headroom_ok = not any(
-                stack.gain_path for stack in _crowded_stacks(model, overdrives)
-            )
-            ok = ok and headroom_ok and all(
-                math.isfinite(m) for m in metrics.values()
-            )
-        except (ValueError, ZeroDivisionError, OverflowError):
-            metrics, ok = {}, False
-            overdrives = {d: 0.0 for d in model.devices}
-        regions = classify_regions(model, overdrives)
-        if not ok:
-            metrics = failed_metrics(model.fom)
+    try:
+        metrics, overdrives, ok = model.solve(model, point)
+        headroom_ok = not any(
+            stack.gain_path for stack in _crowded_stacks(model, overdrives)
+        )
+        ok = ok and headroom_ok and all(math.isfinite(m) for m in metrics.values())
+    except (ValueError, ZeroDivisionError, OverflowError):
+        metrics, ok = {}, False
+        overdrives = {d: 0.0 for d in model.devices}
+    regions = classify_regions(model, overdrives)
+    if not ok:
+        metrics = failed_metrics(model.fom)
     return EvalRecord(
         point=point,
         metrics=metrics,

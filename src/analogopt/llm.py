@@ -21,7 +21,7 @@ from urllib.parse import urlparse
 
 import numpy as np
 
-from .core import DesignPoint, DesignSpace, EvalRecord
+from .core import ConfigError, DesignPoint, DesignSpace, EvalRecord
 from .fom import FomConfig
 from .surrogate import from_unit_cube
 
@@ -86,7 +86,7 @@ class ProposerExhausted(LlmError):
         self.partial = list(partial)
 
 
-class PromptBudgetError(ValueError):
+class PromptBudgetError(ConfigError):
     """A prompt cannot be fit inside the context budget."""
 
 
@@ -120,6 +120,10 @@ class LlmConfig:
             raise ValueError("temperature must be >= 0")
         if self.retry_limit < 1:
             raise ValueError("retry_limit must be >= 1")
+        if self.transport_attempts < 1:
+            raise ValueError("transport_attempts must be >= 1")
+        if self.backoff < 0:
+            raise ValueError("backoff must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -290,8 +294,21 @@ def _template(name: str) -> str:
     )
 
 
-def _messages_tokens(messages: list[ChatMessage]) -> int:
-    return sum(estimate_tokens(m.content) for m in messages)
+def _prompt(
+    card: TaskCard, template: str, context_budget: int, **fields
+) -> list[ChatMessage]:
+    """``[system, user]`` from a prompt template, or PromptBudgetError."""
+    messages = [
+        ChatMessage("system", _template("system.txt").strip()),
+        ChatMessage("user", _template(template).format(**card._sections, **fields)),
+    ]
+    tokens = sum(estimate_tokens(m.content) for m in messages)
+    if tokens > context_budget:
+        raise PromptBudgetError(
+            f"prompt {template} needs {tokens} tokens, over the [llm] "
+            f"context_budget of {context_budget}"
+        )
+    return messages
 
 
 def build_init_prompt(
@@ -300,16 +317,7 @@ def build_init_prompt(
     """Zero-shot initialization prompt asking for ``n`` distinct points."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    body = _template("init_prompt.txt").format(**card._sections, n=n)
-    messages = [
-        ChatMessage("system", _template("system.txt").strip()),
-        ChatMessage("user", body),
-    ]
-    if _messages_tokens(messages) > context_budget:
-        raise PromptBudgetError(
-            f"initialization prompt exceeds the {context_budget}-token budget"
-        )
-    return messages
+    return _prompt(card, "init_prompt.txt", context_budget, n=n)
 
 
 def build_iteration_prompt(
@@ -325,31 +333,19 @@ def build_iteration_prompt(
     list renders the demonstrations step with a placeholder, which is how the
     no-demonstrations ablation runs.
     """
-    template = _template("iteration_prompt.txt")
-    system = ChatMessage("system", _template("system.txt").strip())
     kept = list(demos)
-
-    def render(current: list[EvalRecord]) -> list[ChatMessage]:
-        if current:
-            # Bodies are cached per record; only the header carries the rank.
-            demo_text = "\n\n".join(
-                f"Demonstration {i + 1} (FOM = {d.fom:.4g}):\n" + card._demo_body(d)
-                for i, d in enumerate(current)
-            )
-        else:
-            demo_text = "(no demonstrations are available for this task)"
-        body = template.format(**card._sections, demos=demo_text)
-        return [system, ChatMessage("user", body)]
-
-    messages = render(kept)
-    while _messages_tokens(messages) > context_budget and len(kept) > 1:
-        kept = kept[:-1]
-        messages = render(kept)
-    if _messages_tokens(messages) > context_budget:
-        raise PromptBudgetError(
-            f"iteration prompt exceeds the {context_budget}-token budget"
-        )
-    return messages
+    while True:
+        # Bodies are cached per record; only the header carries the rank.
+        text = "\n\n".join(
+            f"Demonstration {i + 1} (FOM = {d.fom:.4g}):\n" + card._demo_body(d)
+            for i, d in enumerate(kept)
+        ) or "(no demonstrations are available for this task)"
+        try:
+            return _prompt(card, "iteration_prompt.txt", context_budget, demos=text)
+        except PromptBudgetError:
+            if len(kept) <= 1:
+                raise
+            kept.pop()
 
 
 def chat_complete(config: LlmConfig, messages: list[ChatMessage]) -> str:
@@ -382,7 +378,6 @@ def chat_complete(config: LlmConfig, messages: list[ChatMessage]) -> str:
     # Imported here so that runs with a mock client never load the HTTP stack.
     import requests
 
-    last_error: Exception | None = None
     for attempt in range(1, config.transport_attempts + 1):
         try:
             response = requests.post(
@@ -390,37 +385,32 @@ def chat_complete(config: LlmConfig, messages: list[ChatMessage]) -> str:
             )
         except (requests.ConnectionError, requests.Timeout) as exc:
             last_error = exc
-            logger.info("chat attempt %d/%d failed: %s",
-                        attempt, config.transport_attempts, exc)
-            if attempt < config.transport_attempts:
-                time.sleep(config.backoff * 2 ** (attempt - 1))
-            continue
-        if response.status_code in (401, 403):
-            raise AuthError(f"endpoint rejected the API key ({response.status_code})")
-        if response.status_code == 429 or response.status_code >= 500:
-            last_error = ProtocolError(f"HTTP {response.status_code}")
-            logger.info("chat attempt %d/%d got HTTP %d",
-                        attempt, config.transport_attempts, response.status_code)
-            if attempt < config.transport_attempts:
-                time.sleep(config.backoff * 2 ** (attempt - 1))
-            continue
-        if response.status_code != 200:
-            raise ProtocolError(
-                f"unexpected HTTP {response.status_code}: {response.text[:200]}"
-            )
-        try:
-            data = response.json()
-            content = data["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProtocolError(f"malformed chat completion response: {exc}") from exc
-        if not isinstance(content, str) or not content:
-            raise ProtocolError("chat completion returned empty content")
-        logger.info("chat completed after %d attempt(s)", attempt)
-        return content
-    raise TransportError(
-        f"chat completion failed after {config.transport_attempts} attempts: "
-        f"{last_error}"
-    )
+        else:
+            status = response.status_code
+            if status in (401, 403):
+                raise AuthError(f"endpoint rejected the API key ({status})")
+            if status != 429 and status < 500:
+                break
+            last_error = ProtocolError(f"HTTP {status}")
+        logger.info("chat attempt %d/%d failed: %s",
+                    attempt, config.transport_attempts, last_error)
+        if attempt < config.transport_attempts:
+            time.sleep(config.backoff * 2 ** (attempt - 1))
+    else:
+        raise TransportError(
+            f"chat completion failed after {config.transport_attempts} attempts: "
+            f"{last_error}"
+        )
+    if status != 200:
+        raise ProtocolError(f"unexpected HTTP {status}: {response.text[:200]}")
+    try:
+        content = response.json()["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise ProtocolError(f"malformed chat completion response: {exc}") from exc
+    if not isinstance(content, str) or not content:
+        raise ProtocolError("chat completion returned empty content")
+    logger.info("chat completed after %d attempt(s)", attempt)
+    return content
 
 
 class HttpLlmClient:
@@ -479,15 +469,18 @@ def load_script(path: str) -> list[str]:
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     if path.endswith(".json"):
-        data = json.loads(text)
-        if not isinstance(data, list) or not all(isinstance(s, str) for s in data):
-            raise ValueError(f"{path}: expected a JSON array of strings")
-        return data
-    parts = re.split(r"(?m)^---\s*$", text)
-    responses = [p.strip() for p in parts if p.strip()]
-    if not responses:
-        raise ValueError(f"{path}: script contains no responses")
-    return responses
+        try:
+            script = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
+            raise ConfigError(f"{path}: expected a JSON array of strings")
+    else:
+        parts = re.split(r"(?m)^---\s*$", text)
+        script = [p.strip() for p in parts if p.strip()]
+    if not script:
+        raise ConfigError(f"{path}: script contains no responses")
+    return script
 
 
 def _corrective_message(error: ParseError, card: TaskCard) -> ChatMessage:
@@ -498,6 +491,29 @@ def _corrective_message(error: ParseError, card: TaskCard) -> ChatMessage:
         "`name = value unit` line for every parameter, all inside the "
         "allowed ranges:\n" + card._sections["parameters"],
     )
+
+
+def _ask(
+    client, transcript: list[ChatMessage], card: TaskCard, space: DesignSpace,
+    retry_limit: int,
+) -> tuple[DesignPoint | None, ParseError | None]:
+    """Complete and parse, up to ``retry_limit`` times, growing ``transcript``.
+
+    Each reply is appended; each unusable one is followed by a corrective
+    message naming the violation. Returns the accepted point (None when every
+    attempt failed) and the last parse error seen (None when there was none).
+    """
+    error = None
+    for _ in range(retry_limit):
+        text = client.complete(list(transcript))
+        transcript.append(ChatMessage("assistant", text))
+        try:
+            return parse_response(text, space), error
+        except ParseError as exc:
+            error = exc
+        logger.info("proposal rejected: %s", error)
+        transcript.append(_corrective_message(error, card))
+    return None, error
 
 
 def propose(
@@ -512,21 +528,11 @@ def propose(
     Each unusable response appends a corrective message naming the violation
     and retries, up to ``config.retry_limit`` completions in total.
     """
-    messages = build_iteration_prompt(card, demos, config.context_budget)
-    transcript = list(messages)
-    for _ in range(config.retry_limit):
-        text = client.complete(messages)
-        transcript.append(ChatMessage("assistant", text))
-        try:
-            point = parse_response(text, space)
-        except ParseError as error:
-            logger.info("proposal rejected: %s", error)
-            corrective = _corrective_message(error, card)
-            messages = transcript + [corrective]
-            transcript = list(messages)
-            continue
-        return point, transcript
-    raise ProposerExhausted(transcript)
+    transcript = build_iteration_prompt(card, demos, config.context_budget)
+    point, _ = _ask(client, transcript, card, space, config.retry_limit)
+    if point is None:
+        raise ProposerExhausted(transcript)
+    return point, transcript
 
 
 def propose_init(
@@ -543,9 +549,8 @@ def propose_init(
     budget. Raises :class:`ProposerExhausted` (carrying any parsed points)
     when a member cannot be obtained.
     """
-    messages = build_init_prompt(card, n, config.context_budget)
-    transcript = list(messages)
-    text = client.complete(messages)
+    transcript = build_init_prompt(card, n, config.context_budget)
+    text = client.complete(list(transcript))
     transcript.append(ChatMessage("assistant", text))
     points: list[DesignPoint] = []
     last_error: ParseError | None = None
@@ -568,17 +573,9 @@ def propose_init(
             + card._sections["parameters"],
         )
         transcript.append(request)
-        accepted = False
-        for _ in range(config.retry_limit):
-            text = client.complete(transcript)
-            transcript.append(ChatMessage("assistant", text))
-            try:
-                points.append(parse_response(text, space))
-                accepted = True
-                break
-            except ParseError as error:
-                last_error = error
-                transcript.append(_corrective_message(error, card))
-        if not accepted:
+        point, error = _ask(client, transcript, card, space, config.retry_limit)
+        last_error = error or last_error
+        if point is None:
             raise ProposerExhausted(transcript, partial=points)
+        points.append(point)
     return points, transcript

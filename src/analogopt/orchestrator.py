@@ -159,31 +159,32 @@ def run(config: RunConfig) -> RunLog:
 
     lines: list[dict] = [_header_line(config, model)]
     dataset = Dataset()
-    index = 0
 
-    # Initialization (iteration 0 records).
+    def evaluate_all(proposals, iteration: int) -> None:
+        for point, source in proposals:
+            record = evaluate(model, point, source=source, iteration=iteration)
+            dataset_append(dataset, record)
+            lines.append(_eval_line(len(dataset) - 1, record))
+
+    # Initialization (iteration 0 records); uniform points fill what the LLM
+    # did not supply.
     init_line = {"type": "init", "strategy": config.init_strategy, "n_substituted": 0}
+    points: list[DesignPoint] = []
     if config.init_strategy == "llm_zero_shot":
         try:
             points, transcript = propose_init(
                 client, card, config.n_init, space, config.llm
             )
         except ProposerExhausted as exc:
-            points, transcript = list(exc.partial), exc.transcript
-        sources = [Source.LLM_INIT] * len(points)
-        while len(points) < config.n_init:
-            points.append(_uniform_point(space, streams["init"]))
-            sources.append(Source.RANDOM)
-            init_line["n_substituted"] += 1
+            points, transcript = exc.partial, exc.transcript
+        init_line["n_substituted"] = config.n_init - len(points)
         init_line["transcript"] = _transcript_dump(transcript)
-    else:
-        points = [_uniform_point(space, streams["init"]) for _ in range(config.n_init)]
-        sources = [Source.RANDOM] * config.n_init
-    for point, source in zip(points, sources):
-        record = evaluate(model, point, source=source, iteration=0)
-        dataset_append(dataset, record)
-        lines.append(_eval_line(index, record))
-        index += 1
+    evaluate_all(
+        [(p, Source.LLM_INIT) for p in points]
+        + [(_uniform_point(space, streams["init"]), Source.RANDOM)
+           for _ in range(config.n_init - len(points))],
+        0,
+    )
     lines.append(init_line)
 
     for iteration in range(1, config.n_iter + 1):
@@ -240,11 +241,7 @@ def run(config: RunConfig) -> RunLog:
             proposals.extend((p, Source.GP_BO) for p in batch)
 
         lines.append(diag)
-        for point, source in proposals:
-            record = evaluate(model, point, source=source, iteration=iteration)
-            dataset_append(dataset, record)
-            lines.append(_eval_line(index, record))
-            index += 1
+        evaluate_all(proposals, iteration)
 
     expected = config.total_evaluations
     if len(dataset) != expected:

@@ -235,6 +235,18 @@ MALFORMED = {
         _RUN + "[acquisition]\nmaxiter = -1\n",
         "{path}: maxiter must be >= 0",
     ),
+    "zero_sampler_k": (
+        _RUN + "[sampler]\nk = 0\n",
+        "[sampler] k must be >= 1",
+    ),
+    "zero_transport_attempts": (
+        _RUN + "[llm]\ntransport_attempts = 0\n",
+        "{path}: transport_attempts must be >= 1",
+    ),
+    "negative_backoff": (
+        _RUN + "[llm]\nbackoff = -1\n",
+        "{path}: backoff must be >= 0",
+    ),
     "non_positive_constant": (
         _RUN + "[evaluator]\nconstants.vdd = 0\n",
         "{path}: process constant vdd must be positive",

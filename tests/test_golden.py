@@ -8,6 +8,7 @@ threads; another BLAS or libm may round differently.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -49,3 +50,56 @@ def test_golden_log_hash(fields, sha256):
     )
     text = run(config).text()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+
+def _amp2_reply(w1="2.5 um", cc="3 pF", rz="4.7 kohm", drop=None):
+    lines = [
+        f"w1 = {w1}", "l1 = 500 nm", "w3 = 1 um", "l3 = 0.2 um", "w5 = 3 um",
+        "l5 = 0.3 um", "w6 = 10 um", "l6 = 200 nm", "w7 = 5 um", "l7 = 0.5 um",
+        "wb = 1 um", "lb = 0.4 um", f"rz = {rz}", f"cc = {cc}",
+    ]
+    body = "\n".join(line for line in lines if not line.startswith(f"{drop} "))
+    return f"```\n{body}\n```"
+
+
+# Cycled by the scripted client: 8 replies fill the five initial points, the
+# first iteration's proposal exhausts its three attempts, and the cycle then
+# restarts inside the later iterations' proposals.
+RETRY_SCRIPT = [
+    # two blocks and junk: the first block parses, the second does not
+    "Here is a first candidate.\n" + _amp2_reply()
+    + "\nand a second one:\n```\nTODO: pick sizes\n```\nThat is all.",
+    _amp2_reply(w1="4 um", drop="cc"),  # missing parameter
+    _amp2_reply(w1="6 um", cc="2.2 pF"),
+    _amp2_reply(w1="8 um", rz="large kohm"),  # not numeric
+    _amp2_reply(w1="8 um", cc="1.5 pF"),
+    _amp2_reply(w1="60 nm"),  # out of range
+    _amp2_reply(w1="12 um", cc="4 pF"),
+    _amp2_reply(w1="1.5 um", cc="0.8 pF"),
+    "I cannot help with that.",
+    _amp2_reply(w1="many um"),
+    _amp2_reply(cc="1 nF"),
+    _amp2_reply(w1="20 um", cc="5 pF", rz="800 ohm"),
+]
+
+
+def test_golden_scripted_retry_log_hash(tmp_path, monkeypatch):
+    # a relative script path keeps the header's config echo independent of
+    # where the test runs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "script.json").write_text(json.dumps(RETRY_SCRIPT), encoding="utf-8")
+    config = RunConfig(
+        method="ado_llm", preset="amp2", n_init=5, n_iter=4, seed=7,
+        mock="script.json", acquisition=TINY_ACQ, gp_fit=TINY_FIT,
+    )
+    log = run(config)
+    init = next(line for line in log.lines if line["type"] == "init")
+    assert init["n_substituted"] == 0
+    assert sum("valid design points so far" in m["content"]
+               for m in init["transcript"]) == 4
+    substituted = [line["llm_substituted"] for line in log.lines
+                   if line["type"] == "iteration"]
+    assert substituted == [1, 0, 0, 0]
+    assert hashlib.sha256(log.text().encode("utf-8")).hexdigest() == (
+        "07338c6ceda5cd982f28350c573f520d51db01647ed44fb28e7bc3de322eb70a"
+    )

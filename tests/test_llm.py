@@ -1,4 +1,5 @@
 import re
+import socket
 from dataclasses import replace
 
 import numpy as np
@@ -322,6 +323,24 @@ def test_chat_complete_transport_error_after_exhaustion(stub_server):
     with pytest.raises(TransportError):
         chat_complete(config, [ChatMessage("user", "hi")])
     assert server.hits == 3
+
+
+def test_chat_complete_backs_off_between_attempts_only(stub_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("analogopt.llm.time.sleep", sleeps.append)
+    server = stub_server([(500, "{}"), (429, "{}"), (200, chat_body("late"))])
+    config = LlmConfig(endpoint=server.endpoint, backoff=0.5, transport_attempts=3)
+    assert chat_complete(config, [ChatMessage("user", "hi")]) == "late"
+    assert sleeps == [0.5, 1.0]
+    # connection errors share the schedule, and nothing sleeps after the last
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    sleeps.clear()
+    config = replace(config, endpoint=f"http://127.0.0.1:{port}/v1")
+    with pytest.raises(TransportError, match="after 3 attempts"):
+        chat_complete(config, [ChatMessage("user", "hi")])
+    assert sleeps == [0.5, 1.0]
 
 
 def test_chat_complete_requires_key_for_remote(monkeypatch):

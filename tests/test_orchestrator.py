@@ -407,6 +407,36 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# Mock scripts load_script must reject: file name and content, by case.
+BAD_SCRIPTS = {
+    "empty_array": ("empty.json", "[]"),
+    "json_object": ("object.json", '{"a": 1}'),
+    "not_json": ("broken.json", "not json"),
+    "only_separators": ("separators.txt", "---\n---\n"),
+}
+
+
+@pytest.mark.parametrize("name, text", BAD_SCRIPTS.values(), ids=BAD_SCRIPTS.keys())
+def test_cli_bad_mock_script_is_a_config_error(tmp_path, capsys, name, text):
+    script = tmp_path / name
+    script.write_text(text, encoding="utf-8")
+    args = ["run", "--config", _ini(tmp_path), "--mock-llm", str(script),
+            "--out", str(tmp_path / "x.jsonl")]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {script}: ")
+
+
+def test_cli_undersized_context_budget_is_a_config_error(tmp_path, capsys):
+    ini = tmp_path / "small.ini"
+    ini.write_text(
+        "[run]\nmethod = llm_only\npreset = branin\nn_iter = 1\n"
+        "[llm]\nmock = random\ncontext_budget = 10\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(ini), "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert "context_budget of 10" in capsys.readouterr().err
+
+
 def test_cli_llm_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)
     ini = tmp_path / "live.ini"
