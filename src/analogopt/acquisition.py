@@ -16,7 +16,9 @@ On the fixed draws the estimate is piecewise smooth in the candidate, so the
 scorer also returns its exact pathwise (reparameterization) gradient (Wilson,
 Hutter & Deisenroth, NeurIPS 2018). All restarts of a slot are optimized as
 one problem, a single L-BFGS run over the stacked starting points, as
-BoTorch's ``gen_candidates_scipy`` does (Balandat et al., NeurIPS 2020).
+BoTorch's ``gen_candidates_scipy`` does (Balandat et al., NeurIPS 2020). That
+run goes through the L-BFGS-B driver the GP fit uses,
+:func:`analogopt.surrogate._lbfgsb`, unbounded in logit space.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit, logit, ndtr
 
 from .core import DesignPoint, DesignSpace
@@ -33,11 +34,13 @@ from .surrogate import (
     GpModel,
     NumericalError,
     _chol_with_jitter,
+    _kernel_rows,
+    _lbfgsb,
     _posterior,
+    _rbf_cross,
     _solve_lower,
     from_unit_cube,
     gp_predict,
-    rbf_kernel,
 )
 
 _SIGMA_FLOOR = 1e-12
@@ -46,6 +49,12 @@ _LOGIT_EPS = 1e-9
 
 @dataclass(frozen=True)
 class AcquisitionConfig:
+    """qEI settings.
+
+    ``maxiter`` caps the joint L-BFGS-B run of each batch slot. The count is
+    taken before the cap is checked, so 0 acts as 1: one iteration.
+    """
+
     mc_samples: int = 4096
     restarts: int = 10
     raw_candidates: int = 512
@@ -115,8 +124,10 @@ def _slot_scorer(model, prefix, Z, best):
     inv_l2 = model.lengthscales**-2.0
     n, k = model.train_inputs.shape[0], prefix.shape[0]
     chol = np.asfortranarray(model.chol)
-    # Training inputs and prefix points share one kernel block per call.
+    # Training inputs and prefix points share one kernel block per call; the
+    # parts of it that depend on them alone are computed here.
     points = np.vstack([model.train_inputs, prefix])
+    rows = _kernel_rows(points, model.lengthscales)
     if k == 0:
         best_prefix = np.full(Z.shape[0], -np.inf)
     else:
@@ -130,11 +141,12 @@ def _slot_scorer(model, prefix, Z, best):
     threshold = np.maximum(best_prefix, best)[:, None]
     # Draw weights of the pathwise gradient: the k + 1 slot columns and a
     # ones column (the active fraction), pre-divided by the draw count.
-    weights = np.hstack([Z, np.ones((Z.shape[0], 1))]) / Z.shape[0]
+    draws = Z.shape[0]
+    weights = np.hstack([Z, np.ones((draws, 1))]) / draws
 
     def score(cands: np.ndarray, grad: bool = False):
         R, d = cands.shape
-        cols = rbf_kernel(points, cands, model.lengthscales, sv)
+        cols = _rbf_cross(rows, cands, model.lengthscales, sv)
         if grad:
             # dk(p, x)/dx_a = k(p, x) (p_a - x_a) / l_a^2, stacked behind the
             # values as column R + r*d + a: one solve per factor covers all.
@@ -147,7 +159,7 @@ def _slot_scorer(model, prefix, Z, best):
         # Rows of L_A^-1 cov(prefix, candidate), then with grad their derivatives.
         sol = _solve_lower(L_A, std2 * (cols[n:] - V_P.T @ V)) if k else cols[n:]
         W = sol[:, :R]
-        border = np.sqrt(np.clip(var_C - np.sum(W**2, axis=0), 0.0, None))
+        border = np.sqrt(np.maximum(var_C - np.sum(W**2, axis=0), 0.0))
         factor = np.vstack([W, border])
         f_last = Z @ factor
         f_last += mean_C
@@ -158,7 +170,7 @@ def _slot_scorer(model, prefix, Z, best):
         # re-faults their pages on every call.
         np.maximum(threshold, f_last, out=f_last)
         f_last -= best
-        values = np.mean(f_last, axis=0)
+        values = np.add.reduce(f_last, axis=0) / draws
         if not grad:
             return values
         dmean = model.target_std * (model.alpha @ cols[:n, R:]).reshape(R, d)
@@ -216,15 +228,9 @@ def propose_batch(
 
         z0 = logit(np.clip(starts, _LOGIT_EPS, 1.0 - _LOGIT_EPS)).ravel()
         try:
-            result = minimize(
-                neg_total_and_grad,
-                z0,
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": config.maxiter},
-            )
-            if np.all(np.isfinite(result.x)):
-                optima = expit(result.x.reshape(starts.shape))
+            z = _lbfgsb(neg_total_and_grad, z0, None, None, config.maxiter)
+            if np.all(np.isfinite(z)):
+                optima = expit(z.reshape(starts.shape))
                 for x_opt, val in zip(optima, score(optima)):
                     if np.isfinite(val) and val > slot_val:
                         slot_val = val

@@ -15,16 +15,30 @@ LAPACK (``potrf``, ``potrs``, ``trtri``, ``trtrs``) directly: at the
 n <= 105 of a run, scipy's per-call argument handling costs as much as the
 arithmetic. Past the fit there is one cross kernel, :func:`rbf_kernel`, and
 one posterior helper, which :func:`gp_predict` and the qEI scorer share.
+
+Both L-BFGS-B problems of a run, this fit and the stacked qEI restarts of
+:mod:`analogopt.acquisition`, go through one driver, :func:`_lbfgsb`. It is
+the loop of ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` around
+the ``setulb`` kernel (Zhu, Byrd, Lu & Nocedal, ACM TOMS 1997, Alg. 778),
+with the same defaults and stops, so it returns the same bits after the same
+objective calls. It exists for two costs: ``minimize`` wraps each objective
+call in ~40 us of Python bookkeeping, on ~3,000 calls per 55-evaluation
+``ado_llm`` run, and ``import scipy.optimize`` adds 0.25-0.4 s to every cold
+start. The kernel is loaded from the ``_lbfgsb`` extension in scipy's
+``optimize/`` directory, without running that package's ``__init__``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
-from scipy.optimize import minimize
 
 from .core import DesignPoint, DesignSpace, RangeError, Scale
 
@@ -39,8 +53,110 @@ class NumericalError(RuntimeError):
     """A kernel matrix stayed non-positive-definite past the jitter ceiling."""
 
 
+# L-BFGS-B settings: the defaults of scipy's ``minimize(method="L-BFGS-B")``.
+LBFGSB_MAXCOR = 10
+LBFGSB_FTOL = 2.2204460492503131e-09
+LBFGSB_GTOL = 1e-5
+LBFGSB_MAXLS = 20
+LBFGSB_MAXFUN = 15000
+# setulb's task codes (task[0]) and the stop reasons (task[1]) the driver sets.
+_TASK_NEW_X, _TASK_FG, _TASK_STOP = 1, 3, 5
+_STOP_MAXFUN, _STOP_MAXITER = 502, 504
+_SETULB_SIGNATURE = (
+    "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+)
+
+
+def _load_setulb():
+    """scipy's L-BFGS-B kernel, loaded from its ``optimize/`` directory
+    without importing ``scipy.optimize``.
+
+    The driver passes arguments by position, so a kernel whose signature
+    differs from the one it was written against is refused.
+    """
+    spec = importlib.machinery.PathFinder.find_spec(
+        "_lbfgsb", [str(Path(scipy.__file__).parent / "optimize")]
+    )
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no optimize/_lbfgsb extension")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if module.setulb.__doc__ != _SETULB_SIGNATURE:
+        raise ImportError(
+            f"scipy {scipy.__version__}: L-BFGS-B kernel signature "
+            f"{module.setulb.__doc__!r}, expected {_SETULB_SIGNATURE!r}"
+        )
+    return module.setulb
+
+
+_setulb = _load_setulb()
+
+
+def _lbfgsb(fun, x0, lower, upper, maxiter):
+    """Minimize ``fun`` by L-BFGS-B from ``x0``; return the final x.
+
+    ``fun(x)`` returns ``(f, gradient)`` and must not write into ``x``.
+    ``lower`` and ``upper`` are finite box bounds, or both None. This is the
+    loop of ``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+    bounds=..., options={"maxiter": maxiter})`` with its default settings:
+    the same x0 clipping, the same evaluation at x0 before the first kernel
+    call, the same reuse of the last (f, g) when the kernel asks again at the
+    same x, and the same ``maxiter``/``maxfun`` stops. An iteration is
+    counted before the cap is checked, so ``maxiter`` 0 and 1 both run one
+    iteration. Exceptions from ``fun`` propagate.
+    """
+    x = np.array(x0, dtype=np.float64).ravel()
+    n = x.shape[0]
+    if lower is None:
+        nbd, lower, upper = np.zeros(n, np.int32), np.zeros(n), np.zeros(n)
+    else:
+        x = np.clip(x, lower, upper)
+        nbd = np.full(n, 2, np.int32)  # bounded on both sides
+    m = LBFGSB_MAXCOR
+    factr = LBFGSB_FTOL / np.finfo(float).eps
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+
+    x_eval = x.copy()
+    f_eval, g_eval = fun(x_eval)
+    nfev = 1
+    f = np.array(0.0)
+    g = np.zeros(n)
+    n_iter = 0
+    while True:
+        _setulb(m, x, lower, upper, nbd, f, g, factr, LBFGSB_GTOL, wa, iwa, task,
+                lsave, isave, dsave, LBFGSB_MAXLS, ln_task)
+        if task[0] == _TASK_FG:
+            if not (x == x_eval).all():
+                x_eval = x.copy()
+                f_eval, g_eval = fun(x_eval)
+                nfev += 1
+            # A copy: restoring an iterate after a failed line search, the
+            # kernel writes the old gradient into g, and g_eval may be reused.
+            f, g = f_eval, np.array(g_eval, dtype=np.float64)
+        elif task[0] == _TASK_NEW_X:
+            n_iter += 1
+            if n_iter >= maxiter:
+                task[0], task[1] = _TASK_STOP, _STOP_MAXITER
+            elif nfev > LBFGSB_MAXFUN:
+                task[0], task[1] = _TASK_STOP, _STOP_MAXFUN
+        else:
+            return x
+
+
 @dataclass(frozen=True)
 class GpFitConfig:
+    """Hyperparameter fit settings.
+
+    ``maxiter`` caps each restart's L-BFGS-B iterations. The count is taken
+    before the cap is checked, so 0 acts as 1: one iteration.
+    """
+
     restarts: int = 8
     noise_floor: float = 1e-6
     maxiter: int = 100
@@ -125,9 +241,21 @@ def rbf_kernel(
 ) -> np.ndarray:
     """k(a, b) = signal_variance * exp(-0.5 |s_a - s_b|^2), s = x / l, for the
     rows of A and B, as |s_a|^2 + |s_b|^2 - 2 s_a.s_b clipped at 0."""
+    return _rbf_cross(_kernel_rows(A, lengthscales), B, lengthscales, signal_variance)
+
+
+def _kernel_rows(A, lengthscales):
+    """What :func:`rbf_kernel` takes from its left rows: |s_a|^2 as a column,
+    and 2 s_a. A caller that keeps the rows fixed computes this once."""
     a = A / lengthscales
+    return np.sum(a**2, axis=1)[:, None], 2.0 * a
+
+
+def _rbf_cross(rows, B, lengthscales, signal_variance):
+    """:func:`rbf_kernel` with its left rows prepared by :func:`_kernel_rows`."""
+    a_sq, a2 = rows
     b = B / lengthscales
-    sq = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T
+    sq = a_sq + np.sum(b**2, axis=1)[None, :] - a2 @ b.T
     return signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
 
 
@@ -282,7 +410,6 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
             [np.full(d, LENGTHSCALE_BOUNDS[1]), [SIGNAL_BOUNDS[1]], [NOISE_CEILING]]
         )
     )
-    bounds = list(zip(lo, hi))
     sqdiff, eye = _fit_invariants(X)
 
     def objective(theta):
@@ -309,17 +436,11 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
     best_lml = -np.inf
     for theta0 in starts:
         theta0 = np.clip(theta0, lo, hi)
-        result = minimize(
-            objective,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": config.maxiter},
-        )
-        candidate = result.x if np.all(np.isfinite(result.x)) else theta0
-        # Not redundant: an ABNORMAL L-BFGS-B exit can leave result.fun != f(result.x)
-        # (18 of 400 branin gp_bo restarts; -result.fun moved 10 of 20 run logs).
+        theta = _lbfgsb(objective, theta0, lo, hi, config.maxiter)
+        candidate = theta if np.all(np.isfinite(theta)) else theta0
+        # Not redundant: an ABNORMAL L-BFGS-B exit can end at an x other than
+        # the last one evaluated (18 of 400 branin gp_bo restarts; taking the
+        # last objective value instead moved 10 of 20 run logs).
         try:
             lml, _ = _lml_and_grad(
                 y_std,

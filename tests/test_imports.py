@@ -40,11 +40,36 @@ def test_import_and_config_build_skip_scipy_stats_and_requests():
     assert loaded == {
         "scipy.stats": "False",
         "requests": "False",
+        # the L-BFGS-B kernel is loaded without scipy.optimize's package
+        "scipy.optimize": "False",
         # every run uses these, so they stay module-level imports
         "scipy.linalg": "True",
-        "scipy.optimize": "True",
         "scipy.special": "True",
     }
+
+
+def test_gp_runs_never_import_scipy_optimize():
+    # A lazy ``from scipy.optimize import ...`` anywhere on the GP path
+    # would show up here, after both methods that fit a GP and maximize qEI.
+    out = _python(
+        "import sys\n"
+        "from analogopt.acquisition import AcquisitionConfig\n"
+        "from analogopt.config import RunConfig\n"
+        "from analogopt.orchestrator import run\n"
+        "from analogopt.surrogate import GpFitConfig\n"
+        "acq = AcquisitionConfig(mc_samples=16, restarts=1, raw_candidates=8, maxiter=3)\n"
+        "fit = GpFitConfig(restarts=1, maxiter=5)\n"
+        "for fields in (\n"
+        "    dict(method='gp_bo', preset='branin', init_strategy='uniform_random',\n"
+        "         llm_queries_per_step=0, gp_queries_per_step=3),\n"
+        "    dict(method='ado_llm', preset='amp2', llm_queries_per_step=1,\n"
+        "         gp_queries_per_step=2),\n"
+        "):\n"
+        "    run(RunConfig(**fields, n_init=3, n_iter=2, seed=1, mock='random',\n"
+        "                  acquisition=acq, gp_fit=fit))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    assert out.strip() == "False"
 
 
 def test_chat_complete_imports_requests_on_first_call(stub_server):

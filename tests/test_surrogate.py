@@ -6,15 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
+from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
-from analogopt.core import DesignPoint, RangeError
+from analogopt import acquisition, surrogate
+from analogopt.acquisition import AcquisitionConfig, propose_batch
+from analogopt.core import DesignPoint, DesignSpace, Parameter, RangeError
 from analogopt.evaluator import circuit_model
 from analogopt.surrogate import (
     JITTER_START,
     GpFitConfig,
     NumericalError,
     _chol_with_jitter,
+    _lbfgsb,
     from_unit_cube,
     gp_fit,
     gp_predict,
@@ -342,3 +347,124 @@ def test_constant_targets_fit():
     model = gp_fit(X, np.full(4, 2.5), GpFitConfig(restarts=2))
     mean, _ = gp_predict(model, np.array([[0.5, 0.5]]))
     assert mean[0] == pytest.approx(2.5, abs=1e-6)
+
+
+# ------------------------------------------------------------ L-BFGS-B driver
+
+def _capture_lbfgsb_problems(module, call):
+    """Every (fun, x0, lower, upper) that ``call()`` hands to ``module._lbfgsb``."""
+    problems = []
+
+    def record(fun, x0, lower, upper, maxiter):
+        problems.append((fun, np.array(x0), lower, upper))
+        return _lbfgsb(fun, x0, lower, upper, maxiter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_lbfgsb", record)
+        call()
+    return problems
+
+
+@pytest.fixture(scope="module")
+def lbfgsb_problems():
+    """The problems of a run, as gp_fit and propose_batch pose them: the
+    bounded LML objective of a fit's first restart, and the unbounded qEI
+    objective of one slot's two stacked restarts."""
+    problems = {}
+    # (30, 2, 3): the first restart ends in an ABNORMAL line-search exit.
+    for n, d, seed in ((10, 2, 14), (30, 2, 3), (55, 14, 14)):
+        X, y = _training_set(n=n, d=d, seed=seed)
+        (problems[f"fit_n{n}_d{d}"],) = _capture_lbfgsb_problems(
+            surrogate, lambda: gp_fit(X, y, GpFitConfig(restarts=1))
+        )
+    X, y = _training_set(n=55, d=14, seed=14)
+    model = gp_fit(X, y, GpFitConfig(restarts=2))
+    space = DesignSpace(tuple(Parameter(f"x{i}", 0.0, 1.0) for i in range(14)))
+    config = AcquisitionConfig(mc_samples=128, restarts=2, raw_candidates=32, maxiter=50)
+    (problems["qei_R2_d14"],) = _capture_lbfgsb_problems(
+        acquisition,
+        lambda: propose_batch(model, space, float(y.max()), 1, config,
+                              np.random.default_rng(5)),
+    )
+    return problems
+
+
+def _counted(fun):
+    calls = []
+
+    def counted(x):
+        calls.append(None)
+        return fun(x)
+
+    return counted, calls
+
+
+def _assert_matches_minimize(fun, x0, lower, upper, maxiter):
+    """Run the driver and ``minimize`` on one problem; both must end on the
+    same x bits after the same objective calls. Returns minimize's result."""
+    driven, calls = _counted(fun)
+    x = _lbfgsb(driven, x0, lower, upper, maxiter)
+    referenced, reference_calls = _counted(fun)
+    bounds = None if lower is None else list(zip(lower, upper))
+    reference = minimize(referenced, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                         options={"maxiter": maxiter})
+    assert x.tobytes() == reference.x.tobytes()
+    assert len(calls) == len(reference_calls) == reference.nfev
+    return reference
+
+
+@pytest.mark.parametrize("maxiter", [0, 1, 5, 100])
+@pytest.mark.parametrize("problem", ["fit_n10_d2", "fit_n55_d14", "qei_R2_d14"])
+def test_lbfgsb_matches_scipy_minimize_bitwise(lbfgsb_problems, problem, maxiter):
+    fun, x0, lower, upper = lbfgsb_problems[problem]
+    reference = _assert_matches_minimize(fun, x0, lower, upper, maxiter)
+    if maxiter <= 1:
+        # scipy counts an iteration before it checks the cap, so 0 acts as 1;
+        # run logs depend on that.
+        assert reference.nit == 1
+        other = _lbfgsb(fun, x0, lower, upper, 1 - maxiter)
+        assert other.tobytes() == reference.x.tobytes()
+
+
+def test_lbfgsb_matches_scipy_minimize_on_an_abnormal_exit(lbfgsb_problems):
+    reference = _assert_matches_minimize(*lbfgsb_problems["fit_n30_d2"], 100)
+    assert reference.message.startswith("ABNORMAL")
+
+
+def test_lbfgsb_matches_scipy_minimize_on_failure_values(lbfgsb_problems):
+    # gp_fit's failure value (1e25, zero gradient) below a noise level the
+    # fit heads for, as when the kernel matrix cannot be factored there.
+    fun, x0, lower, upper = lbfgsb_problems["fit_n10_d2"]
+    failures = []
+
+    def failing_below_noise(theta):
+        if theta[-1] < -10.0:
+            failures.append(None)
+            return 1e25, np.zeros_like(theta)
+        return fun(theta)
+
+    _assert_matches_minimize(failing_below_noise, x0, lower, upper, 100)
+    assert failures
+
+
+def test_lbfgsb_propagates_numerical_error(lbfgsb_problems):
+    # propose_batch keeps its raw candidate when the qEI run raises this.
+    fun, x0, lower, upper = lbfgsb_problems["qei_R2_d14"]
+    calls = []
+
+    def failing(z):
+        calls.append(None)
+        if len(calls) == 4:
+            raise NumericalError("factor lost positive definiteness")
+        return fun(z)
+
+    with pytest.raises(NumericalError):
+        _lbfgsb(failing, x0, lower, upper, 50)
+    assert len(calls) == 4
+
+
+def test_setulb_loader_refuses_an_unknown_signature(monkeypatch):
+    assert surrogate._load_setulb().__doc__ == surrogate._SETULB_SIGNATURE
+    monkeypatch.setattr(surrogate, "_SETULB_SIGNATURE", "setulb(m,x,l,u,nbd,f,g)")
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__}:"):
+        surrogate._load_setulb()
