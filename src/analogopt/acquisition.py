@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit, ndtr
 
 from .core import DesignPoint, DesignSpace
 from .surrogate import (
@@ -38,10 +37,15 @@ from .surrogate import (
     _lbfgsb,
     _posterior,
     _rbf_cross,
+    _scipy_extension,
     _solve_lower,
     from_unit_cube,
     gp_predict,
 )
+
+# scipy.special's own ufuncs, without that package's __init__.
+_special = _scipy_extension("special", "_special_ufuncs")
+expit, logit, ndtr = _special.expit, _special.logit, _special.ndtr
 
 _SIGMA_FLOOR = 1e-12
 _LOGIT_EPS = 1e-9

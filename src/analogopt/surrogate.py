@@ -24,8 +24,19 @@ with the same defaults and stops, so it returns the same bits after the same
 objective calls. It exists for two costs: ``minimize`` wraps each objective
 call in ~40 us of Python bookkeeping, on ~3,000 calls per 55-evaluation
 ``ado_llm`` run, and ``import scipy.optimize`` adds 0.25-0.4 s to every cold
-start. The kernel is loaded from the ``_lbfgsb`` extension in scipy's
-``optimize/`` directory, without running that package's ``__init__``.
+start.
+
+Every compiled scipy routine a run calls comes through one loader,
+:func:`_scipy_extension`, which loads an extension module from its file in
+scipy's package directory without running that package's ``__init__``:
+``setulb`` from ``optimize/_lbfgsb``, the four LAPACK calls from
+``linalg/_flapack``, and ``expit``, ``logit`` and ``ndtr`` (used by
+:mod:`analogopt.acquisition`) from ``special/_special_ufuncs``. These are the
+objects ``scipy.optimize``, ``scipy.linalg.lapack`` and ``scipy.special``
+re-export, so every result is the same bits. The package ``__init__`` files
+are what a cold start would otherwise pay for: ``scipy.linalg`` alone pulls
+in ``numpy.f2py`` and ``numpy.testing`` through scipy's array-API layer
+(~0.3 s under ``python -X importtime``), ``scipy.special`` another ~0.08 s.
 """
 
 from __future__ import annotations
@@ -38,7 +49,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 
 from .core import DesignPoint, DesignSpace, RangeError, Scale
 
@@ -67,29 +77,39 @@ _SETULB_SIGNATURE = (
 )
 
 
+def _scipy_extension(package: str, name: str):
+    """The compiled module ``scipy/<package>/<name>``, loaded from its file
+    without running ``scipy.<package>``'s ``__init__``."""
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [str(Path(scipy.__file__).parent / package)]
+    )
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no {package}/{name} extension")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _load_setulb():
-    """scipy's L-BFGS-B kernel, loaded from its ``optimize/`` directory
-    without importing ``scipy.optimize``.
+    """scipy's L-BFGS-B kernel, from its ``optimize/_lbfgsb`` extension.
 
     The driver passes arguments by position, so a kernel whose signature
     differs from the one it was written against is refused.
     """
-    spec = importlib.machinery.PathFinder.find_spec(
-        "_lbfgsb", [str(Path(scipy.__file__).parent / "optimize")]
-    )
-    if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no optimize/_lbfgsb extension")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    if module.setulb.__doc__ != _SETULB_SIGNATURE:
+    setulb = _scipy_extension("optimize", "_lbfgsb").setulb
+    if setulb.__doc__ != _SETULB_SIGNATURE:
         raise ImportError(
             f"scipy {scipy.__version__}: L-BFGS-B kernel signature "
-            f"{module.setulb.__doc__!r}, expected {_SETULB_SIGNATURE!r}"
+            f"{setulb.__doc__!r}, expected {_SETULB_SIGNATURE!r}"
         )
-    return module.setulb
+    return setulb
 
 
 _setulb = _load_setulb()
+_flapack = _scipy_extension("linalg", "_flapack")
+dpotrf, dpotrs, dtrtri, dtrtrs = (
+    _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtri, _flapack.dtrtrs
+)
 
 
 def _lbfgsb(fun, x0, lower, upper, maxiter):

@@ -12,6 +12,7 @@ from pathlib import Path
 from conftest import chat_body
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SCIPY_PACKAGES = ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy.stats")
 
 
 def _python(code: str, *args: str) -> str:
@@ -40,17 +41,18 @@ def test_import_and_config_build_skip_scipy_stats_and_requests():
     assert loaded == {
         "scipy.stats": "False",
         "requests": "False",
-        # the L-BFGS-B kernel is loaded without scipy.optimize's package
+        # L-BFGS-B, LAPACK and the special functions are loaded from their
+        # extension modules, without these packages' __init__
         "scipy.optimize": "False",
-        # every run uses these, so they stay module-level imports
-        "scipy.linalg": "True",
-        "scipy.special": "True",
+        "scipy.linalg": "False",
+        "scipy.special": "False",
     }
 
 
 def test_gp_runs_never_import_scipy_optimize():
-    # A lazy ``from scipy.optimize import ...`` anywhere on the GP path
-    # would show up here, after both methods that fit a GP and maximize qEI.
+    # No scipy subpackage may load on the GP path: a lazy
+    # ``from scipy.<package> import ...`` would show up here, after both
+    # methods that fit a GP and maximize qEI.
     out = _python(
         "import sys\n"
         "from analogopt.acquisition import AcquisitionConfig\n"
@@ -67,9 +69,12 @@ def test_gp_runs_never_import_scipy_optimize():
         "):\n"
         "    run(RunConfig(**fields, n_init=3, n_iter=2, seed=1, mock='random',\n"
         "                  acquisition=acq, gp_fit=fit))\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "for name in sys.argv[1:]:\n"
+        "    print(name, name in sys.modules)\n",
+        *SCIPY_PACKAGES,
     )
-    assert out.strip() == "False"
+    loaded = dict(line.split() for line in out.splitlines())
+    assert loaded == dict.fromkeys(SCIPY_PACKAGES, "False")
 
 
 def test_chat_complete_imports_requests_on_first_call(stub_server):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+import scipy.special
+from scipy.linalg import lapack
 from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
@@ -215,8 +218,9 @@ def test_predict_covariance_psd():
 
 def test_predictions_invariant_under_permutation():
     X, y = _training_set(n=7, seed=4)
-    # freeze hyperparameters (maxiter=0 keeps the fixed default start) so the
-    # comparison isolates the prediction path
+    # maxiter=0 still runs one L-BFGS-B iteration from the default start, so
+    # this compares two such short fits: one on the rows in order, one on the
+    # same rows permuted
     config = GpFitConfig(restarts=1, maxiter=0)
     model = gp_fit(X, y, config)
     perm = np.random.default_rng(0).permutation(len(y))
@@ -468,3 +472,41 @@ def test_setulb_loader_refuses_an_unknown_signature(monkeypatch):
     monkeypatch.setattr(surrogate, "_SETULB_SIGNATURE", "setulb(m,x,l,u,nbd,f,g)")
     with pytest.raises(ImportError, match=f"scipy {scipy.__version__}:"):
         surrogate._load_setulb()
+
+
+# ------------------------------------------------------ extension loading
+
+def test_scipy_extension_refuses_an_unknown_module():
+    with pytest.raises(ImportError, match=re.escape(f"scipy {scipy.__version__}")):
+        surrogate._scipy_extension("linalg", "_no_such_extension")
+
+
+def test_special_functions_equal_scipy_special_bitwise():
+    edges = [-np.inf, np.inf, np.nan, 0.0, 1.0, 1e-9, 1.0 - 1e-9, -40.0, 40.0]
+    x = np.concatenate([edges, np.linspace(-50.0, 50.0, 2001),
+                        np.random.default_rng(0).uniform(size=1000)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for name in ("expit", "logit", "ndtr"):
+            ours = getattr(acquisition, name)(x)
+            assert ours.tobytes() == getattr(scipy.special, name)(x).tobytes(), name
+
+
+def test_lapack_calls_equal_scipy_linalg_lapack_bitwise():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((55, 55))
+    spd = A @ A.T + 55.0 * np.eye(55)
+    B = rng.standard_normal((55, 3))
+    L, info = surrogate.dpotrf(spd, lower=1)
+    L_ref, info_ref = lapack.dpotrf(spd, lower=1)
+    assert info == info_ref == 0
+    assert L.tobytes() == L_ref.tobytes()
+    pairs = [
+        (surrogate.dpotrs(L, B, lower=1), lapack.dpotrs(L, B, lower=1)),
+        (surrogate.dtrtri(L, lower=1), lapack.dtrtri(L, lower=1)),
+    ]
+    for trans in (0, 1):
+        pairs.append((surrogate.dtrtrs(L, B, lower=1, trans=trans),
+                      lapack.dtrtrs(L, B, lower=1, trans=trans)))
+    for (ours, ours_info), (ref, ref_info) in pairs:
+        assert ours_info == ref_info == 0
+        assert ours.tobytes() == ref.tobytes()
