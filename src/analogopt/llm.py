@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import operator
 import os
 import re
 import time
@@ -131,7 +132,10 @@ class TaskCard:
     """Everything the proposer knows about the task except the demonstrations.
 
     A card renders its fixed prompt sections once, and each demonstration
-    body once, and keeps both for its own lifetime (one run).
+    body once, and keeps both for its own lifetime (one run). It also keeps
+    the last iteration prompt it built, with the demonstration records and
+    context budget it was built from: a call with the same records (the same
+    objects) and budget returns the same messages without rendering again.
     """
 
     name: str
@@ -167,6 +171,12 @@ class TaskCard:
     @functools.cached_property
     def _demo_bodies(self) -> dict:
         return {}
+
+    @functools.cached_property
+    def _last_prompt(self) -> list:
+        """``[demos, context_budget, messages]`` of the last iteration prompt;
+        holding the demo records keeps their ids from being reused."""
+        return [(), None, []]
 
     def _demo_body(self, demo: EvalRecord) -> str:
         """A demonstration's parameter, metric and region lines, rendered once."""
@@ -331,8 +341,14 @@ def build_iteration_prompt(
     prompt would exceed the context budget, the lowest-FOM demonstrations are
     dropped (never below one, and never the format section). An empty demo
     list renders the demonstrations step with a placeholder, which is how the
-    no-demonstrations ablation runs.
+    no-demonstrations ablation runs. The messages are shared with the card's
+    last prompt; the list is fresh on every call.
     """
+    last = card._last_prompt
+    if context_budget == last[1] and len(demos) == len(last[0]) and all(
+        map(operator.is_, demos, last[0])
+    ):
+        return list(last[2])
     kept = list(demos)
     while True:
         # Bodies are cached per record; only the header carries the rank.
@@ -341,11 +357,14 @@ def build_iteration_prompt(
             for i, d in enumerate(kept)
         ) or "(no demonstrations are available for this task)"
         try:
-            return _prompt(card, "iteration_prompt.txt", context_budget, demos=text)
+            messages = _prompt(card, "iteration_prompt.txt", context_budget, demos=text)
         except PromptBudgetError:
             if len(kept) <= 1:
                 raise
             kept.pop()
+        else:
+            last[:] = (tuple(demos), context_budget, messages)
+            return list(messages)
 
 
 def chat_complete(config: LlmConfig, messages: list[ChatMessage]) -> str:

@@ -10,7 +10,10 @@ run log byte for byte (with a scripted or seeded mock client).
 
 Run logs are JSONL: one header line, then eval / iteration / summary lines.
 Recomputing the FOM from any logged metric vector reproduces the logged FOM
-exactly; the report command verifies this replay invariant.
+exactly; the report command verifies this replay invariant. Both ends stream:
+``RunLog.write`` encodes one line at a time, and ``report`` parses and
+replay-checks each line as it reads it. Transcripts share repeated prompts, so
+the in-memory log holds one string per distinct prompt.
 """
 
 from __future__ import annotations
@@ -54,17 +57,25 @@ class ReportError(ValueError):
     """A run log could not be parsed or failed the replay check."""
 
 
+# json.dumps(line, sort_keys=True), without building an encoder per line
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _encode_line(line: dict) -> str:
+    return _LINE_ENCODER.encode(line) + "\n"
+
+
 @dataclass
 class RunLog:
     lines: list[dict]
     dataset: Dataset
 
     def text(self) -> str:
-        return "\n".join(json.dumps(line, sort_keys=True) for line in self.lines) + "\n"
+        return "".join(map(_encode_line, self.lines))
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(self.text())
+            handle.writelines(map(_encode_line, self.lines))
 
     @property
     def summary(self) -> dict:
@@ -266,8 +277,13 @@ def run(config: RunConfig) -> RunLog:
     return RunLog(lines=lines, dataset=dataset)
 
 
-def _load_log_lines(path: str) -> list[tuple[int, dict]]:
-    entries: list[tuple[int, dict]] = []
+def _scan_log(path: str) -> tuple[dict, dict, list[tuple[int, float]]]:
+    """One pass over a run log: parse and replay-check each line as it is read.
+
+    Returns the header, the last line, and ``(index, fom)`` of every eval line.
+    """
+    header = last = fom_config = None
+    evals: list[tuple[int, float]] = []
     try:
         handle = open(path, encoding="utf-8")
     except OSError as exc:
@@ -278,28 +294,29 @@ def _load_log_lines(path: str) -> list[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                entries.append((lineno, json.loads(line)))
+                entry = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ReportError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-    if not entries or entries[0][1].get("type") != "header":
+            if header is None:
+                if entry.get("type") != "header":
+                    break
+                header = entry
+                preset = header.get("preset")
+                if preset not in FOM_PRESETS:
+                    raise ReportError(f"{path}:1: unknown preset {preset!r} in header")
+                fom_config = FOM_PRESETS[preset]
+            elif entry.get("type") == "eval":
+                recomputed = compute_fom(entry["metrics"], fom_config)
+                if recomputed != entry["fom"]:
+                    raise ReportError(
+                        f"{path}:{lineno}: logged FOM {entry['fom']!r} does not match "
+                        f"recomputed {recomputed!r}"
+                    )
+                evals.append((entry["index"], entry["fom"]))
+            last = entry
+    if header is None:
         raise ReportError(f"{path}:1: first line must be the header")
-    return entries
-
-
-def _replay_check(path: str, entries: list[tuple[int, dict]]) -> None:
-    preset = entries[0][1].get("preset")
-    if preset not in FOM_PRESETS:
-        raise ReportError(f"{path}:1: unknown preset {preset!r} in header")
-    fom_config = FOM_PRESETS[preset]
-    for lineno, entry in entries:
-        if entry.get("type") != "eval":
-            continue
-        recomputed = compute_fom(entry["metrics"], fom_config)
-        if recomputed != entry["fom"]:
-            raise ReportError(
-                f"{path}:{lineno}: logged FOM {entry['fom']!r} does not match "
-                f"recomputed {recomputed!r}"
-            )
+    return header, last, evals
 
 
 def report(log_paths: list[str], curves: bool = False) -> str:
@@ -308,16 +325,10 @@ def report(log_paths: list[str], curves: bool = False) -> str:
     Verifies the replay invariant of every log first. Metrics that miss
     their specification are cross-marked; the best FOM per preset is bolded.
     """
-    loaded = []
-    for path in log_paths:
-        entries = _load_log_lines(path)
-        _replay_check(path, entries)
-        loaded.append((path, entries))
+    loaded = [(path, *_scan_log(path)) for path in log_paths]
 
     by_preset: dict[str, list] = {}
-    for path, entries in loaded:
-        header = entries[0][1]
-        summary = entries[-1][1]
+    for path, header, summary, _ in loaded:
         if summary.get("type") != "summary":
             raise ReportError(f"{path}: missing summary line (incomplete run?)")
         by_preset.setdefault(header["preset"], []).append((path, header, summary))
@@ -357,14 +368,12 @@ def report(log_paths: list[str], curves: bool = False) -> str:
         out.append("")
 
     if curves:
-        for path, entries in loaded:
+        for path, _, _, evals in loaded:
             out.append(f"# convergence: {path}")
             out.append("index,best_fom")
             best = -float("inf")
-            for _, entry in entries:
-                if entry.get("type") != "eval":
-                    continue
-                best = max(best, entry["fom"])
-                out.append(f"{entry['index']},{best!r}")
+            for index, fom in evals:
+                best = max(best, fom)
+                out.append(f"{index},{best!r}")
             out.append("")
     return "\n".join(out).rstrip() + "\n"

@@ -44,6 +44,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,14 +79,21 @@ _SETULB_SIGNATURE = (
 
 
 def _scipy_extension(package: str, name: str):
-    """The compiled module ``scipy/<package>/<name>``, loaded from its file
-    without running ``scipy.<package>``'s ``__init__``."""
+    """The compiled module ``scipy.<package>.<name>``, loaded from its file
+    without running ``scipy.<package>``'s ``__init__``. It is registered in
+    ``sys.modules`` under that dotted name, so scipy and this loader share one
+    copy whichever imports it first."""
+    fullname = f"scipy.{package}.{name}"
+    module = sys.modules.get(fullname)
+    if module is not None:
+        return module
     spec = importlib.machinery.PathFinder.find_spec(
-        name, [str(Path(scipy.__file__).parent / package)]
+        fullname, [str(Path(scipy.__file__).parent / package)]
     )
     if spec is None:
         raise ImportError(f"scipy {scipy.__version__} has no {package}/{name} extension")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
     spec.loader.exec_module(module)
     return module
 

@@ -8,6 +8,7 @@ is loaded from its file and used read-only.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -63,3 +64,24 @@ def test_traced_hybrid_run_records_every_layer_span(tracer):
     assert not any(
         hasattr(getattr(orchestrator, attr), "__wrapped__") for attr in tracer.PROBES
     )
+
+
+def test_traced_report_replays_every_eval_line(tracer, tmp_path):
+    # the tracer counts fom.replay.calls as compute_fom spans under a report
+    config = RunConfig(
+        method="llm_only", preset="amp2", n_init=3, n_iter=4, seed=0,
+        mock="random", llm_queries_per_step=1, gp_queries_per_step=0,
+    )
+    path = tmp_path / "run.jsonl"
+    orchestrator.run(config).write(str(path))
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    n_evals = sum(line["type"] == "eval" for line in lines)
+    assert n_evals == config.total_evaluations
+    recorder = tracer.Tracer()
+    with tracer.instrument(recorder), recorder.span(tracer.ROOT_REPORT):
+        orchestrator.report([str(path)], curves=True)
+    replays = [s for s in recorder.spans if s.name == "fom.compute_fom"]
+    assert len(replays) == n_evals
+    metrics = tracer.span_metrics(recorder.spans)
+    assert metrics["fom.replay.calls"] == n_evals
+    assert metrics["orchestrator.report_parse_s"] > 0.0

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import chat_body
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -76,6 +78,29 @@ def test_gp_runs_never_import_scipy_optimize():
     loaded = dict(line.split() for line in out.splitlines())
     assert loaded == dict.fromkeys(SCIPY_PACKAGES, "False")
 
+
+
+@pytest.mark.parametrize("first", ["analogopt", "scipy"])
+def test_scipy_extensions_are_shared_with_scipy_packages(first):
+    # Loaded under their dotted names, the extensions analogopt loads are the
+    # modules scipy's packages use, whichever is imported first.
+    out = _python(
+        "import sys\n"
+        "def scipy_packages():\n"
+        "    import scipy.linalg.lapack, scipy.optimize, scipy.special\n"
+        "if sys.argv[1] == 'scipy':\n"
+        "    scipy_packages()\n"
+        "from analogopt import acquisition, surrogate\n"
+        "scipy_packages()\n"
+        "import scipy.linalg.lapack, scipy.special\n"
+        "from scipy.optimize._lbfgsb import setulb\n"
+        "print(sorted({'_lbfgsb', '_flapack', '_special_ufuncs'} & set(sys.modules)))\n"
+        "print(scipy.special.expit is acquisition.expit,\n"
+        "      scipy.linalg.lapack.dpotrf is surrogate.dpotrf,\n"
+        "      setulb is surrogate._setulb)\n",
+        first,
+    )
+    assert out.splitlines() == ["[]", "True True True"]
 
 def test_chat_complete_imports_requests_on_first_call(stub_server):
     server = stub_server([(200, chat_body("deferred reply"))])

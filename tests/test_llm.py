@@ -15,6 +15,7 @@ from analogopt.llm import (
     MissingParameter,
     NotNumeric,
     OutOfRange,
+    PromptBudgetError,
     ProposerExhausted,
     ProtocolError,
     RandomPointLlmClient,
@@ -58,6 +59,20 @@ lb = 0.4 um
 rz = 4.7 kohm
 cc = 3 pF
 ```"""
+
+
+# An in-range amp2 design, used to build demonstration records.
+DEMO_POINT = DesignPoint((
+    20e-6, 0.5e-6, 10e-6, 0.5e-6, 2e-6, 0.5e-6, 20e-6, 0.5e-6,
+    3e-6, 0.5e-6, 2e-6, 0.8e-6, 2000.0, 10e-12,
+))
+
+
+@pytest.fixture
+def demos(amp2):
+    model, _ = amp2
+    record = evaluate(model, DEMO_POINT)
+    return [replace(record, fom=record.fom - i) for i in range(8)]  # descending
 
 
 # ------------------------------------------------------------------ parser
@@ -157,11 +172,7 @@ def test_init_prompt_within_budget(amp2):
 
 def test_iteration_prompt_sections_in_order(amp2):
     model, card = amp2
-    point = DesignPoint((
-        20e-6, 0.5e-6, 10e-6, 0.5e-6, 2e-6, 0.5e-6, 20e-6, 0.5e-6,
-        3e-6, 0.5e-6, 2e-6, 0.8e-6, 2000.0, 10e-12,
-    ))
-    demos = [evaluate(model, point)]
+    demos = [evaluate(model, DEMO_POINT)]
     messages = build_iteration_prompt(card, demos)
     body = messages[-1].content
     positions = [body.index(f"Step ({s})") for s in "abcd"]
@@ -171,11 +182,7 @@ def test_iteration_prompt_sections_in_order(amp2):
 
 def test_iteration_prompt_renders_demos_with_units_and_regions(amp2):
     model, card = amp2
-    point = DesignPoint((
-        20e-6, 0.5e-6, 10e-6, 0.5e-6, 2e-6, 0.5e-6, 20e-6, 0.5e-6,
-        3e-6, 0.5e-6, 2e-6, 0.8e-6, 2000.0, 10e-12,
-    ))
-    demos = [evaluate(model, point, iteration=i) for i in range(5)]
+    demos = [evaluate(model, DEMO_POINT, iteration=i) for i in range(5)]
     body = build_iteration_prompt(card, demos)[-1].content
     assert body.count("Demonstration") == 5
     assert "MHz" in body and "dB" in body and "uW" in body
@@ -191,24 +198,55 @@ def test_iteration_prompt_accepts_empty_demos(amp2):
     assert positions == sorted(positions)
 
 
-def test_iteration_prompt_drops_lowest_fom_demos_to_fit(amp2):
-    model, card = amp2
-    point = DesignPoint((
-        20e-6, 0.5e-6, 10e-6, 0.5e-6, 2e-6, 0.5e-6, 20e-6, 0.5e-6,
-        3e-6, 0.5e-6, 2e-6, 0.8e-6, 2000.0, 10e-12,
-    ))
-    record = evaluate(model, point)
-    demos = [replace(record, fom=record.fom - i) for i in range(8)]  # descending
+def test_iteration_prompt_drops_lowest_fom_demos_to_fit(amp2, demos):
+    _, card = amp2
     budget = 1400  # enough for the scaffold plus a few demos only
-    messages = build_iteration_prompt(card, demos, context_budget=budget)
-    body = messages[-1].content
-    kept = body.count("Demonstration")
-    assert 1 <= kept < 8
-    assert sum(estimate_tokens(m.content) for m in messages) <= budget
-    # the highest-FOM demo always survives
-    assert f"FOM = {demos[0].fom:.4g}" in body
-    # the format section is intact
-    assert "fenced code block" in body
+    for _ in range(2):  # the second call returns the card's last prompt
+        messages = build_iteration_prompt(card, demos, context_budget=budget)
+        body = messages[-1].content
+        kept = body.count("Demonstration")
+        assert 1 <= kept < 8
+        assert sum(estimate_tokens(m.content) for m in messages) <= budget
+        # the highest-FOM demo always survives
+        assert f"FOM = {demos[0].fom:.4g}" in body
+        # the format section is intact
+        assert "fenced code block" in body
+    # a budget that not even one demonstration fits is refused on every call
+    for _ in range(2):
+        with pytest.raises(PromptBudgetError):
+            build_iteration_prompt(card, demos, context_budget=100)
+
+
+def test_iteration_prompt_reuses_messages_for_the_same_demos(amp2, demos):
+    _, card = amp2
+    first = build_iteration_prompt(card, demos[:5])
+    second = build_iteration_prompt(card, list(demos[:5]))
+    assert second == first
+    assert all(a is b for a, b in zip(first, second))
+    assert second[-1].content is first[-1].content
+
+
+def test_iteration_prompt_returns_a_fresh_list(amp2, demos):
+    _, card = amp2
+    first = build_iteration_prompt(card, demos[:5])
+    first.append(ChatMessage("assistant", "a reply"))
+    second = build_iteration_prompt(card, demos[:5])
+    assert second is not first
+    assert [m.role for m in second] == ["system", "user"]
+
+
+def test_iteration_prompt_renders_afresh_for_other_demos_or_budget(amp2, demos):
+    _, card = amp2
+    shown = build_iteration_prompt(card, demos[:5])
+    # equal records that are other objects count as other demonstrations
+    copies = [replace(d) for d in demos[:5]]
+    for other, budget in (
+        (demos[1:6], 16000), (demos[:4], 16000), (demos[:5], 1400), (copies, 16000),
+    ):
+        messages = build_iteration_prompt(card, other, budget)
+        assert messages[-1].content is not shown[-1].content
+        assert messages == build_iteration_prompt(replace(card), other, budget)
+        shown = messages
 
 
 # ----------------------------------------------------------------- propose

@@ -1,4 +1,7 @@
 import json
+import os
+import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -289,6 +292,28 @@ def _write_log(tmp_path, name, config):
     return str(path), log
 
 
+def test_write_matches_text_byte_for_byte(tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([
+        "```\nx1 = 20\nx2 = 3\n```",  # x1 outside [-5, 10]: a corrective retry
+        "```\nx1 = 2.5\nx2 = 3\n```",
+    ]), encoding="utf-8")
+    config = fast_config(
+        method="llm_only", llm_queries_per_step=1, gp_queries_per_step=0,
+        init_strategy="uniform_random", mock=str(script), n_iter=3,
+    )
+    log = run(config)
+    transcripts = [
+        t for line in log.lines if line["type"] == "iteration"
+        for t in line["llm_transcripts"]
+    ]
+    assert all([m["role"] for m in t] == ["system", "user", "assistant", "user",
+                                          "assistant"] for t in transcripts)
+    path = tmp_path / "run.jsonl"
+    log.write(str(path))
+    assert path.read_bytes() == log.text().encode("utf-8")
+
+
 def test_report_single_and_replay(tmp_path):
     path, log = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=2))
     text = report([path])
@@ -354,6 +379,51 @@ def test_report_detects_fom_tampering(tmp_path):
     with pytest.raises(ReportError) as excinfo:
         report([str(tampered)])
     assert ":2:" in str(excinfo.value)
+
+
+def test_report_names_the_earliest_bad_line(tmp_path):
+    path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=1))
+    lines = open(path, encoding="utf-8").read().splitlines()
+    entry = json.loads(lines[1])
+    entry["fom"] = entry["fom"] + 0.5
+    lines[1] = json.dumps(entry, sort_keys=True)
+    lines[3] = lines[3][:-10]  # truncate mid-JSON
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ReportError) as excinfo:
+        report([str(broken)])
+    assert ":2:" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[1:], ":1: first line must be the header"),
+    (lambda lines: [], ":1: first line must be the header"),
+    (lambda lines: [lines[0].replace('"preset": "branin"', '"preset": "nope"')]
+     + lines[1:], ":1: unknown preset 'nope' in header"),
+    (lambda lines: lines[:-1], ": missing summary line"),
+])
+def test_report_rejects_malformed_logs(tmp_path, edit, message):
+    path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=1))
+    lines = open(path, encoding="utf-8").read().splitlines()
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+    with pytest.raises(ReportError, match=re.escape(str(broken) + message)):
+        report([str(broken)])
+
+
+def test_report_memory_is_bounded_by_a_line_not_the_log(tmp_path):
+    config = fast_config(
+        method="llm_only", preset="amp2", llm_queries_per_step=1,
+        gp_queries_per_step=0, n_iter=500,
+    )
+    path, _ = _write_log(tmp_path, "long.jsonl", config)
+    tracemalloc.start()
+    try:
+        report([path], curves=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < os.path.getsize(path) / 4
 
 
 # --------------------------------------------------------------------- CLI
