@@ -46,7 +46,6 @@ from .evaluator import (
     circuit_model,
     classify_regions,
     evaluate,
-    synthetic_eval,
 )
 from .llm import (
     ChatMessage,

@@ -15,20 +15,14 @@ from dataclasses import dataclass, field
 from .acquisition import AcquisitionConfig
 from .core import ConfigError
 from .evaluator import CircuitModel, ProcessConstants, circuit_model
+from .fom import FOM_PRESETS
 from .llm import LlmConfig, TaskCard, _template
 from .surrogate import GpFitConfig
 
 METHODS = ("ado_llm", "gp_bo", "llm_only")
 INIT_STRATEGIES = ("llm_zero_shot", "uniform_random")
 SAMPLER_KINDS = ("top_k", "uniform", "none")
-PRESETS = ("amp2", "comparator", "branin", "hartmann6")
-
-_CARD_TEMPLATES = {
-    "amp2": ("circuit_amp2.txt", "principles_amp2.txt"),
-    "comparator": ("circuit_comparator.txt", "principles_comparator.txt"),
-    "branin": ("circuit_synthetic.txt", "principles_synthetic.txt"),
-    "hartmann6": ("circuit_synthetic.txt", "principles_synthetic.txt"),
-}
+PRESETS = tuple(FOM_PRESETS)
 
 # Default per-iteration query split for each method.
 _METHOD_QUERIES = {"ado_llm": (1, 4), "gp_bo": (0, 5), "llm_only": (1, 0)}
@@ -63,6 +57,8 @@ class RunConfig:
             raise ConfigError(f"unknown init_strategy {self.init_strategy!r}")
         if self.sampler_kind not in SAMPLER_KINDS:
             raise ConfigError(f"unknown sampler kind {self.sampler_kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_init < 1 or self.n_iter < 0:
             raise ConfigError("n_init must be >= 1 and n_iter >= 0")
         if self.sampler_k < 1:
@@ -92,17 +88,16 @@ def build_model(config: RunConfig) -> CircuitModel:
 
 
 def build_task_card(config: RunConfig, model: CircuitModel) -> TaskCard:
-    circuit_name, principles_name = _CARD_TEMPLATES[config.preset]
     if config.principles_file:
         with open(config.principles_file, encoding="utf-8") as handle:
             principles_text = handle.read()
     else:
-        principles_text = _template(principles_name)
+        principles_text = _template(f"principles_{config.preset}.txt")
     return TaskCard(
         name=config.preset,
         space=model.space,
         fom=model.fom,
-        circuit_text=_template(circuit_name),
+        circuit_text=_template(f"circuit_{config.preset}.txt"),
         principles_text=principles_text,
     )
 

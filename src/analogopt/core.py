@@ -98,12 +98,6 @@ class DesignSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)
 
-    def index(self, name: str) -> int:
-        for i, p in enumerate(self.parameters):
-            if p.name == name:
-                return i
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -116,9 +110,6 @@ class DesignPoint:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def value(self, space: DesignSpace, name: str) -> float:
-        return self.values[space.index(name)]
 
 
 # Metric vectors and region reports are plain mappings; their shape is
@@ -163,10 +154,6 @@ class Dataset:
         self._ranking: list[tuple[float, int]] = sorted(
             (-r.fom, i) for i, r in enumerate(self._records)
         )
-
-    @property
-    def records(self) -> tuple[EvalRecord, ...]:
-        return tuple(self._records)
 
     def __len__(self) -> int:
         return len(self._records)

@@ -1,10 +1,10 @@
 """Analytic circuit evaluation: reference models of the two benchmark
-circuits plus synthetic test functions for validating the optimizer.
+circuits plus the Branin function for validating the optimizer.
 
 Each :class:`CircuitModel` carries its own solver, ``solve(model, point) ->
-(metrics, overdrives, ok)``; :func:`evaluate` runs it and then applies the
-headroom check and the region classification the model's devices and
-stacks define. A synthetic preset has neither, so both are no-ops for it.
+(metrics, overdrives, ok)``, which unpacks the point in design-space order;
+:func:`evaluate` runs it, then applies the headroom check and the region
+classification of the model's devices and stacks (Branin has none).
 
 The circuit models use textbook square-law device physics:
 
@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     ConfigError,
@@ -141,25 +139,14 @@ def _comparator_space() -> DesignSpace:
     )
 
 
-SYNTHETIC_BOXES: dict[str, tuple[tuple[float, float], ...]] = {
-    "branin": ((-5.0, 10.0), (0.0, 15.0)),
-    "hartmann6": tuple(((0.0, 1.0),) * 6),
-}
-
-
-def _synthetic_space(fn: str) -> DesignSpace:
-    box = SYNTHETIC_BOXES[fn]
-    return DesignSpace(
-        parameters=tuple(
-            Parameter(f"x{i + 1}", lo, hi, Scale.LINEAR) for i, (lo, hi) in enumerate(box)
-        )
-    )
+def _branin_space() -> DesignSpace:
+    return DesignSpace((Parameter("x1", -5.0, 10.0), Parameter("x2", 0.0, 15.0)))
 
 
 def circuit_model(
     name: str, constants: ProcessConstants | None = None
 ) -> CircuitModel:
-    """Build a named evaluation model: amp2, comparator, branin, hartmann6."""
+    """Build a named evaluation model: amp2, comparator or branin."""
     constants = constants or ProcessConstants()
     if name == "amp2":
         return CircuitModel(
@@ -194,14 +181,12 @@ def circuit_model(
             ),
             fom=COMPARATOR_FOM,
         )
-    if name in SYNTHETIC_BOXES:
+    if name == "branin":
         return CircuitModel(
-            name=f"synthetic:{name}",
-            space=_synthetic_space(name),
+            name="branin",
+            space=_branin_space(),
             constants=constants,
-            solve=lambda model, point: (
-                {"objective": synthetic_eval(name, np.array(point.values))}, {}, True
-            ),
+            solve=_branin_solve,
             fom=SYNTHETIC_FOM,
         )
     raise ConfigError(f"unknown circuit model {name!r}")
@@ -213,13 +198,8 @@ def _parallel(a: float, b: float) -> float:
 
 def _amp2_solve(model: CircuitModel, point: DesignPoint):
     c = model.constants
-    v = lambda name: point.value(model.space, name)
-    w1, l1 = v("w1"), v("l1")
-    w3, l3 = v("w3"), v("l3")
-    w6, l6 = v("w6"), v("l6")
-    w7, l7 = v("w7"), v("l7")
-    wb, lb = v("wb"), v("lb")
-    rz, cc = v("rz"), v("cc")
+    # w5/l5 are not read: M5 is not modelled yet (ROADMAP item 5).
+    w1, l1, w3, l3, _w5, _l5, w6, l6, w7, l7, wb, lb, rz, cc = point.values
 
     i_tail = 0.5 * c.kp_n * (wb / lb) * c.v_ov_bias**2
     i_stage2 = i_tail * (w7 / l7) / (wb / lb)
@@ -271,13 +251,7 @@ def _amp2_solve(model: CircuitModel, point: DesignPoint):
 
 def _comparator_solve(model: CircuitModel, point: DesignPoint):
     c = model.constants
-    v = lambda name: point.value(model.space, name)
-    w1, l1 = v("w1"), v("l1")
-    w3, l3 = v("w3"), v("l3")
-    w5, l5 = v("w5"), v("l5")
-    w7, l7 = v("w7"), v("l7")
-    w9, l9 = v("w9"), v("l9")
-    wb, lb = v("wb"), v("lb")
+    w1, l1, w3, l3, w5, l5, w7, l7, w9, l9, wb, lb = point.values
 
     i_tail = 0.5 * c.kp_n * (wb / lb) * c.v_ov_bias**2
     i_branch = 0.5 * i_tail
@@ -328,6 +302,15 @@ def _comparator_solve(model: CircuitModel, point: DesignPoint):
     return metrics, overdrives, ok
 
 
+def _branin_solve(model: CircuitModel, point: DesignPoint):
+    """The negated Branin function (maximization convention)."""
+    x1, x2 = point.values
+    a, b, c = 1.0, 5.1 / (4.0 * math.pi**2), 5.0 / math.pi
+    r, s, t = 6.0, 10.0, 1.0 / (8.0 * math.pi)
+    value = a * (x2 - b * x1**2 + c * x1 - r) ** 2 + s * (1.0 - t) * math.cos(x1) + s
+    return {"objective": -value}, {}, True
+
+
 def classify_regions(
     model: CircuitModel, overdrives: dict[str, float]
 ) -> dict[str, Region]:
@@ -355,47 +338,6 @@ def _crowded_stacks(model: CircuitModel, overdrives: dict[str, float]) -> list[S
     """The stacks whose summed level overdrives exceed vdd - v_headroom."""
     budget = model.constants.vdd - model.constants.v_headroom
     return [s for s in model.stacks if sum(overdrives[n] for n in s.levels) > budget]
-
-
-def synthetic_eval(fn: str, x) -> float:
-    """Negated benchmark function value (maximization convention)."""
-    if fn not in SYNTHETIC_BOXES:
-        raise ConfigError(f"unknown synthetic function {fn!r}")
-    x = np.asarray(x, dtype=float).ravel()
-    box = SYNTHETIC_BOXES[fn]
-    if x.shape[0] != len(box):
-        raise RangeError(f"{fn} expects {len(box)} coordinates, got {x.shape[0]}")
-    for i, (lo, hi) in enumerate(box):
-        if not lo <= x[i] <= hi:
-            raise RangeError(f"{fn}: x{i + 1} = {x[i]!r} outside [{lo}, {hi}]")
-    if fn == "branin":
-        a, b, c = 1.0, 5.1 / (4.0 * math.pi**2), 5.0 / math.pi
-        r, s, t = 6.0, 10.0, 1.0 / (8.0 * math.pi)
-        value = (
-            a * (x[1] - b * x[0] ** 2 + c * x[0] - r) ** 2
-            + s * (1.0 - t) * math.cos(x[0])
-            + s
-        )
-        return -value
-    alphas = np.array([1.0, 1.2, 3.0, 3.2])
-    A = np.array(
-        [
-            [10.0, 3.0, 17.0, 3.5, 1.7, 8.0],
-            [0.05, 10.0, 17.0, 0.1, 8.0, 14.0],
-            [3.0, 3.5, 1.7, 10.0, 17.0, 8.0],
-            [17.0, 8.0, 0.05, 10.0, 0.1, 14.0],
-        ]
-    )
-    P = 1e-4 * np.array(
-        [
-            [1312, 1696, 5569, 124, 8283, 5886],
-            [2329, 4135, 8307, 3736, 1004, 9991],
-            [2348, 1451, 3522, 2883, 3047, 6650],
-            [4047, 8828, 8732, 5743, 1091, 381],
-        ]
-    )
-    inner = np.sum(A * (x[None, :] - P) ** 2, axis=1)
-    return float(np.sum(alphas * np.exp(-inner)))
 
 
 def evaluate(

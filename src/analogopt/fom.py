@@ -80,10 +80,6 @@ class FomConfig:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate metric names: {names}")
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self.metrics)
-
     def metric(self, name: str) -> MetricSpec:
         for m in self.metrics:
             if m.name == name:
@@ -200,7 +196,7 @@ COMPARATOR_FOM = FomConfig(
     )
 )
 
-# Synthetic benchmark functions report a single raw objective; the identity
+# The synthetic benchmark (branin) reports a single raw objective; the identity
 # normalization (range [0, 1], spec always met) makes FOM == objective value.
 SYNTHETIC_FOM = FomConfig(
     metrics=(
@@ -211,9 +207,9 @@ SYNTHETIC_FOM = FomConfig(
     )
 )
 
+# The preset list. Each also has a circuit_model branch and its two templates.
 FOM_PRESETS: dict[str, FomConfig] = {
     "amp2": AMP2_FOM,
     "comparator": COMPARATOR_FOM,
     "branin": SYNTHETIC_FOM,
-    "hartmann6": SYNTHETIC_FOM,
 }

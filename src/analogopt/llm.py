@@ -494,6 +494,8 @@ def load_script(path: str) -> list[str]:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
             raise ConfigError(f"{path}: expected a JSON array of strings")
+        if "" in script:
+            raise ConfigError(f"{path}: response {script.index('')} is empty")
     else:
         parts = re.split(r"(?m)^---\s*$", text)
         script = [p.strip() for p in parts if p.strip()]

@@ -277,46 +277,65 @@ def run(config: RunConfig) -> RunLog:
     return RunLog(lines=lines, dataset=dataset)
 
 
-def _scan_log(path: str) -> tuple[dict, dict, list[tuple[int, float]]]:
+def _scan_log(path: str) -> tuple[str, list[str], dict, list[tuple[int, float]]]:
     """One pass over a run log: parse and replay-check each line as it is read.
 
-    Returns the header, the last line, and ``(index, fom)`` of every eval line.
+    Returns the preset, the method and protocol cells of the report table, the
+    last line, and ``(index, fom)`` of every eval line.
     """
-    header = last = fom_config = None
+    preset = last = fom_config = None
     evals: list[tuple[int, float]] = []
     try:
-        handle = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                entry = json.loads(line)
+                if preset is None:
+                    if entry.get("type") != "header":
+                        break
+                    preset = entry.get("preset")
+                    if preset not in FOM_PRESETS:
+                        raise ReportError(
+                            f"{path}:1: unknown preset {preset!r} in header"
+                        )
+                    fom_config = FOM_PRESETS[preset]
+                    config = entry["config"]
+                    batch = (
+                        config["llm_queries_per_step"] + config["gp_queries_per_step"]
+                    )
+                    protocol = f"{config['n_init']}+{batch}x{config['n_iter']}"
+                    lead = [entry["method"], protocol]
+                elif entry.get("type") == "eval":
+                    recomputed = compute_fom(entry["metrics"], fom_config)
+                    if recomputed != entry["fom"]:
+                        raise ReportError(
+                            f"{path}:{lineno}: logged FOM {entry['fom']!r} does not "
+                            f"match recomputed {recomputed!r}"
+                        )
+                    evals.append((entry["index"], entry["fom"]))
+                last = entry
     except OSError as exc:
         raise ReportError(f"{path}: {exc}") from exc
-    with handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReportError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if header is None:
-                if entry.get("type") != "header":
+    except json.JSONDecodeError as exc:
+        raise ReportError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ReportError(
+            f"{path}:{lineno}: malformed line ({type(exc).__name__}: {exc})"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        # The text layer decodes ahead of the lines it hands out: find the line.
+        with open(path, "rb") as raw:
+            for lineno, data in enumerate(raw, 1):
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError:
                     break
-                header = entry
-                preset = header.get("preset")
-                if preset not in FOM_PRESETS:
-                    raise ReportError(f"{path}:1: unknown preset {preset!r} in header")
-                fom_config = FOM_PRESETS[preset]
-            elif entry.get("type") == "eval":
-                recomputed = compute_fom(entry["metrics"], fom_config)
-                if recomputed != entry["fom"]:
-                    raise ReportError(
-                        f"{path}:{lineno}: logged FOM {entry['fom']!r} does not match "
-                        f"recomputed {recomputed!r}"
-                    )
-                evals.append((entry["index"], entry["fom"]))
-            last = entry
-    if header is None:
+        raise ReportError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
+    if preset is None:
         raise ReportError(f"{path}:1: first line must be the header")
-    return header, last, evals
+    return preset, lead, last, evals
 
 
 def report(log_paths: list[str], curves: bool = False) -> str:
@@ -328,29 +347,23 @@ def report(log_paths: list[str], curves: bool = False) -> str:
     loaded = [(path, *_scan_log(path)) for path in log_paths]
 
     by_preset: dict[str, list] = {}
-    for path, header, summary, _ in loaded:
+    for path, preset, lead, summary, _ in loaded:
         if summary.get("type") != "summary":
             raise ReportError(f"{path}: missing summary line (incomplete run?)")
-        by_preset.setdefault(header["preset"], []).append((path, header, summary))
+        by_preset.setdefault(preset, []).append((lead, summary))
 
     out: list[str] = []
     for preset, rows in by_preset.items():
         fom_config = FOM_PRESETS[preset]
-        best_fom = max(summary["best_fom"] for _, _, summary in rows)
+        best_fom = max(summary["best_fom"] for _, summary in rows)
         header_cells = (
             ["method", "protocol"]
             + [m.name for m in fom_config.metrics]
             + ["fom", "missed"]
         )
         table = [header_cells]
-        for path, header, summary in rows:
-            config = header["config"]
-            protocol = (
-                f"{config['n_init']}+"
-                f"{config['llm_queries_per_step'] + config['gp_queries_per_step']}"
-                f"x{config['n_iter']}"
-            )
-            cells = [header["method"], protocol]
+        for lead, summary in rows:
+            cells = list(lead)
             for metric in fom_config.metrics:
                 value = summary["best_metrics"][metric.name]
                 mark = "" if hits_spec(value, metric) else " ✗"
@@ -368,7 +381,7 @@ def report(log_paths: list[str], curves: bool = False) -> str:
         out.append("")
 
     if curves:
-        for path, _, _, evals in loaded:
+        for path, _, _, _, evals in loaded:
             out.append(f"# convergence: {path}")
             out.append("index,best_fom")
             best = -float("inf")

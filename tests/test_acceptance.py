@@ -248,7 +248,7 @@ def test_criterion_7_evaluator_properties():
         def amp2_with(**updates):
             values = list(base.values)
             for name, value in updates.items():
-                values[amp2.space.index(name)] = value
+                values[amp2.space.names.index(name)] = value
             return DesignPoint(tuple(values))
 
         gbw = evaluate(amp2, base).metrics["gbw"]
@@ -270,7 +270,7 @@ def test_criterion_7_evaluator_properties():
         def comp_with(**updates):
             values = list(cbase.values)
             for name, value in updates.items():
-                values[comp.space.index(name)] = value
+                values[comp.space.names.index(name)] = value
             return DesignPoint(tuple(values))
 
         assert evaluate(comp, cbase).metrics["v_hys_err"] == 0.0  # alpha = 1

@@ -1,4 +1,5 @@
-"""The INI loader: every accepted key, and the inputs it must reject."""
+"""The preset table, and the INI loader: every accepted key, and the inputs it
+must reject."""
 
 import configparser
 import re
@@ -7,9 +8,17 @@ from pathlib import Path
 import pytest
 
 from analogopt.acquisition import AcquisitionConfig
-from analogopt.config import INI_KEYS, load_run_config
+from analogopt.config import (
+    INI_KEYS,
+    PRESETS,
+    RunConfig,
+    build_model,
+    build_task_card,
+    load_run_config,
+)
 from analogopt.core import ConfigError
 from analogopt.evaluator import ProcessConstants
+from analogopt.fom import FOM_PRESETS
 from analogopt.llm import LlmConfig
 from analogopt.surrogate import GpFitConfig
 
@@ -247,6 +256,10 @@ MALFORMED = {
         _RUN + "[llm]\nbackoff = -1\n",
         "{path}: backoff must be >= 0",
     ),
+    "negative_seed": (
+        _RUN + "seed = -3\n",
+        "seed must be >= 0, got -3",
+    ),
     "non_positive_constant": (
         _RUN + "[evaluator]\nconstants.vdd = 0\n",
         "{path}: process constant vdd must be positive",
@@ -279,3 +292,12 @@ def test_readme_ini_block_loads_and_documents_every_key(tmp_path):
             assert set(documented[section]) and set(documented[section]) <= set(keys)
         else:
             assert set(documented[section]) == set(keys), section
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_every_preset_has_a_model_a_fom_and_both_templates(preset):
+    config = RunConfig(method="ado_llm", preset=preset)
+    model = build_model(config)
+    assert model.fom is FOM_PRESETS[preset]
+    card = build_task_card(config, model)
+    assert card.circuit_text.strip() and card.principles_text.strip()

@@ -43,7 +43,7 @@ def test_contains_boundary_inclusive():
 def test_contains_rejects_out_of_range_width():
     space = circuit_model("amp2").space
     values = [p.lower for p in space.parameters]
-    values[space.index("w1")] = 60e-9  # below the 120 nm width floor
+    values[space.names.index("w1")] = 60e-9  # below the 120 nm width floor
     assert not design_space_contains(space, DesignPoint(tuple(values)))
 
 

@@ -80,10 +80,11 @@ def demos(amp2):
 def test_parse_well_formed_block(amp2):
     model, _ = amp2
     point = parse_response(GOOD_BLOCK, model.space)
-    assert point.value(model.space, "w1") == pytest.approx(2.5e-6)
-    assert point.value(model.space, "l1") == pytest.approx(500e-9)
-    assert point.value(model.space, "rz") == pytest.approx(4700.0)
-    assert point.value(model.space, "cc") == pytest.approx(3e-12)
+    values = dict(zip(model.space.names, point.values))
+    assert values["w1"] == pytest.approx(2.5e-6)
+    assert values["l1"] == pytest.approx(500e-9)
+    assert values["rz"] == pytest.approx(4700.0)
+    assert values["cc"] == pytest.approx(3e-12)
     assert design_space_contains(model.space, point)
 
 
@@ -92,25 +93,23 @@ def test_parse_unicode_units_and_case(amp2):
     text = GOOD_BLOCK.replace("w1 = 2.5 um", "W1 = 2.5 µm").replace(
         "rz = 4.7 kohm", "rz: 4.7 kΩ"
     )
-    point = parse_response(text, model.space)
-    assert point.value(model.space, "w1") == pytest.approx(2.5e-6)
-    assert point.value(model.space, "rz") == pytest.approx(4700.0)
+    values = dict(zip(model.space.names, parse_response(text, model.space).values))
+    assert values["w1"] == pytest.approx(2.5e-6)
+    assert values["rz"] == pytest.approx(4700.0)
 
 
 def test_parse_bare_si_values(amp2):
     model, _ = amp2
     text = GOOD_BLOCK.replace("w1 = 2.5 um", "w1 = 2.5e-6")
-    assert parse_response(text, model.space).value(
-        model.space, "w1"
-    ) == pytest.approx(2.5e-6)
+    w1 = model.space.names.index("w1")
+    assert parse_response(text, model.space).values[w1] == pytest.approx(2.5e-6)
 
 
 def test_parse_last_fenced_block_wins(amp2):
     model, _ = amp2
     text = GOOD_BLOCK + "\n" + GOOD_BLOCK.replace("w1 = 2.5 um", "w1 = 3 um")
-    assert parse_response(text, model.space).value(
-        model.space, "w1"
-    ) == pytest.approx(3e-6)
+    w1 = model.space.names.index("w1")
+    assert parse_response(text, model.space).values[w1] == pytest.approx(3e-6)
 
 
 def test_parse_out_of_range_names_parameter_and_bounds(amp2):
@@ -332,6 +331,9 @@ def test_load_script_formats(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"not": "a list"}', encoding="utf-8")
     with pytest.raises(ValueError):
+        load_script(str(bad))
+    bad.write_text('["first", ""]', encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.json: response 1 is empty"):
         load_script(str(bad))
 
 

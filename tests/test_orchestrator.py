@@ -395,18 +395,32 @@ def test_report_names_the_earliest_bad_line(tmp_path):
     assert ":2:" in str(excinfo.value)
 
 
+def _without(line, key):
+    return json.dumps({k: v for k, v in json.loads(line).items() if k != key})
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: lines[1:], ":1: first line must be the header"),
     (lambda lines: [], ":1: first line must be the header"),
     (lambda lines: [lines[0].replace('"preset": "branin"', '"preset": "nope"')]
      + lines[1:], ":1: unknown preset 'nope' in header"),
     (lambda lines: lines[:-1], ": missing summary line"),
+    (lambda lines: lines[:2] + ["[1, 2]"] + lines[2:],
+     ":3: malformed line (AttributeError: 'list' object has no attribute 'get')"),
+    (lambda lines: [lines[0], _without(lines[1], "metrics")] + lines[2:],
+     ":2: malformed line (KeyError: 'metrics')"),
+    (lambda lines: [_without(lines[0], "config")] + lines[1:],
+     ":1: malformed line (KeyError: 'config')"),
+    # "\udcff" is written as the lone byte 0xff, which is not UTF-8
+    (lambda lines: lines[:3] + [lines[3] + "\udcff"] + lines[4:],
+     ":4: not UTF-8: invalid start byte"),
 ])
 def test_report_rejects_malformed_logs(tmp_path, edit, message):
     path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=1))
     lines = open(path, encoding="utf-8").read().splitlines()
     broken = tmp_path / "broken.jsonl"
-    broken.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+    text = "".join(line + "\n" for line in edit(lines))
+    broken.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(ReportError, match=re.escape(str(broken) + message)):
         report([str(broken)])
 
@@ -482,6 +496,7 @@ BAD_SCRIPTS = {
     "empty_array": ("empty.json", "[]"),
     "json_object": ("object.json", '{"a": 1}'),
     "not_json": ("broken.json", "not json"),
+    "empty_reply": ("blank.json", '["ok", ""]'),
     "only_separators": ("separators.txt", "---\n---\n"),
 }
 

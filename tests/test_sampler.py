@@ -110,5 +110,5 @@ def test_top_k_after_interleaved_tied_appends_matches_sort_reference():
         for k in (1, 5, len(foms) + 1):
             order = sorted(range(len(foms)), key=lambda i: (-foms[i], i))[:k]
             assert [id(r) for r in top_k(dataset, k)] == [id(dataset[i]) for i in order]
-    copy = Dataset(dataset.records)
+    copy = Dataset(list(dataset))
     assert [id(r) for r in top_k(copy, 12)] == [id(r) for r in top_k(dataset, 12)]

@@ -67,7 +67,7 @@ def test_unit_cube_endpoints():
 def test_unit_cube_log_midpoint():
     space = circuit_model("amp2").space
     values = [p.lower for p in space.parameters]
-    i = space.index("w1")
+    i = space.names.index("w1")
     values[i] = math.sqrt(120e-9 * 50e-6)  # geometric midpoint of the width range
     u = to_unit_cube(space, DesignPoint(tuple(values)))
     assert u[i] == pytest.approx(0.5, abs=1e-12)
