@@ -9,6 +9,8 @@ values are stored in the reporting units of the active FOM configuration
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
@@ -79,7 +81,12 @@ class Parameter:
 
 @dataclass(frozen=True)
 class DesignSpace:
-    """An ordered list of parameters defining the searchable box."""
+    """An ordered list of parameters defining the searchable box.
+
+    The per-parameter tables that run code reads on every proposal (names,
+    the case-insensitive name map, the unit-cube map) are built once per
+    space and kept with it.
+    """
 
     parameters: tuple[Parameter, ...]
 
@@ -94,9 +101,31 @@ class DesignSpace:
     def dimension(self) -> int:
         return len(self.parameters)
 
-    @property
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)
+
+    @functools.cached_property
+    def lower_names(self) -> dict[str, str]:
+        """Lower-cased parameter name -> parameter name."""
+        return {p.name.lower(): p.name for p in self.parameters}
+
+    @functools.cached_property
+    def unit_map(self) -> tuple[tuple[float, float, float, float, bool], ...]:
+        """One ``(lower, upper, origin, span, is_log)`` row per parameter.
+
+        A coordinate t in [0, 1] maps to ``origin + t * span``, exponentiated
+        for a logarithmic parameter: ``origin`` is ``log(lower)`` or ``lower``
+        and ``span`` is ``log(upper) - log(lower)`` or ``upper - lower``.
+        """
+        rows = []
+        for p in self.parameters:
+            if p.scale is Scale.LOG:
+                origin = math.log(p.lower)
+                rows.append((p.lower, p.upper, origin, math.log(p.upper) - origin, True))
+            else:
+                rows.append((p.lower, p.upper, p.lower, p.upper - p.lower, False))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -233,7 +233,13 @@ _UNIT_FACTORS = {
     "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9,
 }
 
-_LINE_RE = re.compile(r"^\s*[-*]?\s*([A-Za-z_][A-Za-z0-9_]*)\s*[=:]\s*(.+?)\s*$")
+# The value group runs from the first to the last non-space character, or is
+# the last space character (other than "\n") when the value is all space: the
+# groups of ``(.+?)\s*$``, without a lazy group that retries ``\s*$`` at every
+# character of the value.
+_LINE_RE = re.compile(
+    r"^\s*[-*]?\s*([A-Za-z_][A-Za-z0-9_]*)\s*[=:]\s*(.*\S|[^\S\n])\s*$"
+)
 _VALUE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(\S*)$")
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 
@@ -257,16 +263,18 @@ def parse_response(text: str, space: DesignSpace) -> DesignPoint:
     """Extract one named value per parameter from the instructed block.
 
     Accepts common unit suffixes (nm, um, kohm, pF, MHz, ...) normalized to
-    SI. Succeeds only if every parameter is present, numeric, and inside its
-    range; the raised error names the offending parameter so the retry
-    message can cite it.
+    SI; a bare number is read in SI base units as it is. Parameter names
+    match case-insensitively, through the space's cached name map. Succeeds
+    only if every parameter is present, numeric, and inside its range; the
+    raised error names the offending parameter so the retry message can cite
+    it.
     """
     return _parse_block(parse_blocks(text)[-1], space)
 
 
 def _parse_block(block: str, space: DesignSpace) -> DesignPoint:
     by_name: dict[str, str] = {}
-    wanted = {p.name.lower(): p.name for p in space.parameters}
+    wanted = space.lower_names
     for line in block.splitlines():
         m = _LINE_RE.match(line)
         if not m:
@@ -282,7 +290,8 @@ def _parse_block(block: str, space: DesignSpace) -> DesignPoint:
         vm = _VALUE_RE.match(raw)
         if not vm:
             raise NotNumeric(p.name, raw)
-        unit = _normalize_unit(vm.group(2))
+        suffix = vm.group(2)
+        unit = _normalize_unit(suffix) if suffix else ""
         if unit not in _UNIT_FACTORS:
             raise NotNumeric(p.name, raw)
         value = float(vm.group(1)) * _UNIT_FACTORS[unit]

@@ -13,15 +13,18 @@ Recomputing the FOM from any logged metric vector reproduces the logged FOM
 exactly; the report command verifies this replay invariant. Both ends stream:
 ``RunLog.write`` encodes one line at a time, and ``report`` parses and
 replay-checks each line as it reads it. Transcripts share repeated prompts, so
-the in-memory log holds one string per distinct prompt.
+the in-memory log holds one string per distinct prompt, and the writer
+JSON-escapes each repeated prompt once while it stays among the recent strings.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import c_encode_basestring_ascii, c_make_encoder
 
 import numpy as np
 
@@ -60,8 +63,32 @@ class ReportError(ValueError):
 # json.dumps(line, sort_keys=True), without building an encoder per line
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 
+if c_make_encoder is None or c_encode_basestring_ascii is None:
+    raise ImportError("json has no C encoder: the _json extension is missing")
+# Iteration lines carry the same prompt text thousands of times per run. Their
+# encoder escapes strings through a small memo, so a repeated prompt is escaped
+# once while it is among the 16 most recent strings. Other lines keep the plain
+# encoder: for them the memo call per key costs more than it saves. No markers
+# dict: run lines are never circular, and one shared dict would keep the ids
+# of a failed call.
+_escape_recent = functools.lru_cache(maxsize=16)(c_encode_basestring_ascii)
+_ITERATION_ENCODER = c_make_encoder(
+    markers=None,
+    default=_LINE_ENCODER.default,
+    encoder=_escape_recent,
+    indent=None,
+    key_separator=_LINE_ENCODER.key_separator,
+    item_separator=_LINE_ENCODER.item_separator,
+    sort_keys=_LINE_ENCODER.sort_keys,
+    skipkeys=_LINE_ENCODER.skipkeys,
+    allow_nan=_LINE_ENCODER.allow_nan,
+)
+
 
 def _encode_line(line: dict) -> str:
+    """``json.dumps(line, sort_keys=True)`` plus a newline."""
+    if line.get("type") == "iteration":
+        return "".join(_ITERATION_ENCODER(line, 0)) + "\n"
     return _LINE_ENCODER.encode(line) + "\n"
 
 
@@ -277,11 +304,12 @@ def run(config: RunConfig) -> RunLog:
     return RunLog(lines=lines, dataset=dataset)
 
 
-def _scan_log(path: str) -> tuple[str, list[str], dict, list[tuple[int, float]]]:
+def _scan_log(path: str) -> tuple[str, list[str], float, list[tuple[int, float]]]:
     """One pass over a run log: parse and replay-check each line as it is read.
 
-    Returns the preset, the method and protocol cells of the report table, the
-    last line, and ``(index, fom)`` of every eval line.
+    Returns the preset, the log's report row (method, protocol, best metrics,
+    FOM and missed specs, as text), its best FOM, and ``(index, fom)`` of
+    every eval line.
     """
     preset = last = fom_config = None
     evals: list[tuple[int, float]] = []
@@ -315,7 +343,7 @@ def _scan_log(path: str) -> tuple[str, list[str], dict, list[tuple[int, float]]]
                             f"match recomputed {recomputed!r}"
                         )
                     evals.append((entry["index"], entry["fom"]))
-                last = entry
+                last, last_lineno = entry, lineno
     except OSError as exc:
         raise ReportError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -335,7 +363,23 @@ def _scan_log(path: str) -> tuple[str, list[str], dict, list[tuple[int, float]]]
         raise ReportError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
     if preset is None:
         raise ReportError(f"{path}:1: first line must be the header")
-    return preset, lead, last, evals
+    if last.get("type") != "summary":
+        raise ReportError(f"{path}: missing summary line (incomplete run?)")
+    # The summary is read once, here, so that every field the table prints is
+    # checked with the line it came from.
+    try:
+        row = list(lead)
+        for metric in fom_config.metrics:
+            value = last["best_metrics"][metric.name]
+            mark = "" if hits_spec(value, metric) else " ✗"
+            row.append(f"{value:.4g}{mark}")
+        best_fom = last["best_fom"]
+        row += [f"{best_fom:.4g}", str(last["missed_specs"])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReportError(
+            f"{path}:{last_lineno}: malformed line ({type(exc).__name__}: {exc})"
+        ) from exc
+    return preset, row, best_fom, evals
 
 
 def report(log_paths: list[str], curves: bool = False) -> str:
@@ -347,33 +391,23 @@ def report(log_paths: list[str], curves: bool = False) -> str:
     loaded = [(path, *_scan_log(path)) for path in log_paths]
 
     by_preset: dict[str, list] = {}
-    for path, preset, lead, summary, _ in loaded:
-        if summary.get("type") != "summary":
-            raise ReportError(f"{path}: missing summary line (incomplete run?)")
-        by_preset.setdefault(preset, []).append((lead, summary))
+    for _, preset, row, best_fom, _ in loaded:
+        by_preset.setdefault(preset, []).append((row, best_fom))
 
     out: list[str] = []
     for preset, rows in by_preset.items():
         fom_config = FOM_PRESETS[preset]
-        best_fom = max(summary["best_fom"] for _, summary in rows)
+        top = max(best_fom for _, best_fom in rows)
         header_cells = (
             ["method", "protocol"]
             + [m.name for m in fom_config.metrics]
             + ["fom", "missed"]
         )
         table = [header_cells]
-        for lead, summary in rows:
-            cells = list(lead)
-            for metric in fom_config.metrics:
-                value = summary["best_metrics"][metric.name]
-                mark = "" if hits_spec(value, metric) else " ✗"
-                cells.append(f"{value:.4g}{mark}")
-            fom_text = f"{summary['best_fom']:.4g}"
-            if summary["best_fom"] == best_fom and len(rows) > 1:
-                fom_text = f"**{fom_text}**"
-            cells.append(fom_text)
-            cells.append(str(summary["missed_specs"]))
-            table.append(cells)
+        for row, best_fom in rows:
+            if best_fom == top and len(rows) > 1:
+                row = row[:-2] + [f"**{row[-2]}**", row[-1]]
+            table.append(row)
         widths = [max(len(row[i]) for row in table) for i in range(len(header_cells))]
         out.append(f"# preset: {preset}")
         for row in table:

@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .core import DesignPoint, DesignSpace, RangeError, Scale
+from .core import DesignPoint, DesignSpace, RangeError
 
 LENGTHSCALE_BOUNDS = (1e-3, 1e3)
 SIGNAL_BOUNDS = (1e-9, 1e6)
@@ -228,36 +228,34 @@ def to_unit_cube(space: DesignSpace, point: DesignPoint) -> np.ndarray:
         raise ValueError(
             f"point has {len(point)} values, space has dimension {space.dimension}"
         )
-    out = np.empty(space.dimension)
-    for i, (p, v) in enumerate(zip(space.parameters, point.values)):
-        if not p.lower <= v <= p.upper:
+    out = []
+    for i, ((lower, upper, origin, span, is_log), v) in enumerate(
+        zip(space.unit_map, point.values)
+    ):
+        if not lower <= v <= upper:
             raise RangeError(
-                f"{p.name} = {v!r} outside range [{p.lower!r}, {p.upper!r}]"
+                f"{space.names[i]} = {v!r} outside range [{lower!r}, {upper!r}]"
             )
-        if p.scale is Scale.LOG:
-            out[i] = (math.log(v) - math.log(p.lower)) / (
-                math.log(p.upper) - math.log(p.lower)
-            )
-        else:
-            out[i] = (v - p.lower) / (p.upper - p.lower)
-    return out
+        out.append(((math.log(v) if is_log else v) - origin) / span)
+    return np.array(out)
 
 
 def from_unit_cube(space: DesignSpace, u: np.ndarray) -> DesignPoint:
-    """Inverse of :func:`to_unit_cube`; coordinates are clipped to [0, 1]."""
-    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    """Inverse of :func:`to_unit_cube`; coordinates are clipped to [0, 1].
+
+    Clips and maps each coordinate as a Python float, through the space's
+    cached unit map.
+    """
+    u = np.asarray(u, dtype=float)
     if u.shape != (space.dimension,):
         raise ValueError(f"expected shape ({space.dimension},), got {u.shape}")
     values = []
-    for p, t in zip(space.parameters, u):
-        if p.scale is Scale.LOG:
-            v = math.exp(
-                math.log(p.lower) + t * (math.log(p.upper) - math.log(p.lower))
-            )
-        else:
-            v = p.lower + t * (p.upper - p.lower)
+    for (lower, upper, origin, span, is_log), t in zip(space.unit_map, u.tolist()):
+        v = origin + min(max(t, 0.0), 1.0) * span
+        if is_log:
+            v = math.exp(v)
         # exp/log round-off can land an ulp outside the box at the endpoints
-        values.append(min(max(v, p.lower), p.upper))
+        values.append(min(max(v, lower), upper))
     return DesignPoint(tuple(values))
 
 

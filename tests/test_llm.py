@@ -4,7 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from analogopt import llm
 from analogopt.config import RunConfig, build_model, build_task_card
 from analogopt.core import DesignPoint, design_space_contains
 from analogopt.evaluator import evaluate
@@ -140,6 +143,51 @@ def test_parse_not_numeric(amp2):
         parse_response(
             GOOD_BLOCK.replace("cc = 3 pF", "cc = 3 lightyears"), model.space
         )
+
+
+# The lazy pattern _LINE_RE replaced, kept as the reference.
+_LAZY_LINE_RE = re.compile(r"^\s*[-*]?\s*([A-Za-z_][A-Za-z0-9_]*)\s*[=:]\s*(.+?)\s*$")
+# Every character str.splitlines breaks on, and other space characters.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_SPACE = st.text(" \t\xa0" + _BREAKS, max_size=3)
+_LINES = st.one_of(
+    st.builds(
+        "".join,
+        st.tuples(
+            _SPACE,
+            st.sampled_from(["", "-", "*", "- ", "* "]),
+            st.one_of(st.sampled_from(["w1", "L1", "rz", "x_2", "cc"]),
+                      st.text("aZ_9", max_size=4)),
+            _SPACE,
+            st.sampled_from(["=", ":", "", "=="]),
+            _SPACE,
+            st.text("0123456789.e-+ umkΩµ,;:=*" + _BREAKS + "\t\xa0", max_size=10),
+            st.sampled_from(["", ".", ",", ";", " .,;", "  "]),
+            _SPACE,
+        ),
+    ),
+    st.text("x1=: -*.,;5u" + _BREAKS, max_size=12),
+)
+
+
+def _with_edge_examples(test):
+    """Every space or break character as the whole value, alone or after a
+    space, and inside or after a value."""
+    for c in " \t\xa0" + _BREAKS:
+        for line in (f"w1 ={c}", f"w1 = {c}", f"- w1:{c} ", f"w1 = 5{c}",
+                     f"* w1: 5{c}um.,;", f"w1 = {c}5 um;{c}"):
+            test = example(line=line)(test)
+    return test
+
+
+@_with_edge_examples
+@settings(max_examples=500, deadline=None)
+@given(line=_LINES)
+def test_line_pattern_matches_the_lazy_pattern(line):
+    old, new = _LAZY_LINE_RE.match(line), llm._LINE_RE.match(line)
+    assert (new is None) == (old is None)
+    if old is not None:
+        assert new.groups() == old.groups()
 
 
 def test_format_si_round_trip():

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from analogopt import orchestrator
 from analogopt.acquisition import AcquisitionConfig
 from analogopt.cli import main
 from analogopt.config import RunConfig, load_run_config
@@ -314,6 +315,59 @@ def test_write_matches_text_byte_for_byte(tmp_path):
     assert path.read_bytes() == log.text().encode("utf-8")
 
 
+def _assert_lines_encode_as_json_dumps(lines):
+    for line in lines:
+        assert orchestrator._encode_line(line) == json.dumps(line, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("method, queries, init", [
+    ("ado_llm", (1, 4), "llm_zero_shot"),
+    ("gp_bo", (0, 5), "uniform_random"),
+    ("llm_only", (1, 0), "llm_zero_shot"),
+])
+def test_encode_line_is_json_dumps_on_every_line_of_each_method(method, queries, init):
+    config = fast_config(
+        method=method, llm_queries_per_step=queries[0],
+        gp_queries_per_step=queries[1], init_strategy=init, n_iter=2,
+    )
+    _assert_lines_encode_as_json_dumps(run(config).lines)
+
+
+def test_encode_line_is_json_dumps_past_the_escape_memo(tmp_path):
+    """Non-ASCII, astral, quoted, escaped and tabbed replies, more distinct
+    strings than the escape memo holds, and corrective retries."""
+    replies = [
+        f'Design {i} — "µ, Ω, é" \\ 𝜇\t\n```\nx1 = {i % 8 - 4} µm\nx2 = 3\n```'
+        for i in range(12)
+    ] + ['x1 = 2.5 kΩ \\ "é"\nx2 = 3\t\U0001F600']  # out of range: a retry
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(replies), encoding="utf-8")
+    config = fast_config(
+        method="llm_only", llm_queries_per_step=1, gp_queries_per_step=0,
+        init_strategy="uniform_random", mock=str(script), n_iter=20,
+    )
+    lines = run(config).lines
+    distinct = {
+        m["content"] for line in lines if line["type"] == "iteration"
+        for t in line["llm_transcripts"] for m in t
+    }
+    assert len(distinct) > orchestrator._escape_recent.cache_info().maxsize
+    _assert_lines_encode_as_json_dumps(lines)
+
+
+def test_encode_line_is_json_dumps_on_none_and_non_finite_values():
+    inf, nan = float("inf"), float("nan")
+    _assert_lines_encode_as_json_dumps([
+        {"type": "iteration", "iteration": 3, "acquisition_value": None,
+         "acquisition_error": "prefix factor failed: \"µ\"",
+         "gp": {"lengthscales": [inf, -inf, nan, -0.0, 5e-324],
+                "log_marginal": nan, "noise_variance": 1e-6,
+                "signal_variance": 1.0}},
+        {"type": "eval", "index": 0, "fom": -inf, "metrics": {"gain": nan},
+         "point": [inf, 0.1], "regions": {}, "simulation_ok": False},
+    ])
+
+
 def test_report_single_and_replay(tmp_path):
     path, log = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=2))
     text = report([path])
@@ -414,6 +468,15 @@ def _without(line, key):
     # "\udcff" is written as the lone byte 0xff, which is not UTF-8
     (lambda lines: lines[:3] + [lines[3] + "\udcff"] + lines[4:],
      ":4: not UTF-8: invalid start byte"),
+    # the summary is line 14 of a 5 + 5x1 run
+    (lambda lines: lines[:-1] + [_without(lines[-1], "best_metrics")],
+     ":14: malformed line (KeyError: 'best_metrics')"),
+    (lambda lines: lines[:-1] + [_without(lines[-1], "best_fom")],
+     ":14: malformed line (KeyError: 'best_fom')"),
+    (lambda lines: lines[:-1] + [_without(lines[-1], "missed_specs")],
+     ":14: malformed line (KeyError: 'missed_specs')"),
+    (lambda lines: lines[:-1] + [lines[-1].replace('"objective"', '"objectiv"')],
+     ":14: malformed line (KeyError: 'objective')"),
 ])
 def test_report_rejects_malformed_logs(tmp_path, edit, message):
     path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=1))

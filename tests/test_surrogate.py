@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 import scipy
@@ -15,8 +17,9 @@ from scipy.stats import multivariate_normal
 
 from analogopt import acquisition, surrogate
 from analogopt.acquisition import AcquisitionConfig, propose_batch
-from analogopt.core import DesignPoint, DesignSpace, Parameter, RangeError
+from analogopt.core import DesignPoint, DesignSpace, Parameter, RangeError, Scale
 from analogopt.evaluator import circuit_model
+from analogopt.fom import FOM_PRESETS
 from analogopt.surrogate import (
     JITTER_START,
     GpFitConfig,
@@ -89,6 +92,52 @@ def test_unit_cube_rejects_outside():
     values[0] = 60e-9
     with pytest.raises(RangeError):
         to_unit_cube(space, DesignPoint(tuple(values)))
+
+
+def _reference_to_unit_cube(space, point):
+    """The per-parameter formulas on numpy scalars, kept as the reference."""
+    out = np.empty(space.dimension)
+    for i, (p, v) in enumerate(zip(space.parameters, point.values)):
+        if p.scale is Scale.LOG:
+            out[i] = (math.log(v) - math.log(p.lower)) / (
+                math.log(p.upper) - math.log(p.lower)
+            )
+        else:
+            out[i] = (v - p.lower) / (p.upper - p.lower)
+    return out
+
+
+def _reference_from_unit_cube(space, u):
+    values = []
+    for p, t in zip(space.parameters, np.clip(np.asarray(u, dtype=float), 0.0, 1.0)):
+        if p.scale is Scale.LOG:
+            v = math.exp(
+                math.log(p.lower) + t * (math.log(p.upper) - math.log(p.lower))
+            )
+        else:
+            v = p.lower + t * (p.upper - p.lower)
+        values.append(float(min(max(v, p.lower), p.upper)))
+    return values
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(preset=st.sampled_from(sorted(FOM_PRESETS)), data=st.data())
+def test_unit_cube_maps_keep_the_reference_bits(preset, data):
+    space = circuit_model(preset).space
+    u = data.draw(st.lists(
+        st.one_of(st.floats(-0.25, 1.25), st.sampled_from([0.0, -0.0, 1.0])),
+        min_size=space.dimension, max_size=space.dimension,
+    ))
+    expected = _reference_from_unit_cube(space, u)
+    point = from_unit_cube(space, np.array(u))
+    assert _bits(point.values) == _bits(expected)
+    assert _bits(to_unit_cube(space, point)) == _bits(
+        _reference_to_unit_cube(space, point)
+    )
 
 
 # ------------------------------------------------------------------ kernel
