@@ -135,7 +135,7 @@ class DesignPoint:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
 
     def __len__(self) -> int:
         return len(self.values)

@@ -8,23 +8,22 @@ iteration. All randomness derives from one master seed fanned out into fixed
 per-component streams, so a rerun with the same configuration reproduces the
 run log byte for byte (with a scripted or seeded mock client).
 
-Run logs are JSONL: one header line, then eval / iteration / summary lines.
+Run logs are JSONL: one header line, then eval / prompt / iteration / summary lines.
 Recomputing the FOM from any logged metric vector reproduces the logged FOM
 exactly; the report command verifies this replay invariant. Both ends stream:
 ``RunLog.write`` encodes one line at a time, and ``report`` parses and
-replay-checks each line as it reads it. Transcripts share repeated prompts, so
-the in-memory log holds one string per distinct prompt, and the writer
-JSON-escapes each repeated prompt once while it stays among the recent strings.
+replay-checks each line as it reads it. The writer keeps a per-run prompt table:
+each distinct prompt is written once, as a ``prompt`` line, and a transcript on
+disk names it by id; the in-memory lines keep full transcripts.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from json.encoder import c_encode_basestring_ascii, c_make_encoder
+from typing import Iterator
 
 import numpy as np
 
@@ -63,33 +62,31 @@ class ReportError(ValueError):
 # json.dumps(line, sort_keys=True), without building an encoder per line
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 
-if c_make_encoder is None or c_encode_basestring_ascii is None:
-    raise ImportError("json has no C encoder: the _json extension is missing")
-# Iteration lines carry the same prompt text thousands of times per run. Their
-# encoder escapes strings through a small memo, so a repeated prompt is escaped
-# once while it is among the 16 most recent strings. Other lines keep the plain
-# encoder: for them the memo call per key costs more than it saves. No markers
-# dict: run lines are never circular, and one shared dict would keep the ids
-# of a failed call.
-_escape_recent = functools.lru_cache(maxsize=16)(c_encode_basestring_ascii)
-_ITERATION_ENCODER = c_make_encoder(
-    markers=None,
-    default=_LINE_ENCODER.default,
-    encoder=_escape_recent,
-    indent=None,
-    key_separator=_LINE_ENCODER.key_separator,
-    item_separator=_LINE_ENCODER.item_separator,
-    sort_keys=_LINE_ENCODER.sort_keys,
-    skipkeys=_LINE_ENCODER.skipkeys,
-    allow_nan=_LINE_ENCODER.allow_nan,
-)
-
 
 def _encode_line(line: dict) -> str:
     """``json.dumps(line, sort_keys=True)`` plus a newline."""
-    if line.get("type") == "iteration":
-        return "".join(_ITERATION_ENCODER(line, 0)) + "\n"
     return _LINE_ENCODER.encode(line) + "\n"
+
+
+def _log_text(lines: list[dict]) -> Iterator[str]:
+    """The encoded lines, with each distinct prompt (a transcript's messages
+    before its first assistant reply) written once, as a ``prompt`` line just
+    before the first iteration line that uses it; ids count up from 0."""
+    prompt_ids: dict[tuple, int] = {}
+    for line in lines:
+        if "llm_transcripts" in line:
+            entries = []
+            for transcript in line["llm_transcripts"]:
+                cut = [m["role"] for m in transcript].index("assistant")
+                key = tuple((m["role"], m["content"]) for m in transcript[:cut])
+                if key not in prompt_ids:
+                    prompt_ids[key] = len(prompt_ids)
+                    yield _encode_line({"type": "prompt", "id": prompt_ids[key],
+                                        "messages": transcript[:cut]})
+                entries.append({"prompt": prompt_ids[key],
+                                "messages": transcript[cut:]})
+            line = {**line, "llm_transcripts": entries}
+        yield _encode_line(line)
 
 
 @dataclass
@@ -98,11 +95,11 @@ class RunLog:
     dataset: Dataset
 
     def text(self) -> str:
-        return "".join(map(_encode_line, self.lines))
+        return "".join(_log_text(self.lines))
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(map(_encode_line, self.lines))
+            handle.writelines(_log_text(self.lines))
 
     @property
     def summary(self) -> dict:
@@ -145,7 +142,7 @@ def _eval_line(index: int, record) -> dict:
         "index": index,
         "iteration": record.iteration,
         "source": record.source.value,
-        "point": [float(v) for v in record.point.values],
+        "point": list(record.point.values),
         "metrics": {k: float(v) for k, v in record.metrics.items()},
         "regions": {k: v.value for k, v in record.regions.items()},
         "simulation_ok": record.simulation_ok,
@@ -313,6 +310,7 @@ def _scan_log(path: str) -> tuple[str, list[str], float, list[tuple[int, float]]
     """
     preset = last = fom_config = None
     evals: list[tuple[int, float]] = []
+    n_prompts = 0
     try:
         with open(path, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, 1):
@@ -335,7 +333,7 @@ def _scan_log(path: str) -> tuple[str, list[str], float, list[tuple[int, float]]
                     )
                     protocol = f"{config['n_init']}+{batch}x{config['n_iter']}"
                     lead = [entry["method"], protocol]
-                elif entry.get("type") == "eval":
+                elif (kind := entry.get("type")) == "eval":
                     recomputed = compute_fom(entry["metrics"], fom_config)
                     if recomputed != entry["fom"]:
                         raise ReportError(
@@ -343,6 +341,17 @@ def _scan_log(path: str) -> tuple[str, list[str], float, list[tuple[int, float]]
                             f"match recomputed {recomputed!r}"
                         )
                     evals.append((entry["index"], entry["fom"]))
+                elif kind == "prompt":
+                    if entry["id"] != n_prompts:
+                        raise ReportError(f"{path}:{lineno}: prompt id {entry['id']!r}"
+                                          f" out of order, expected {n_prompts}")
+                    n_prompts += 1
+                elif kind == "iteration":
+                    # a list of messages is a transcript from before prompt lines
+                    for t in entry.get("llm_transcripts", ()):
+                        if isinstance(t, dict) and not 0 <= t["prompt"] < n_prompts:
+                            raise ReportError(f"{path}:{lineno}: transcript names "
+                                              f"undefined prompt {t['prompt']!r}")
                 last, last_lineno = entry, lineno
     except OSError as exc:
         raise ReportError(f"{path}: {exc}") from exc

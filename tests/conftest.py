@@ -1,3 +1,4 @@
+import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -113,6 +114,63 @@ def stub_server():
 
 
 def chat_body(content):
-    import json
-
     return json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]})
+
+
+def expand(path):
+    """A written run log's lines with every transcript's prompt put back in
+    front of its messages and the prompt lines left out; asserts that prompt
+    ids count up from 0."""
+    prompts, lines = [], []
+    with open(path, encoding="utf-8") as handle:
+        for text in handle:
+            line = json.loads(text)
+            if line["type"] == "prompt":
+                assert line["id"] == len(prompts)
+                prompts.append(line["messages"])
+                continue
+            if "llm_transcripts" in line:
+                line["llm_transcripts"] = [
+                    prompts[entry["prompt"]] + entry["messages"]
+                    for entry in line["llm_transcripts"]
+                ]
+            lines.append(line)
+    return lines
+
+
+def expanded_text(path):
+    """A written run log as logs were written before prompt lines: expanded,
+    each line encoded as ``json.dumps(line, sort_keys=True)``."""
+    return "".join(json.dumps(line, sort_keys=True) + "\n" for line in expand(path))
+
+
+def _amp2_reply(w1="2.5 um", cc="3 pF", rz="4.7 kohm", drop=None):
+    lines = [
+        f"w1 = {w1}", "l1 = 500 nm", "w3 = 1 um", "l3 = 0.2 um", "w5 = 3 um",
+        "l5 = 0.3 um", "w6 = 10 um", "l6 = 200 nm", "w7 = 5 um", "l7 = 0.5 um",
+        "wb = 1 um", "lb = 0.4 um", f"rz = {rz}", f"cc = {cc}",
+    ]
+    body = "\n".join(line for line in lines if not line.startswith(f"{drop} "))
+    return f"```\n{body}\n```"
+
+
+# Cycled by the scripted client in an amp2 ado_llm run of 5 + 5x4: 8 replies
+# fill the five initial points, the first iteration's proposal exhausts its
+# three attempts, and the cycle then restarts inside the later iterations'
+# proposals.
+RETRY_SCRIPT = [
+    # two blocks and junk: the first block parses, the second does not
+    "Here is a first candidate.\n" + _amp2_reply()
+    + "\nand a second one:\n```\nTODO: pick sizes\n```\nThat is all.",
+    _amp2_reply(w1="4 um", drop="cc"),  # missing parameter
+    _amp2_reply(w1="6 um", cc="2.2 pF"),
+    _amp2_reply(w1="8 um", rz="large kohm"),  # not numeric
+    _amp2_reply(w1="8 um", cc="1.5 pF"),
+    _amp2_reply(w1="60 nm"),  # out of range
+    _amp2_reply(w1="12 um", cc="4 pF"),
+    _amp2_reply(w1="1.5 um", cc="0.8 pF"),
+    "I cannot help with that.",
+    _amp2_reply(w1="many um"),
+    _amp2_reply(cc="1 nF"),
+    _amp2_reply(w1="20 um", cc="5 pF", rz="800 ohm"),
+]

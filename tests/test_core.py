@@ -33,6 +33,18 @@ def test_design_space_unique_names():
         DesignSpace((Parameter("x", 0, 1), Parameter("x", 0, 1)))
 
 
+@pytest.mark.parametrize("values", [
+    (1, -2, 0, 3),
+    tuple(np.array([1.5, -0.0, 1e-300, 2.5e-6])),  # np.float64 elements
+    np.array([7, 8]),  # np.int64 elements
+])
+def test_design_point_holds_python_floats(values):
+    point = DesignPoint(values)
+    assert type(point.values) is tuple
+    assert all(type(v) is float for v in point.values)
+    assert [str(v) for v in point.values] == [str(float(v)) for v in values]
+
+
 def test_contains_boundary_inclusive():
     space = circuit_model("amp2").space
     assert space.dimension == 14

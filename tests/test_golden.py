@@ -5,6 +5,12 @@ unchanged. A change that moves the numbers on purpose regenerates them and
 says so in CHANGES.md. The hashes were recorded with numpy 2.4 / scipy 1.17
 on scipy-openblas 0.3.31 (x86-64), and are the same at 1, 2 and 4 BLAS
 threads; another BLAS or libm may round differently.
+
+Each run has two hashes. The first is of its expanded text: every
+transcript's prompt put back in place and each line re-encoded as
+``json.dumps(line, sort_keys=True)``, which is how logs were written before
+prompt lines. The second is of the log as written, with its prompt lines. A
+run without LLM queries has no prompt lines, so its two hashes are equal.
 """
 
 import hashlib
@@ -17,6 +23,8 @@ from analogopt.config import RunConfig
 from analogopt.orchestrator import run
 from analogopt.surrogate import GpFitConfig
 
+from conftest import RETRY_SCRIPT, expanded_text
+
 TINY_ACQ = AcquisitionConfig(mc_samples=64, restarts=2, raw_candidates=32, maxiter=5)
 TINY_FIT = GpFitConfig(restarts=2, maxiter=20)
 
@@ -25,10 +33,12 @@ GOLDEN = [
         dict(method="ado_llm", preset="amp2", n_iter=4,
              llm_queries_per_step=1, gp_queries_per_step=4),
         "436d0e9326a2f3655609c8dbaf43bf2a27ff7e418f5ffec1ccfbf6f8f11eb262",
+        "f3b30e9fa9c32e0e1c0b7b81170f5ac8ca9111ccacdb698c3141186f97fd1f68",
     ),
     (
         dict(method="gp_bo", preset="branin", n_iter=4, llm_queries_per_step=0,
              gp_queries_per_step=5, init_strategy="uniform_random"),
+        "5b27a45a00a383ecadf3f65fe174592ef82272d51bfbd64d6adbf49598c81e46",
         "5b27a45a00a383ecadf3f65fe174592ef82272d51bfbd64d6adbf49598c81e46",
     ),
     (
@@ -36,51 +46,29 @@ GOLDEN = [
         dict(method="llm_only", preset="amp2", n_iter=60,
              llm_queries_per_step=1, gp_queries_per_step=0),
         "178e41931420da1a6ee1351f501d105ab53ef48426bd99fbf4f4b4e3dd0741a9",
+        "37190bc591a5d8e01ab9c0d01ba69b421d46168d5d4b0fc0e3e9237a2c9ec716",
     ),
 ]
 
 
+def _hashes(log, path):
+    """SHA-256 of the expanded text and of the written bytes of a run log."""
+    log.write(str(path))
+    return tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (expanded_text(path).encode("utf-8"), path.read_bytes())
+    )
+
+
 @pytest.mark.parametrize(
-    "fields, sha256", GOLDEN, ids=[fields["method"] for fields, _ in GOLDEN]
+    "fields, expanded, written", GOLDEN, ids=[fields["method"] for fields, *_ in GOLDEN]
 )
-def test_golden_log_hash(fields, sha256):
+def test_golden_log_hash(tmp_path, fields, expanded, written):
     config = RunConfig(
         **fields, n_init=5, seed=7, mock="random",
         acquisition=TINY_ACQ, gp_fit=TINY_FIT,
     )
-    text = run(config).text()
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
-
-
-def _amp2_reply(w1="2.5 um", cc="3 pF", rz="4.7 kohm", drop=None):
-    lines = [
-        f"w1 = {w1}", "l1 = 500 nm", "w3 = 1 um", "l3 = 0.2 um", "w5 = 3 um",
-        "l5 = 0.3 um", "w6 = 10 um", "l6 = 200 nm", "w7 = 5 um", "l7 = 0.5 um",
-        "wb = 1 um", "lb = 0.4 um", f"rz = {rz}", f"cc = {cc}",
-    ]
-    body = "\n".join(line for line in lines if not line.startswith(f"{drop} "))
-    return f"```\n{body}\n```"
-
-
-# Cycled by the scripted client: 8 replies fill the five initial points, the
-# first iteration's proposal exhausts its three attempts, and the cycle then
-# restarts inside the later iterations' proposals.
-RETRY_SCRIPT = [
-    # two blocks and junk: the first block parses, the second does not
-    "Here is a first candidate.\n" + _amp2_reply()
-    + "\nand a second one:\n```\nTODO: pick sizes\n```\nThat is all.",
-    _amp2_reply(w1="4 um", drop="cc"),  # missing parameter
-    _amp2_reply(w1="6 um", cc="2.2 pF"),
-    _amp2_reply(w1="8 um", rz="large kohm"),  # not numeric
-    _amp2_reply(w1="8 um", cc="1.5 pF"),
-    _amp2_reply(w1="60 nm"),  # out of range
-    _amp2_reply(w1="12 um", cc="4 pF"),
-    _amp2_reply(w1="1.5 um", cc="0.8 pF"),
-    "I cannot help with that.",
-    _amp2_reply(w1="many um"),
-    _amp2_reply(cc="1 nF"),
-    _amp2_reply(w1="20 um", cc="5 pF", rz="800 ohm"),
-]
+    assert _hashes(run(config), tmp_path / "run.jsonl") == (expanded, written)
 
 
 def test_golden_scripted_retry_log_hash(tmp_path, monkeypatch):
@@ -100,6 +88,7 @@ def test_golden_scripted_retry_log_hash(tmp_path, monkeypatch):
     substituted = [line["llm_substituted"] for line in log.lines
                    if line["type"] == "iteration"]
     assert substituted == [1, 0, 0, 0]
-    assert hashlib.sha256(log.text().encode("utf-8")).hexdigest() == (
-        "07338c6ceda5cd982f28350c573f520d51db01647ed44fb28e7bc3de322eb70a"
+    assert _hashes(log, tmp_path / "run.jsonl") == (
+        "07338c6ceda5cd982f28350c573f520d51db01647ed44fb28e7bc3de322eb70a",
+        "07cfb9f278106f92a2150755ab2bb54b3ae3aa9fcce704ced7f7f02b6aa1bd58",
     )

@@ -16,6 +16,8 @@ from analogopt.fom import FOM_PRESETS, compute_fom
 from analogopt.orchestrator import ReportError, report, run
 from analogopt.surrogate import GpFitConfig
 
+from conftest import RETRY_SCRIPT, expand, expanded_text
+
 FAST_ACQ = AcquisitionConfig(
     mc_samples=128, restarts=2, raw_candidates=64, maxiter=10
 )
@@ -333,26 +335,58 @@ def test_encode_line_is_json_dumps_on_every_line_of_each_method(method, queries,
     _assert_lines_encode_as_json_dumps(run(config).lines)
 
 
-def test_encode_line_is_json_dumps_past_the_escape_memo(tmp_path):
-    """Non-ASCII, astral, quoted, escaped and tabbed replies, more distinct
-    strings than the escape memo holds, and corrective retries."""
-    replies = [
-        f'Design {i} — "µ, Ω, é" \\ 𝜇\t\n```\nx1 = {i % 8 - 4} µm\nx2 = 3\n```'
-        for i in range(12)
-    ] + ['x1 = 2.5 kΩ \\ "é"\nx2 = 3\t\U0001F600']  # out of range: a retry
+# Non-ASCII, astral, quoted, escaped and tabbed replies for a branin run; the
+# last is out of range, so it draws a corrective retry.
+NON_ASCII_REPLIES = [
+    f'Design {i} — "µ, Ω, é" \\ 𝜇\t\n```\nx1 = {i % 8 - 4} µm\nx2 = 3\n```'
+    for i in range(12)
+] + ['x1 = 2.5 kΩ \\ "é"\nx2 = 3\t\U0001F600']
+
+
+def _non_ascii_config(tmp_path):
     script = tmp_path / "script.json"
-    script.write_text(json.dumps(replies), encoding="utf-8")
-    config = fast_config(
+    script.write_text(json.dumps(NON_ASCII_REPLIES), encoding="utf-8")
+    return fast_config(
         method="llm_only", llm_queries_per_step=1, gp_queries_per_step=0,
         init_strategy="uniform_random", mock=str(script), n_iter=20,
     )
-    lines = run(config).lines
-    distinct = {
-        m["content"] for line in lines if line["type"] == "iteration"
-        for t in line["llm_transcripts"] for m in t
+
+
+def test_encode_line_is_json_dumps_on_non_ascii_replies_and_retries(tmp_path):
+    _assert_lines_encode_as_json_dumps(run(_non_ascii_config(tmp_path)).lines)
+
+
+def _retry_config(tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(RETRY_SCRIPT), encoding="utf-8")
+    return fast_config(preset="amp2", n_iter=4, seed=7, mock=str(script))
+
+
+@pytest.mark.parametrize("make_config", [
+    lambda tmp_path: fast_config(method="ado_llm", llm_queries_per_step=2,
+                                 gp_queries_per_step=3),
+    lambda tmp_path: fast_config(method="gp_bo", llm_queries_per_step=0,
+                                 gp_queries_per_step=5, init_strategy="uniform_random"),
+    lambda tmp_path: fast_config(method="llm_only", preset="amp2", n_iter=30,
+                                 llm_queries_per_step=1, gp_queries_per_step=0),
+    _retry_config,
+    _non_ascii_config,
+], ids=["ado_llm", "gp_bo", "llm_only", "retries", "non_ascii"])
+def test_written_log_expands_to_the_in_memory_lines(tmp_path, make_config):
+    log = run(make_config(tmp_path))
+    path = tmp_path / "run.jsonl"
+    log.write(str(path))
+    assert expand(path) == [json.loads(json.dumps(line, sort_keys=True))
+                            for line in log.lines]
+    with open(path, encoding="utf-8") as handle:
+        written = [json.loads(line) for line in handle]
+    prompts = [json.dumps(line["messages"], sort_keys=True) for line in written
+               if line["type"] == "prompt"]
+    used = {
+        json.dumps(t[:[m["role"] for m in t].index("assistant")], sort_keys=True)
+        for line in log.lines for t in line.get("llm_transcripts", ())
     }
-    assert len(distinct) > orchestrator._escape_recent.cache_info().maxsize
-    _assert_lines_encode_as_json_dumps(lines)
+    assert sorted(prompts) == sorted(used)  # each distinct prompt written once
 
 
 def test_encode_line_is_json_dumps_on_none_and_non_finite_values():
@@ -453,6 +487,12 @@ def _without(line, key):
     return json.dumps({k: v for k, v in json.loads(line).items() if k != key})
 
 
+def _replace_in(lines, kind, old, new):
+    """``lines`` with ``old`` replaced by ``new`` in the first line of type ``kind``."""
+    at = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == kind)
+    return lines[:at] + [lines[at].replace(old, new, 1)] + lines[at + 1:]
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: lines[1:], ":1: first line must be the header"),
     (lambda lines: [], ":1: first line must be the header"),
@@ -468,24 +508,46 @@ def _without(line, key):
     # "\udcff" is written as the lone byte 0xff, which is not UTF-8
     (lambda lines: lines[:3] + [lines[3] + "\udcff"] + lines[4:],
      ":4: not UTF-8: invalid start byte"),
-    # the summary is line 14 of a 5 + 5x1 run
+    # "{summary}" is the summary's line number: 15 in a 5 + 5x1 run with one
+    # prompt line
     (lambda lines: lines[:-1] + [_without(lines[-1], "best_metrics")],
-     ":14: malformed line (KeyError: 'best_metrics')"),
+     ":{summary}: malformed line (KeyError: 'best_metrics')"),
     (lambda lines: lines[:-1] + [_without(lines[-1], "best_fom")],
-     ":14: malformed line (KeyError: 'best_fom')"),
+     ":{summary}: malformed line (KeyError: 'best_fom')"),
     (lambda lines: lines[:-1] + [_without(lines[-1], "missed_specs")],
-     ":14: malformed line (KeyError: 'missed_specs')"),
+     ":{summary}: malformed line (KeyError: 'missed_specs')"),
     (lambda lines: lines[:-1] + [lines[-1].replace('"objective"', '"objectiv"')],
-     ":14: malformed line (KeyError: 'objective')"),
+     ":{summary}: malformed line (KeyError: 'objective')"),
+    (lambda lines: _replace_in(lines, "iteration", '"prompt": 0', '"prompt": 1'),
+     ":{iteration}: transcript names undefined prompt 1"),
+    (lambda lines: _replace_in(lines, "prompt", '"id": 0', '"id": 1'),
+     ":{prompt}: prompt id 1 out of order, expected 0"),
 ])
 def test_report_rejects_malformed_logs(tmp_path, edit, message):
     path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=1))
     lines = open(path, encoding="utf-8").read().splitlines()
+    first_of = {}
+    for lineno, line in enumerate(lines, 1):
+        first_of.setdefault(json.loads(line)["type"], lineno)
     broken = tmp_path / "broken.jsonl"
     text = "".join(line + "\n" for line in edit(lines))
     broken.write_bytes(text.encode("utf-8", "surrogateescape"))
+    message = message.format(**first_of)
     with pytest.raises(ReportError, match=re.escape(str(broken) + message)):
         report([str(broken)])
+    assert main(["report", str(broken)]) == 2
+
+
+def test_report_reads_logs_written_before_prompt_lines(tmp_path):
+    # such a log holds each transcript in full: the expanded form
+    config = fast_config(n_iter=3, llm_queries_per_step=2, gp_queries_per_step=3)
+    path, _ = _write_log(tmp_path, "compact.jsonl", config)
+    old = tmp_path / "expanded.jsonl"
+    old.write_text(expanded_text(path), encoding="utf-8")
+    assert '"type": "prompt"' in open(path, encoding="utf-8").read()
+    assert report([path], curves=True).replace(path, "LOG") == report(
+        [str(old)], curves=True
+    ).replace(str(old), "LOG")
 
 
 def test_report_memory_is_bounded_by_a_line_not_the_log(tmp_path):
