@@ -321,7 +321,14 @@ def classify_regions(
     a stack whose summed overdrives exceed vdd - v_headroom; saturation
     otherwise.
     """
-    crowded = {d for stack in _crowded_stacks(model, overdrives) for d in stack.members}
+    return _regions(model, overdrives, _crowded_stacks(model, overdrives))
+
+
+def _regions(
+    model: CircuitModel, overdrives: dict[str, float], crowded_stacks: list[Stack]
+) -> dict[str, Region]:
+    """``classify_regions`` given the model's crowded stacks."""
+    crowded = {d for stack in crowded_stacks for d in stack.members}
     report = {}
     for device in model.devices:
         vov = overdrives[device]
@@ -356,14 +363,14 @@ def evaluate(
         raise RangeError(f"point outside the {model.name} design space")
     try:
         metrics, overdrives, ok = model.solve(model, point)
-        headroom_ok = not any(
-            stack.gain_path for stack in _crowded_stacks(model, overdrives)
-        )
+        crowded = _crowded_stacks(model, overdrives)
+        headroom_ok = not any(stack.gain_path for stack in crowded)
         ok = ok and headroom_ok and all(math.isfinite(m) for m in metrics.values())
     except (ValueError, ZeroDivisionError, OverflowError):
         metrics, ok = {}, False
         overdrives = {d: 0.0 for d in model.devices}
-    regions = classify_regions(model, overdrives)
+        crowded = _crowded_stacks(model, overdrives)
+    regions = _regions(model, overdrives, crowded)
     if not ok:
         metrics = failed_metrics(model.fom)
     return EvalRecord(

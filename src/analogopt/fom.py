@@ -14,6 +14,7 @@ so failing (negative) terms pass through unclipped.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -86,6 +87,17 @@ class FomConfig:
                 return m
         raise KeyError(name)
 
+    @functools.cached_property
+    def terms(self) -> tuple[tuple, ...]:
+        """One row of plain values per metric, read by ``compute_fom`` and
+        ``count_missed_specs``: (name, magnitude, at_least, spec, failed,
+        norm_min, norm_max - norm_min, bound, plus)."""
+        return tuple(
+            (m.name, m.magnitude, m.direction is Direction.AT_LEAST, m.spec, m.failed,
+             m.norm_min, m.norm_max - m.norm_min, m.bound, m.sign is Sign.PLUS)
+            for m in self.metrics
+        )
+
 
 def hits_spec(value: float, spec: MetricSpec) -> bool:
     """Inclusive spec check; magnitude metrics compare ``abs(value)``."""
@@ -111,23 +123,37 @@ def bound_value(value: float, bound: float | None) -> float:
 
 
 def compute_fom(metrics: MetricVector, config: FomConfig) -> float:
-    """Signed sum of bounded, normalized, spec-gated metric terms."""
+    """Signed sum of bounded, normalized, spec-gated metric terms: the float
+    operations of ``hits_spec``, ``normalize_metric`` and ``bound_value``, in
+    their order, over the config's ``terms``."""
     total = 0.0
-    for spec in config.metrics:
-        if spec.name not in metrics:
-            raise StructuralError(f"metric vector is missing {spec.name!r}")
-        term = bound_value(normalize_metric(metrics[spec.name], spec), spec.bound)
-        total += term if spec.sign is Sign.PLUS else -term
+    for name, magnitude, at_least, spec, failed, norm_min, span, bound, plus in (
+        config.terms
+    ):
+        if name not in metrics:
+            raise StructuralError(f"metric vector is missing {name!r}")
+        v = metrics[name]
+        if magnitude:
+            v = abs(v)
+        if not (v >= spec if at_least else v <= spec):
+            v = failed
+        term = (v - norm_min) / span
+        if bound is not None and term > bound:
+            term = bound
+        total += term if plus else -term
     return total
 
 
 def count_missed_specs(metrics: MetricVector, config: FomConfig) -> int:
     """Number of metrics whose specification is not satisfied."""
     missed = 0
-    for spec in config.metrics:
-        if spec.name not in metrics:
-            raise StructuralError(f"metric vector is missing {spec.name!r}")
-        if not hits_spec(metrics[spec.name], spec):
+    for name, magnitude, at_least, spec, *_ in config.terms:
+        if name not in metrics:
+            raise StructuralError(f"metric vector is missing {name!r}")
+        v = metrics[name]
+        if magnitude:
+            v = abs(v)
+        if not (v >= spec if at_least else v <= spec):
             missed += 1
     return missed
 

@@ -35,6 +35,7 @@ from .core import (
     DesignPoint,
     EvalRecord,
     Source,
+    StructuralError,
     dataset_append,
     dataset_best,
 )
@@ -61,6 +62,8 @@ class ReportError(ValueError):
 
 # json.dumps(line, sort_keys=True), without building an encoder per line
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+# json.loads's decoder; report calls its raw_decode once per line
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _encode_line(line: dict) -> str:
@@ -122,9 +125,20 @@ def _preset_checksum(model: CircuitModel) -> str:
     ).hexdigest()
 
 
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as handle:
+        return "sha256:" + hashlib.sha256(handle.read()).hexdigest()
+
+
 def _header_line(config: RunConfig, model: CircuitModel) -> dict:
     echo = dataclasses.asdict(config)
     echo.pop("out", None)  # not experiment-defining; keeps reruns byte-identical
+    # Input files are named by content, not path: the same script under two
+    # paths gives the same log, and an edit in place changes the header.
+    if config.mock not in (None, "random"):
+        echo["mock"] = _file_digest(config.mock)
+    if config.principles_file:
+        echo["principles_file"] = _file_digest(config.principles_file)
     return {
         "type": "header",
         "version": __version__,
@@ -317,7 +331,13 @@ def _scan_log(path: str) -> tuple[str, list[str], float, list[tuple[int, float]]
                 line = line.strip()
                 if not line:
                     continue
-                entry = json.loads(line)
+                try:
+                    entry, end = _raw_decode(line)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(line):
+                    # a leading BOM or trailing data: json.loads's own error
+                    entry = json.loads(line)
                 if preset is None:
                     if entry.get("type") != "header":
                         break
@@ -357,7 +377,7 @@ def _scan_log(path: str) -> tuple[str, list[str], float, list[tuple[int, float]]
         raise ReportError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ReportError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, StructuralError, TypeError) as exc:
         raise ReportError(
             f"{path}:{lineno}: malformed line ({type(exc).__name__}: {exc})"
         ) from exc
@@ -427,9 +447,19 @@ def report(log_paths: list[str], curves: bool = False) -> str:
         for path, _, _, _, evals in loaded:
             out.append(f"# convergence: {path}")
             out.append("index,best_fom")
-            best = -float("inf")
-            for index, fom in evals:
-                best = max(best, fom)
-                out.append(f"{index},{best!r}")
+            out += _curve_lines(evals)
             out.append("")
     return "\n".join(out).rstrip() + "\n"
+
+
+def _curve_lines(evals: list[tuple[int, float]]) -> list[str]:
+    """``index,best`` for each eval, best the running ``max`` of the FOMs."""
+    lines = []
+    best = -float("inf")
+    text = repr(best)
+    for index, fom in evals:
+        if fom > best:  # as max(best, fom): a tie or a NaN keeps best
+            best = fom
+            text = repr(best)
+        lines.append(f"{index},{text}")
+    return lines

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from analogopt.core import ConfigError, DesignPoint, RangeError, Region, StructuralError
+from analogopt import evaluator
 from analogopt.config import PRESETS
 from analogopt.evaluator import (
     ProcessConstants,
@@ -117,6 +118,26 @@ def test_classify_regions_constructed_cases():
     cut["M6"] = -0.05
     report = classify_regions(AMP2, cut)
     assert report["M6"] is Region.CUTOFF
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_evaluate_checks_the_stacks_once_and_classifies_as_classify_regions(
+    name, monkeypatch
+):
+    model = circuit_model(name)
+    rng = np.random.default_rng(5)
+    points = [from_unit_cube(model.space, rng.uniform(size=model.space.dimension))
+              for _ in range(40)]
+    calls = []
+    crowded_stacks = evaluator._crowded_stacks
+    monkeypatch.setattr(evaluator, "_crowded_stacks",
+                        lambda *args: calls.append(1) or crowded_stacks(*args))
+    records = [evaluate(model, point) for point in points]
+    assert len(calls) == len(points)
+    monkeypatch.undo()
+    for point, record in zip(points, records):
+        metrics, overdrives, _ = model.solve(model, point)
+        assert record.regions == classify_regions(model, overdrives)
 
 
 def test_comparator_hysteresis_zero_at_unity_ratio():

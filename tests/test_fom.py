@@ -1,10 +1,16 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from analogopt.core import StructuralError
 from analogopt.fom import (
     AMP2_FOM,
     COMPARATOR_FOM,
+    FOM_PRESETS,
     Direction,
     MetricSpec,
     Sign,
@@ -144,3 +150,97 @@ def test_metric_spec_validation():
     with pytest.raises(ValueError):
         MetricSpec("m", Direction.AT_LEAST, spec=1.0, norm_min=0.0, norm_max=2.0,
                    failed=-1.0, bound=0.0)
+
+
+# The bodies of compute_fom and count_missed_specs before they read the
+# config's precomputed terms: one hits_spec / normalize_metric / bound_value
+# call per metric.
+def reference_compute_fom(metrics, config):
+    total = 0.0
+    for spec in config.metrics:
+        if spec.name not in metrics:
+            raise StructuralError(f"metric vector is missing {spec.name!r}")
+        term = bound_value(normalize_metric(metrics[spec.name], spec), spec.bound)
+        total += term if spec.sign is Sign.PLUS else -term
+    return total
+
+
+def reference_count_missed_specs(metrics, config):
+    missed = 0
+    for spec in config.metrics:
+        if spec.name not in metrics:
+            raise StructuralError(f"metric vector is missing {spec.name!r}")
+        if not hits_spec(metrics[spec.name], spec):
+            missed += 1
+    return missed
+
+
+def _outcome(fn, metrics, config):
+    """A call's result as comparable data: the bits of a float, or the type
+    and message of what it raised."""
+    try:
+        value = fn(metrics, config)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(exc), str(exc))
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return (type(value), value)
+
+
+def _edge_values(spec):
+    """Values on the spec, on the upper bound, at the failure constant, and
+    of every JSON or Python kind a metric vector can carry."""
+    span = spec.norm_max - spec.norm_min
+    values = [spec.spec, -spec.spec, spec.failed, spec.norm_min, spec.norm_max,
+              0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, True, False,
+              0, 1, -1, 60, 10**400, None, "", "1.0", [], {}]
+    if spec.bound is not None:
+        values += [spec.norm_min + spec.bound * span, spec.bound]
+    return values
+
+
+@st.composite
+def metric_vectors(draw, config):
+    vector = {}
+    for spec in config.metrics:
+        if draw(st.integers(0, 15)) == 0:
+            continue  # a missing metric
+        vector[spec.name] = draw(st.one_of(
+            st.sampled_from(_edge_values(spec)),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(-1000, 1000),
+        ))
+    extra = draw(st.dictionaries(
+        st.sampled_from(["extra", "gain", "objective", "GAIN", ""]),
+        st.one_of(st.floats(), st.none()), max_size=2,
+    ))
+    # an extra key may replace a metric's value, as a key the preset lacks
+    # or one that it has
+    return {**vector, **extra} if draw(st.booleans()) else vector
+
+
+@settings(max_examples=500, deadline=None)
+@given(preset=st.sampled_from(sorted(FOM_PRESETS)), data=st.data())
+def test_compiled_terms_keep_the_reference_bits(preset, data):
+    config = FOM_PRESETS[preset]
+    metrics = data.draw(metric_vectors(config))
+    assert _outcome(compute_fom, metrics, config) == _outcome(
+        reference_compute_fom, metrics, config
+    )
+    assert _outcome(count_missed_specs, metrics, config) == _outcome(
+        reference_count_missed_specs, metrics, config
+    )
+
+
+@pytest.mark.parametrize("preset", sorted(FOM_PRESETS))
+def test_compiled_terms_keep_the_reference_bits_on_each_edge_value(preset):
+    config = FOM_PRESETS[preset]
+    for spec in config.metrics:
+        base = {m.name: m.spec for m in config.metrics}
+        for value in _edge_values(spec):
+            metrics = {**base, spec.name: value}
+            for fn, reference in ((compute_fom, reference_compute_fom),
+                                  (count_missed_specs, reference_count_missed_specs)):
+                assert _outcome(fn, metrics, config) == _outcome(
+                    reference, metrics, config
+                ), (spec.name, value)

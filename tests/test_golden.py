@@ -71,14 +71,14 @@ def test_golden_log_hash(tmp_path, fields, expanded, written):
     assert _hashes(run(config), tmp_path / "run.jsonl") == (expanded, written)
 
 
-def test_golden_scripted_retry_log_hash(tmp_path, monkeypatch):
-    # a relative script path keeps the header's config echo independent of
-    # where the test runs
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "script.json").write_text(json.dumps(RETRY_SCRIPT), encoding="utf-8")
+def test_golden_scripted_retry_log_hash(tmp_path):
+    # the header names the script by its SHA-256, so the log does not depend
+    # on where the test runs
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(RETRY_SCRIPT), encoding="utf-8")
     config = RunConfig(
         method="ado_llm", preset="amp2", n_init=5, n_iter=4, seed=7,
-        mock="script.json", acquisition=TINY_ACQ, gp_fit=TINY_FIT,
+        mock=str(script), acquisition=TINY_ACQ, gp_fit=TINY_FIT,
     )
     log = run(config)
     init = next(line for line in log.lines if line["type"] == "init")
@@ -89,6 +89,6 @@ def test_golden_scripted_retry_log_hash(tmp_path, monkeypatch):
                    if line["type"] == "iteration"]
     assert substituted == [1, 0, 0, 0]
     assert _hashes(log, tmp_path / "run.jsonl") == (
-        "07338c6ceda5cd982f28350c573f520d51db01647ed44fb28e7bc3de322eb70a",
-        "07cfb9f278106f92a2150755ab2bb54b3ae3aa9fcce704ced7f7f02b6aa1bd58",
+        "1b49aa46c961c501ad0ceb3c8432c119e63b53cd11eae707995caa154343ad4b",
+        "c39db9f31bb893a1b7f9f9ec370a487b73fabd049f3215679ae37c3bab1c7bd8",
     )

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import re
 import tracemalloc
@@ -6,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from analogopt import orchestrator
 from analogopt.acquisition import AcquisitionConfig
@@ -317,6 +321,46 @@ def test_write_matches_text_byte_for_byte(tmp_path):
     assert path.read_bytes() == log.text().encode("utf-8")
 
 
+def test_header_names_input_files_by_content(tmp_path):
+    reply = "```\nx1 = 2.5\nx2 = 3\n```"
+    runs = []
+    # one script and one principles file, each under two paths
+    for folder, script_name, principles_name in (
+        ("d1", "script.json", "principles.txt"), ("d2", "s.json", "p.md"),
+    ):
+        (tmp_path / folder).mkdir()
+        script = tmp_path / folder / script_name
+        script.write_text(json.dumps([reply]), encoding="utf-8")
+        principles = tmp_path / folder / principles_name
+        principles.write_text("Keep every device saturated.\n", encoding="utf-8")
+        config = fast_config(
+            method="llm_only", llm_queries_per_step=1, gp_queries_per_step=0,
+            mock=str(script), principles_file=str(principles), n_iter=2,
+        )
+        runs.append(run(config).text().splitlines())
+    assert runs[0] == runs[1]
+    echo = json.loads(runs[0][0])["config"]
+    assert echo["mock"] == "sha256:" + hashlib.sha256(script.read_bytes()).hexdigest()
+    assert echo["principles_file"] == (
+        "sha256:" + hashlib.sha256(principles.read_bytes()).hexdigest()
+    )
+    # an edit in place that leaves the run itself unchanged still shows
+    script.write_text(json.dumps([reply, reply]), encoding="utf-8")
+    edited = run(config).text().splitlines()
+    assert edited[1:] == runs[1][1:]
+    assert edited[0] != runs[1][0]
+    assert json.loads(edited[0])["config"]["principles_file"] == echo["principles_file"]
+    principles.write_text("Keep every device in saturation.\n", encoding="utf-8")
+    assert json.loads(run(config).text().splitlines()[0])["config"][
+        "principles_file"] != echo["principles_file"]
+
+
+def test_header_keeps_random_mock_and_unset_principles():
+    echo = run(fast_config(n_iter=1)).lines[0]["config"]
+    assert echo["mock"] == "random"
+    assert echo["principles_file"] is None
+
+
 def _assert_lines_encode_as_json_dumps(lines):
     for line in lines:
         assert orchestrator._encode_line(line) == json.dumps(line, sort_keys=True) + "\n"
@@ -503,6 +547,9 @@ def _replace_in(lines, kind, old, new):
      ":3: malformed line (AttributeError: 'list' object has no attribute 'get')"),
     (lambda lines: [lines[0], _without(lines[1], "metrics")] + lines[2:],
      ":2: malformed line (KeyError: 'metrics')"),
+    (lambda lines: [lines[0], json.dumps({**json.loads(lines[1]), "metrics": {}})]
+     + lines[2:],
+     ":2: malformed line (StructuralError: metric vector is missing 'objective')"),
     (lambda lines: [_without(lines[0], "config")] + lines[1:],
      ":1: malformed line (KeyError: 'config')"),
     # "\udcff" is written as the lone byte 0xff, which is not UTF-8
@@ -536,6 +583,78 @@ def test_report_rejects_malformed_logs(tmp_path, edit, message):
     with pytest.raises(ReportError, match=re.escape(str(broken) + message)):
         report([str(broken)])
     assert main(["report", str(broken)]) == 2
+
+
+# (edit of the log's lines, the message after the path as a function of the
+# length n of line 2 before the edit). The messages are json.loads's own.
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:1] + [lines[1] + "x"] + lines[2:],
+     lambda n: f":2: invalid JSON: Extra data: line 1 column {n + 1} (char {n})"),
+    (lambda lines: lines[:1] + [lines[1] + " \t " + lines[2]] + lines[2:],
+     lambda n: f":2: invalid JSON: Extra data: line 1 column {n + 4} (char {n + 3})"),
+    (lambda lines: lines[:1] + [lines[1] + "]"] + lines[2:],
+     lambda n: f":2: invalid JSON: Extra data: line 1 column {n + 1} (char {n})"),
+    (lambda lines: ["\ufeff" + lines[0]] + lines[1:],
+     lambda n: ":1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0)"),
+    (lambda lines: lines[:1] + ["\ufeff" + lines[1]] + lines[2:],
+     lambda n: ":2: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0)"),
+    (lambda lines: lines[:1] + ["\ufeff"] + lines[1:],
+     lambda n: ":2: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0)"),
+    (lambda lines: lines[:1] + [lines[1][:-1]] + lines[2:],
+     lambda n: f":2: invalid JSON: Expecting ',' delimiter: line 1 column {n} "
+     f"(char {n - 1})"),
+    (lambda lines: lines[:1] + ["nul"] + lines[1:],
+     lambda n: ":2: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+], ids=["trailing", "space_then_trailing", "trailing_bracket", "bom_header",
+        "bom_eval", "bom_alone", "truncated", "bad_literal"])
+def test_report_json_error_messages(tmp_path, edit, message):
+    path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=1))
+    lines = open(path, encoding="utf-8").read().splitlines()
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+    with pytest.raises(ReportError) as excinfo:
+        report([str(broken)])
+    assert str(excinfo.value) == str(broken) + message(len(lines[1]))
+    assert main(["report", str(broken)]) == 2
+
+
+@pytest.mark.parametrize("newline, blank", [
+    ("\r\n", ""), ("\n", "\n"), ("\r\n", "  \t\r\n"), ("\n", "\u00a0\u2003 \n"),
+], ids=["crlf", "blank_lines", "crlf_blank_lines", "unicode_space_lines"])
+def test_report_reads_crlf_and_blank_lines(tmp_path, newline, blank):
+    path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=2))
+    lines = open(path, encoding="utf-8").read().splitlines()
+    other = tmp_path / "other.jsonl"
+    other.write_bytes((blank + blank.join(line + newline for line in lines) + blank)
+                      .encode("utf-8"))
+    assert report([path], curves=True).replace(path, "LOG") == report(
+        [str(other)], curves=True
+    ).replace(str(other), "LOG")
+
+
+def reference_curve_lines(evals):
+    """The convergence series as report wrote it with one max and one repr
+    per eval line."""
+    lines, best = [], -float("inf")
+    for index, fom in evals:
+        best = max(best, fom)
+        lines.append(f"{index},{best!r}")
+    return lines
+
+
+FOM_VALUES = st.one_of(
+    st.sampled_from([math.nan, -math.inf, math.inf, 0.0, -0.0, 1.0, 1, True, -9.667]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), FOM_VALUES), max_size=40))
+def test_curve_lines_match_the_running_max(evals):
+    assert orchestrator._curve_lines(evals) == reference_curve_lines(evals)
 
 
 def test_report_reads_logs_written_before_prompt_lines(tmp_path):
@@ -634,6 +753,19 @@ def test_cli_bad_mock_script_is_a_config_error(tmp_path, capsys, name, text):
             "--out", str(tmp_path / "x.jsonl")]
     assert main(args) == 2
     assert capsys.readouterr().err.startswith(f"error: {script}: ")
+
+
+@pytest.mark.parametrize("method", ["gp_bo", "llm_only"])
+def test_cli_unreadable_mock_script_is_a_config_error(tmp_path, capsys, method):
+    # gp_bo never asks the script, but the header records its SHA-256
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[run]\nmethod = {method}\npreset = branin\nn_iter = 1\n",
+                   encoding="utf-8")
+    missing = tmp_path / "missing.json"
+    args = ["run", "--config", str(ini), "--mock-llm", str(missing),
+            "--out", str(tmp_path / "x.jsonl")]
+    assert main(args) == 2
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_cli_undersized_context_budget_is_a_config_error(tmp_path, capsys):
