@@ -15,7 +15,6 @@ from .core import (
     Scale,
     Source,
     dataset_append,
-    dataset_best,
     design_space_contains,
 )
 from .fom import (
@@ -23,11 +22,9 @@ from .fom import (
     COMPARATOR_FOM,
     FomConfig,
     MetricSpec,
-    bound_value,
     compute_fom,
     count_missed_specs,
     hits_spec,
-    normalize_metric,
 )
 from .surrogate import (
     GpFitConfig,

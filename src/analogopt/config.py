@@ -16,7 +16,7 @@ from .acquisition import AcquisitionConfig
 from .core import ConfigError
 from .evaluator import CircuitModel, ProcessConstants, circuit_model
 from .fom import FOM_PRESETS
-from .llm import LlmConfig, TaskCard, _template
+from .llm import LlmConfig, TaskCard, _read_text, _template
 from .surrogate import GpFitConfig
 
 METHODS = ("ado_llm", "gp_bo", "llm_only")
@@ -89,12 +89,10 @@ def build_model(config: RunConfig) -> CircuitModel:
 
 def build_task_card(config: RunConfig, model: CircuitModel) -> TaskCard:
     if config.principles_file:
-        with open(config.principles_file, encoding="utf-8") as handle:
-            principles_text = handle.read()
+        principles_text = _read_text(config.principles_file)
     else:
         principles_text = _template(f"principles_{config.preset}.txt")
     return TaskCard(
-        name=config.preset,
         space=model.space,
         fom=model.fom,
         circuit_text=_template(f"circuit_{config.preset}.txt"),
@@ -148,14 +146,16 @@ INI_KEYS = {
 
 
 def load_run_config(path: str, **overrides) -> RunConfig:
-    """Parse an INI experiment file; keyword overrides win over file values."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    """Parse a UTF-8 INI experiment file; keyword overrides win over file
+    values. Values are read literally: ``%`` does not interpolate."""
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
     try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path!r}")
         return _from_parser(parser, overrides)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"{path}: {exc}") from exc

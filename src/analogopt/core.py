@@ -222,7 +222,3 @@ def dataset_append(dataset: Dataset, record: EvalRecord) -> Dataset:
     dataset._records.append(record)
     return dataset
 
-
-def dataset_best(dataset: Dataset) -> EvalRecord:
-    """The record with maximal FOM; ties go to the earliest insertion."""
-    return dataset[dataset.best_index]

@@ -198,7 +198,7 @@ def _parallel(a: float, b: float) -> float:
 
 def _amp2_solve(model: CircuitModel, point: DesignPoint):
     c = model.constants
-    # w5/l5 are not read: M5 is not modelled yet (ROADMAP item 5).
+    # w5/l5 are not read: M5 is not modelled yet.
     w1, l1, w3, l3, _w5, _l5, w6, l6, w7, l7, wb, lb, rz, cc = point.values
 
     i_tail = 0.5 * c.kp_n * (wb / lb) * c.v_ov_bias**2

@@ -89,9 +89,9 @@ class FomConfig:
 
     @functools.cached_property
     def terms(self) -> tuple[tuple, ...]:
-        """One row of plain values per metric, read by ``compute_fom`` and
-        ``count_missed_specs``: (name, magnitude, at_least, spec, failed,
-        norm_min, norm_max - norm_min, bound, plus)."""
+        """One row of plain values per metric, read by ``compute_fom``: (name,
+        magnitude, at_least, spec, failed, norm_min, norm_max - norm_min,
+        bound, plus)."""
         return tuple(
             (m.name, m.magnitude, m.direction is Direction.AT_LEAST, m.spec, m.failed,
              m.norm_min, m.norm_max - m.norm_min, m.bound, m.sign is Sign.PLUS)
@@ -107,25 +107,9 @@ def hits_spec(value: float, spec: MetricSpec) -> bool:
     return v <= spec.spec
 
 
-def normalize_metric(value: float, spec: MetricSpec) -> float:
-    """Normalized metric, with the failure constant substituted on a spec miss."""
-    v = abs(value) if spec.magnitude else value
-    if not hits_spec(value, spec):
-        v = spec.failed
-    return (v - spec.norm_min) / (spec.norm_max - spec.norm_min)
-
-
-def bound_value(value: float, bound: float | None) -> float:
-    """Clamp from above only; the lower side always passes through."""
-    if bound is None:
-        return value
-    return min(value, bound)
-
-
 def compute_fom(metrics: MetricVector, config: FomConfig) -> float:
-    """Signed sum of bounded, normalized, spec-gated metric terms: the float
-    operations of ``hits_spec``, ``normalize_metric`` and ``bound_value``, in
-    their order, over the config's ``terms``."""
+    """Signed sum of bounded, normalized, spec-gated metric terms (see the
+    module docstring), over the config's compiled ``terms``."""
     total = 0.0
     for name, magnitude, at_least, spec, failed, norm_min, span, bound, plus in (
         config.terms
@@ -147,13 +131,10 @@ def compute_fom(metrics: MetricVector, config: FomConfig) -> float:
 def count_missed_specs(metrics: MetricVector, config: FomConfig) -> int:
     """Number of metrics whose specification is not satisfied."""
     missed = 0
-    for name, magnitude, at_least, spec, *_ in config.terms:
-        if name not in metrics:
-            raise StructuralError(f"metric vector is missing {name!r}")
-        v = metrics[name]
-        if magnitude:
-            v = abs(v)
-        if not (v >= spec if at_least else v <= spec):
+    for spec in config.metrics:
+        if spec.name not in metrics:
+            raise StructuralError(f"metric vector is missing {spec.name!r}")
+        if not hits_spec(metrics[spec.name], spec):
             missed += 1
     return missed
 

@@ -117,28 +117,31 @@ class LlmConfig:
     backoff: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # NaN fails too
             raise ValueError("temperature must be >= 0")
         if self.retry_limit < 1:
             raise ValueError("retry_limit must be >= 1")
         if self.transport_attempts < 1:
             raise ValueError("transport_attempts must be >= 1")
-        if self.backoff < 0:
+        if not self.backoff >= 0:
             raise ValueError("backoff must be >= 0")
+        if not self.timeout > 0:
+            raise ValueError("timeout must be > 0")
+        if self.max_tokens < 1 or self.context_budget < 1:
+            raise ValueError("max_tokens and context_budget must be >= 1")
 
 
 @dataclass(frozen=True)
 class TaskCard:
     """Everything the proposer knows about the task except the demonstrations.
 
-    A card renders its fixed prompt sections once, and each demonstration
-    body once, and keeps both for its own lifetime (one run). It also keeps
-    the last iteration prompt it built, with the demonstration records and
-    context budget it was built from: a call with the same records (the same
-    objects) and budget returns the same messages without rendering again.
+    A card renders its fixed prompt sections once and keeps them for its own
+    lifetime (one run). It also keeps the last iteration prompt it built,
+    with the demonstration records and context budget it was built from: a
+    call with the same records (the same objects) and budget returns the
+    same messages without rendering again.
     """
 
-    name: str
     space: DesignSpace
     fom: FomConfig
     circuit_text: str
@@ -169,38 +172,10 @@ class TaskCard:
         }
 
     @functools.cached_property
-    def _demo_bodies(self) -> dict:
-        return {}
-
-    @functools.cached_property
     def _last_prompt(self) -> list:
         """``[demos, context_budget, messages]`` of the last iteration prompt;
         holding the demo records keeps their ids from being reused."""
         return [(), None, []]
-
-    def _demo_body(self, demo: EvalRecord) -> str:
-        """A demonstration's parameter, metric and region lines, rendered once."""
-        key = (
-            demo.point, demo.fom,
-            tuple(demo.metrics.items()), tuple(demo.regions.items()),
-        )
-        body = self._demo_bodies.get(key)
-        if body is None:
-            params = ", ".join(
-                f"{p.name} = {format_si(v, p.unit)}"
-                for p, v in zip(self.space.parameters, demo.point.values)
-            )
-            metrics = ", ".join(
-                f"{m.name} = {demo.metrics[m.name]:.4g} {m.unit}".rstrip()
-                for m in self.fom.metrics
-                if m.name in demo.metrics
-            )
-            regions = ", ".join(f"{d}: {r.value}" for d, r in demo.regions.items())
-            lines = [f"  parameters: {params}", f"  metrics: {metrics}"]
-            if regions:
-                lines.append(f"  operating regions: {regions}")
-            body = self._demo_bodies[key] = "\n".join(lines)
-        return body
 
 
 _SI_PREFIXES = (
@@ -358,13 +333,25 @@ def build_iteration_prompt(
         map(operator.is_, demos, last[0])
     ):
         return list(last[2])
-    kept = list(demos)
+    kept = []
+    for i, d in enumerate(demos):
+        params = ", ".join(
+            f"{p.name} = {format_si(v, p.unit)}"
+            for p, v in zip(card.space.parameters, d.point.values)
+        )
+        metrics = ", ".join(
+            f"{m.name} = {d.metrics[m.name]:.4g} {m.unit}".rstrip()
+            for m in card.fom.metrics
+            if m.name in d.metrics
+        )
+        regions = ", ".join(f"{dev}: {r.value}" for dev, r in d.regions.items())
+        lines = [f"Demonstration {i + 1} (FOM = {d.fom:.4g}):",
+                 f"  parameters: {params}", f"  metrics: {metrics}"]
+        if regions:
+            lines.append(f"  operating regions: {regions}")
+        kept.append("\n".join(lines))
     while True:
-        # Bodies are cached per record; only the header carries the rank.
-        text = "\n\n".join(
-            f"Demonstration {i + 1} (FOM = {d.fom:.4g}):\n" + card._demo_body(d)
-            for i, d in enumerate(kept)
-        ) or "(no demonstrations are available for this task)"
+        text = "\n\n".join(kept) or "(no demonstrations are available for this task)"
         try:
             messages = _prompt(card, "iteration_prompt.txt", context_budget, demos=text)
         except PromptBudgetError:
@@ -492,10 +479,18 @@ class RandomPointLlmClient:
         return f"Proposed design point:\n```\n{lines}\n```"
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 text file's contents; other bytes are a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc.reason}") from exc
+
+
 def load_script(path: str) -> list[str]:
     """Load a mock script: a JSON array of strings, or text split on `---` lines."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_text(path)
     if path.endswith(".json"):
         try:
             script = json.loads(text)

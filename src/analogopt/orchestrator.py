@@ -37,7 +37,6 @@ from .core import (
     Source,
     StructuralError,
     dataset_append,
-    dataset_best,
 )
 from .evaluator import CircuitModel, evaluate
 from .fom import FOM_PRESETS, compute_fom, count_missed_specs, hits_spec
@@ -264,7 +263,7 @@ def run(config: RunConfig) -> RunLog:
                 config.gp_fit, seed=int(streams["surrogate"].integers(2**31 - 1))
             )
             gp = gp_fit(X, y, fit_config)
-            best = dataset_best(dataset).fom
+            best = dataset[dataset.best_index].fom
             acq_config = dataclasses.replace(
                 config.acquisition,
                 seed=int(streams["acquisition"].integers(2**31 - 1)),
@@ -367,9 +366,8 @@ def _scan_log(path: str) -> tuple[str, list[str], float, list[tuple[int, float]]
                                           f" out of order, expected {n_prompts}")
                     n_prompts += 1
                 elif kind == "iteration":
-                    # a list of messages is a transcript from before prompt lines
                     for t in entry.get("llm_transcripts", ()):
-                        if isinstance(t, dict) and not 0 <= t["prompt"] < n_prompts:
+                        if not 0 <= t["prompt"] < n_prompts:
                             raise ReportError(f"{path}:{lineno}: transcript names "
                                               f"undefined prompt {t['prompt']!r}")
                 last, last_lineno = entry, lineno

@@ -79,7 +79,7 @@ constants.offset_coeff = 4e-9
 
 def _load(tmp_path, text, **overrides):
     path = tmp_path / "exp.ini"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     return load_run_config(str(path), **overrides)
 
 
@@ -156,7 +156,7 @@ _ALLOWED_ACQ = (
     "'raw_candidates', 'restarts']"
 )
 
-# (INI text, the ConfigError message; {path} is the file's path)
+# (INI text or bytes, the ConfigError message; {path} is the file's path)
 MALFORMED = {
     "unknown_run_key": (
         _RUN + "batchsize = 4\n",
@@ -264,6 +264,50 @@ MALFORMED = {
         _RUN + "[evaluator]\nconstants.vdd = 0\n",
         "{path}: process constant vdd must be positive",
     ),
+    "zero_timeout": (
+        _RUN + "[llm]\ntimeout = 0\n",
+        "{path}: timeout must be > 0",
+    ),
+    "nan_timeout": (
+        _RUN + "[llm]\ntimeout = nan\n",
+        "{path}: timeout must be > 0",
+    ),
+    "nan_backoff": (
+        _RUN + "[llm]\nbackoff = nan\n",
+        "{path}: backoff must be >= 0",
+    ),
+    "nan_temperature": (
+        _RUN + "[llm]\ntemperature = nan\n",
+        "{path}: temperature must be >= 0",
+    ),
+    "zero_max_tokens": (
+        _RUN + "[llm]\nmax_tokens = 0\n",
+        "{path}: max_tokens and context_budget must be >= 1",
+    ),
+    "zero_context_budget": (
+        _RUN + "[llm]\ncontext_budget = 0\n",
+        "{path}: max_tokens and context_budget must be >= 1",
+    ),
+    "no_section_header": (
+        "method = ado_llm\n" + _RUN,
+        "{path}: File contains no section headers.\n"
+        "file: '{path}', line: 1\n'method = ado_llm\\n'",
+    ),
+    "repeated_run_section": (
+        _RUN + "[run]\nseed = 1\n",
+        "{path}: While reading from '{path}' [line  4]: "
+        "section 'run' already exists",
+    ),
+    "repeated_key": (
+        _RUN + "seed = 1\nseed = 2\n",
+        "{path}: While reading from '{path}' [line  5]: "
+        "option 'seed' in section 'run' already exists",
+    ),
+    "not_utf8": (
+        _RUN.encode("utf-8") + b"[llm]\nmodel = gpt\xb5\n",
+        "{path}: 'utf-8' codec can't decode byte 0xb5 in position 54: "
+        "invalid start byte",
+    ),
 }
 
 
@@ -272,6 +316,11 @@ def test_malformed_ini_raises_config_error(tmp_path, text, message):
     with pytest.raises(ConfigError) as excinfo:
         _load(tmp_path, text)
     assert str(excinfo.value) == message.format(path=tmp_path / "exp.ini")
+
+
+def test_ini_values_are_read_literally(tmp_path):
+    config = _load(tmp_path, _RUN + "[llm]\nmodel = gpt%4\napi_key_env = %(KEY)s\n")
+    assert (config.llm.model, config.llm.api_key_env) == ("gpt%4", "%(KEY)s")
 
 
 def test_zero_maxiter_stays_legal(tmp_path):

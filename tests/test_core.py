@@ -10,7 +10,6 @@ from analogopt.core import (
     Scale,
     StructuralError,
     dataset_append,
-    dataset_best,
     design_space_contains,
 )
 from analogopt.evaluator import circuit_model
@@ -83,21 +82,21 @@ def test_append_budget_scale():
 
 
 def test_best_max_and_tiebreak():
-    assert dataset_best(make_dataset([1.0, 3.0, 2.0])).fom == 3.0
+    assert make_dataset([1.0, 3.0, 2.0]).best_index == 1
     tied = make_dataset([2.0, 2.0])
-    assert dataset_best(tied) is tied[0]
+    assert tied.best_index == 0
 
 
 def test_best_empty():
     with pytest.raises(EmptyDatasetError):
-        dataset_best(Dataset())
+        Dataset().best_index
 
 
 def test_best_matches_linear_scan_oracle():
     rng = np.random.default_rng(7)
     foms = rng.normal(size=105)
     dataset = make_dataset(foms)
-    best = dataset_best(dataset)
+    best = dataset[dataset.best_index]
     # independent oracle: sequential scan
     expected_idx = 0
     for i, f in enumerate(foms):
@@ -109,7 +108,7 @@ def test_best_matches_linear_scan_oracle():
 def test_best_invariant_under_lower_appends():
     rng = np.random.default_rng(11)
     dataset = make_dataset(rng.normal(size=20))
-    before = dataset_best(dataset)
+    before = dataset[dataset.best_index]
     for _ in range(50):
         dataset_append(dataset, make_record(before.fom - abs(rng.normal()) - 1e-9))
-        assert dataset_best(dataset) is before
+        assert dataset[dataset.best_index] is before

@@ -230,7 +230,7 @@ def _parameters_of_every_preset():
         for name in circuit_model(preset).space.names:
             inert = preset == "amp2" and name in ("w5", "l5")
             marks = pytest.mark.xfail(
-                strict=True, reason="ROADMAP item 5: M5 not modelled"
+                strict=True, reason="M5 is not modelled"
             ) if inert else ()
             yield pytest.param(preset, name, marks=marks, id=f"{preset}-{name}")
 

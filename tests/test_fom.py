@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -12,14 +13,13 @@ from analogopt.fom import (
     COMPARATOR_FOM,
     FOM_PRESETS,
     Direction,
+    FomConfig,
     MetricSpec,
     Sign,
-    bound_value,
     compute_fom,
     count_missed_specs,
     failed_metrics,
     hits_spec,
-    normalize_metric,
 )
 
 # best-parameter-set rows used as recomputation oracles:
@@ -56,15 +56,20 @@ def test_hits_spec_examples():
     assert not hits_spec(-25.0, offset)
 
 
-def test_normalize_metric():
+def _term(value, spec):
+    """``compute_fom`` over one metric: its signed, bounded, normalized term."""
+    return compute_fom({spec.name: value}, FomConfig((spec,)))
+
+
+def test_compute_fom_normalizes_one_metric():
     gain = AMP2_FOM.metric("gain")
-    assert normalize_metric(27.12, gain) == pytest.approx(-1.0)
-    assert normalize_metric(60.0, gain) == pytest.approx(1.0)
-    power = AMP2_FOM.metric("power")
-    assert normalize_metric(0.0, power) == 0.0
-    assert normalize_metric(65.76, power) == pytest.approx(80.0 / 30.0)
+    assert _term(27.12, gain) == pytest.approx(-1.0)
+    assert _term(60.0, gain) == pytest.approx(1.0)
+    power = AMP2_FOM.metric("power")  # a minus-sign metric
+    assert _term(0.0, power) == 0.0
+    assert _term(65.76, power) == pytest.approx(-80.0 / 30.0)
     offset = COMPARATOR_FOM.metric("v_offset")
-    assert normalize_metric(-3.95, offset) == pytest.approx(3.95 / 20.0)
+    assert _term(-3.95, offset) == pytest.approx(-3.95 / 20.0)
 
 
 def test_failing_value_is_constant():
@@ -72,14 +77,15 @@ def test_failing_value_is_constant():
     rng = np.random.default_rng(0)
     expected = (gain.failed - gain.norm_min) / (gain.norm_max - gain.norm_min)
     for v in rng.uniform(-500.0, 59.999, size=100):
-        assert normalize_metric(v, gain) == expected
+        assert _term(v, gain) == expected
 
 
-def test_bound_value():
-    assert bound_value(2.172, 2.0) == 2.0
-    assert bound_value(0.463, 2.0) == 0.463
-    assert bound_value(-1.0, 2.0) == -1.0  # lower side never clipped
-    assert bound_value(5.0, None) == 5.0
+def test_compute_fom_bounds_only_the_upper_side():
+    gbw = AMP2_FOM.metric("gbw")  # norm range [0, 10], bound 2
+    assert _term(21.72, gbw) == 2.0
+    assert _term(4.63, gbw) == pytest.approx(0.463)
+    assert _term(0.5, gbw) == -1.0  # a failing term is never clipped
+    assert _term(50.0, dataclasses.replace(gbw, bound=None)) == 5.0
 
 
 @pytest.mark.parametrize("metrics,reported,tol,missed", AMP2_ROWS)
@@ -152,9 +158,22 @@ def test_metric_spec_validation():
                    failed=-1.0, bound=0.0)
 
 
-# The bodies of compute_fom and count_missed_specs before they read the
-# config's precomputed terms: one hits_spec / normalize_metric / bound_value
-# call per metric.
+# The parity reference: the bodies of compute_fom and count_missed_specs
+# before compute_fom read the config's precomputed terms, one hits_spec /
+# normalize_metric / bound_value call per metric, with those two helpers here.
+def normalize_metric(value, spec):
+    v = abs(value) if spec.magnitude else value
+    if not hits_spec(value, spec):
+        v = spec.failed
+    return (v - spec.norm_min) / (spec.norm_max - spec.norm_min)
+
+
+def bound_value(value, bound):
+    if bound is None:
+        return value
+    return min(value, bound)
+
+
 def reference_compute_fom(metrics, config):
     total = 0.0
     for spec in config.metrics:

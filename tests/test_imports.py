@@ -5,6 +5,7 @@ imported cannot hide a regression.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,3 +116,10 @@ def test_chat_complete_imports_requests_on_first_call(stub_server):
     )
     assert out.strip() == "deferred reply"
     assert server.hits == 1
+
+
+def test_readme_library_block_runs():
+    # a README that names a deleted export fails here
+    readme = (SRC.parent / "README.md").read_text("utf-8")
+    block = re.search(r"^## Library\n.*?```python\n(.*?)```", readme, re.S | re.M)
+    _python(block.group(1))

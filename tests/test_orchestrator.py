@@ -657,16 +657,18 @@ def test_curve_lines_match_the_running_max(evals):
     assert orchestrator._curve_lines(evals) == reference_curve_lines(evals)
 
 
-def test_report_reads_logs_written_before_prompt_lines(tmp_path):
-    # such a log holds each transcript in full: the expanded form
+def test_report_rejects_transcripts_written_before_prompt_lines(tmp_path):
+    # such a log holds each transcript in full, as a list of messages
     config = fast_config(n_iter=3, llm_queries_per_step=2, gp_queries_per_step=3)
     path, _ = _write_log(tmp_path, "compact.jsonl", config)
     old = tmp_path / "expanded.jsonl"
     old.write_text(expanded_text(path), encoding="utf-8")
-    assert '"type": "prompt"' in open(path, encoding="utf-8").read()
-    assert report([path], curves=True).replace(path, "LOG") == report(
-        [str(old)], curves=True
-    ).replace(str(old), "LOG")
+    lineno = next(i for i, line in enumerate(old.read_text("utf-8").splitlines(), 1)
+                  if json.loads(line)["type"] == "iteration")
+    message = f"{old}:{lineno}: malformed line (TypeError: list indices must be"
+    with pytest.raises(ReportError, match=re.escape(message)):
+        report([str(old)])
+    assert main(["report", str(old)]) == 2
 
 
 def test_report_memory_is_bounded_by_a_line_not_the_log(tmp_path):
@@ -742,13 +744,14 @@ BAD_SCRIPTS = {
     "not_json": ("broken.json", "not json"),
     "empty_reply": ("blank.json", '["ok", ""]'),
     "only_separators": ("separators.txt", "---\n---\n"),
+    "not_utf8": ("latin1.txt", b"```\nx1 = 2 \xb5m\nx2 = 3\n```\n"),
 }
 
 
 @pytest.mark.parametrize("name, text", BAD_SCRIPTS.values(), ids=BAD_SCRIPTS.keys())
 def test_cli_bad_mock_script_is_a_config_error(tmp_path, capsys, name, text):
     script = tmp_path / name
-    script.write_text(text, encoding="utf-8")
+    script.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     args = ["run", "--config", _ini(tmp_path), "--mock-llm", str(script),
             "--out", str(tmp_path / "x.jsonl")]
     assert main(args) == 2
@@ -766,6 +769,20 @@ def test_cli_unreadable_mock_script_is_a_config_error(tmp_path, capsys, method):
             "--out", str(tmp_path / "x.jsonl")]
     assert main(args) == 2
     assert str(missing) in capsys.readouterr().err
+
+
+def test_cli_non_utf8_principles_file_is_a_config_error(tmp_path, capsys):
+    principles = tmp_path / "principles.txt"
+    principles.write_bytes(b"Keep every device saturated at 25 \xb0C.\n")
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nmethod = llm_only\npreset = branin\nn_iter = 1\n"
+                   f"[llm]\nmock = random\nprinciples_file = {principles}\n",
+                   encoding="utf-8")
+    args = ["run", "--config", str(ini), "--out", str(tmp_path / "x.jsonl")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {principles}: not UTF-8: invalid start byte\n"
+    )
 
 
 def test_cli_undersized_context_budget_is_a_config_error(tmp_path, capsys):
