@@ -124,22 +124,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hybrid analog design optimization: GP-BO plus an LLM proposer",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one configured experiment")
-    _add_run_options(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_init = sub.add_parser(
-        "ablate-init", help="GP-BO with uniform vs LLM zero-shot initialization"
-    )
-    _add_run_options(p_init)
-    p_init.set_defaults(func=_cmd_ablate_init)
-
-    p_icl = sub.add_parser(
-        "ablate-icl", help="LLM-only with none / uniform / top-k demonstrations"
-    )
-    _add_run_options(p_icl)
-    p_icl.set_defaults(func=_cmd_ablate_icl)
+    for name, help_text, handler in (
+        ("run", "run one configured experiment", _cmd_run),
+        ("ablate-init", "GP-BO with uniform vs LLM zero-shot initialization",
+         _cmd_ablate_init),
+        ("ablate-icl", "LLM-only with none / uniform / top-k demonstrations",
+         _cmd_ablate_icl),
+    ):
+        p_cmd = sub.add_parser(name, help=help_text)
+        _add_run_options(p_cmd)
+        p_cmd.set_defaults(func=handler)
 
     p_report = sub.add_parser("report", help="comparison table from run logs")
     p_report.add_argument("logs", nargs="+", help="run log files (JSONL)")

@@ -1,9 +1,9 @@
 """Experiment configuration: named presets and the INI config file format.
 
-The config file uses sections [run], [llm], [acquisition], [sampler], and
-[evaluator]. Process constants are overridable with ``constants.<name>``
-keys in [evaluator]. Presets bundle a circuit model (design space, constants,
-FOM definition) with the task-card text templates.
+The config file uses sections [run], [llm], [acquisition] and [sampler].
+Presets bundle a circuit model (design space, process constants, FOM
+definition) with the task-card text templates; a run sets no process
+constant, so a log's ``preset`` names the circuit it evaluated.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .acquisition import AcquisitionConfig
 from .core import ConfigError
-from .evaluator import CircuitModel, ProcessConstants, circuit_model
+from .evaluator import CircuitModel, circuit_model
 from .fom import FOM_PRESETS
 from .llm import LlmConfig, TaskCard, _read_text, _template
 from .surrogate import GpFitConfig
@@ -46,7 +46,6 @@ class RunConfig:
     llm: LlmConfig = field(default_factory=LlmConfig)
     acquisition: AcquisitionConfig = field(default_factory=AcquisitionConfig)
     gp_fit: GpFitConfig = field(default_factory=GpFitConfig)
-    constants: ProcessConstants = field(default_factory=ProcessConstants)
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -84,7 +83,7 @@ class RunConfig:
 
 
 def build_model(config: RunConfig) -> CircuitModel:
-    return circuit_model(config.preset, config.constants)
+    return circuit_model(config.preset)
 
 
 def build_task_card(config: RunConfig, model: CircuitModel) -> TaskCard:
@@ -102,7 +101,6 @@ def build_task_card(config: RunConfig, model: CircuitModel) -> TaskCard:
 
 # The dataclass behind each INI target; "run" is RunConfig itself.
 _TARGETS = {
-    "constants": ProcessConstants,
     "llm": LlmConfig,
     "acquisition": AcquisitionConfig,
     "gp_fit": GpFitConfig,
@@ -135,13 +133,9 @@ INI_KEYS = {
     "acquisition": {
         **_same_name("acquisition"),
         "gp_restarts": ("gp_fit", "restarts"),
-        "noise_floor": ("gp_fit", "noise_floor"),
         "gp_maxiter": ("gp_fit", "maxiter"),
     },
     "sampler": {"kind": ("run", "sampler_kind"), "k": ("run", "sampler_k")},
-    "evaluator": {
-        f"constants.{name}": key for name, key in _same_name("constants").items()
-    },
 }
 
 
@@ -164,17 +158,11 @@ def load_run_config(path: str, **overrides) -> RunConfig:
 def _check_section(name: str, section) -> None:
     allowed = INI_KEYS[name]
     unknown = [key for key in section if key not in allowed]
-    if not unknown:
-        return
-    if name != "evaluator":
+    if unknown:
         raise ConfigError(
             f"unknown key(s) in [{name}]: {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}"
         )
-    key = unknown[0]
-    if not key.startswith("constants."):
-        raise ConfigError(f"unknown key in [evaluator]: {key!r}; use constants.<name>")
-    raise ConfigError(f"unknown process constant {key.split('.', 1)[1]!r}")
 
 
 def _convert(cls, name: str, raw):

@@ -306,7 +306,7 @@ def _prompt(
 
 
 def build_init_prompt(
-    card: TaskCard, n: int, context_budget: int = 16000
+    card: TaskCard, n: int, context_budget: int = LlmConfig.context_budget
 ) -> list[ChatMessage]:
     """Zero-shot initialization prompt asking for ``n`` distinct points."""
     if n < 1:
@@ -317,7 +317,7 @@ def build_init_prompt(
 def build_iteration_prompt(
     card: TaskCard,
     demos: list[EvalRecord],
-    context_budget: int = 16000,
+    context_budget: int = LlmConfig.context_budget,
 ) -> list[ChatMessage]:
     """Four-step iteration prompt with few-shot demonstrations.
 

@@ -5,7 +5,8 @@ standardized to zero mean and unit variance before fitting. Hyperparameters
 (per-dimension lengthscales, signal variance, noise variance) are chosen by
 maximizing the log marginal likelihood with multi-restart L-BFGS-B in log
 space, using the analytic gradient (Rasmussen & Williams, *GPML*, Alg. 2.1
-and eq. 5.9).
+and eq. 5.9). The box is fixed: ``LENGTHSCALE_BOUNDS``, ``SIGNAL_BOUNDS``,
+and ``NOISE_FLOOR`` to ``NOISE_CEILING`` for the noise variance.
 
 What a fit needs from the inputs is computed once per fit: the pairwise
 squared differences, as one (n*n, d) table. Each objective call builds the
@@ -55,6 +56,7 @@ from .core import DesignPoint, DesignSpace, RangeError
 
 LENGTHSCALE_BOUNDS = (1e-3, 1e3)
 SIGNAL_BOUNDS = (1e-9, 1e6)
+NOISE_FLOOR = 1e-6
 NOISE_CEILING = 1e3
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
@@ -80,9 +82,11 @@ _SETULB_SIGNATURE = (
 
 def _scipy_extension(package: str, name: str):
     """The compiled module ``scipy.<package>.<name>``, loaded from its file
-    without running ``scipy.<package>``'s ``__init__``. It is registered in
-    ``sys.modules`` under that dotted name, so scipy and this loader share one
-    copy whichever imports it first."""
+    without running ``scipy.<package>``'s ``__init__``. Loading enters it in
+    ``sys.modules``; the entry is taken out again, so that scipy's own import
+    binds the module to its package. These extensions initialize once per
+    process and a second load copies the first one's namespace, so scipy and
+    this loader hold the same objects whichever loads first."""
     fullname = f"scipy.{package}.{name}"
     module = sys.modules.get(fullname)
     if module is not None:
@@ -93,8 +97,8 @@ def _scipy_extension(package: str, name: str):
     if spec is None:
         raise ImportError(f"scipy {scipy.__version__} has no {package}/{name} extension")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
     spec.loader.exec_module(module)
+    sys.modules.pop(fullname, None)
     return module
 
 
@@ -186,15 +190,12 @@ class GpFitConfig:
     """
 
     restarts: int = 8
-    noise_floor: float = 1e-6
     maxiter: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not 0.0 < self.noise_floor < NOISE_CEILING:
-            raise ValueError(f"noise_floor must be in (0, {NOISE_CEILING:g})")
         if self.maxiter < 0:
             raise ValueError("maxiter must be >= 0")
 
@@ -427,7 +428,7 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
             [
                 np.full(d, LENGTHSCALE_BOUNDS[0]),
                 [SIGNAL_BOUNDS[0]],
-                [config.noise_floor],
+                [NOISE_FLOOR],
             ]
         )
     )
@@ -455,7 +456,7 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
     for _ in range(config.restarts - 1):
         ls0 = rng.uniform(math.log(0.05), math.log(2.0), size=d)
         sv0 = rng.uniform(math.log(0.2), math.log(5.0))
-        nv0 = rng.uniform(math.log(max(config.noise_floor, 1e-6)), math.log(1e-2))
+        nv0 = rng.uniform(math.log(NOISE_FLOOR), math.log(1e-2))
         starts.append(np.concatenate([ls0, [sv0], [nv0]]))
 
     best_theta = None

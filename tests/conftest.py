@@ -144,9 +144,9 @@ def expanded_text(path):
     return "".join(json.dumps(line, sort_keys=True) + "\n" for line in expand(path))
 
 
-def _amp2_reply(w1="2.5 um", cc="3 pF", rz="4.7 kohm", drop=None):
+def _amp2_reply(w1="2.5 um", cc="3 pF", rz="4.7 kohm", drop=None, l1="500 nm"):
     lines = [
-        f"w1 = {w1}", "l1 = 500 nm", "w3 = 1 um", "l3 = 0.2 um", "w5 = 3 um",
+        f"w1 = {w1}", f"l1 = {l1}", "w3 = 1 um", "l3 = 0.2 um", "w5 = 3 um",
         "l5 = 0.3 um", "w6 = 10 um", "l6 = 200 nm", "w7 = 5 um", "l7 = 0.5 um",
         "wb = 1 um", "lb = 0.4 um", f"rz = {rz}", f"cc = {cc}",
     ]

@@ -1,5 +1,7 @@
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -117,6 +119,26 @@ def test_qei_duplicate_point_equals_singleton(fitted_model):
     pair = qei_mc(model, np.vstack([x, x]), best, config)
     assert single > 0
     assert pair == pytest.approx(single, rel=1e-7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(st.integers(0, 10), st.integers(0, 10)),
+        min_size=1, max_size=4, unique=True,
+    ),
+    data=st.data(),
+)
+def test_qei_is_unmoved_by_a_repeated_point(fitted_model, cells, data):
+    # A repeat appended to a batch of distinct points draws its sample from
+    # the prefix, so the batch maximum, and the estimate, stay put.
+    model, _ = fitted_model
+    batch = np.array(cells) / 10.0
+    j = data.draw(st.integers(0, len(cells) - 1), label="repeated")
+    best = float(model.target_mean - 3.0 * model.target_std)  # improvement certain
+    config = AcquisitionConfig(mc_samples=1024, seed=7)
+    repeated = qei_mc(model, np.vstack([batch, batch[j]]), best, config)
+    assert repeated == pytest.approx(qei_mc(model, batch, best, config), rel=1e-6)
 
 
 def test_qei_superset_dominates(fitted_model):

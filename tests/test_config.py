@@ -2,6 +2,7 @@
 must reject."""
 
 import configparser
+import dataclasses
 import re
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from analogopt.acquisition import AcquisitionConfig
 from analogopt.config import (
+    _TARGETS,
     INI_KEYS,
     PRESETS,
     RunConfig,
@@ -17,7 +19,6 @@ from analogopt.config import (
     load_run_config,
 )
 from analogopt.core import ConfigError
-from analogopt.evaluator import ProcessConstants
 from analogopt.fom import FOM_PRESETS
 from analogopt.llm import LlmConfig
 from analogopt.surrogate import GpFitConfig
@@ -55,25 +56,11 @@ restarts = 3
 raw_candidates = 77
 maxiter = 21
 gp_restarts = 4
-noise_floor = 1e-5
 gp_maxiter = 33
 
 [sampler]
 kind = uniform
 k = 3
-
-[evaluator]
-constants.vdd = 1.5
-constants.vth_n = 0.4
-constants.vth_p = 0.45
-constants.kp_n = 250e-6
-constants.kp_p = 90e-6
-constants.lambda0 = 0.2e-6
-constants.c_load = 2e-12
-constants.c_node = 0.25e-12
-constants.v_ov_bias = 0.15
-constants.v_headroom = 0.1
-constants.offset_coeff = 4e-9
 """
 
 
@@ -106,14 +93,24 @@ def test_every_ini_key_sets_its_field(tmp_path):
     assert config.acquisition == AcquisitionConfig(
         mc_samples=99, restarts=3, raw_candidates=77, maxiter=21,
     )
-    assert config.gp_fit == GpFitConfig(restarts=4, noise_floor=1e-5, maxiter=33)
-    assert config.constants == ProcessConstants(
-        vdd=1.5, vth_n=0.4, vth_p=0.45, kp_n=250e-6, kp_p=90e-6,
-        lambda0=0.2e-6, c_load=2e-12, c_node=0.25e-12, v_ov_bias=0.15,
-        v_headroom=0.1, offset_coeff=4e-9,
-    )
+    assert config.gp_fit == GpFitConfig(restarts=4, maxiter=33)
     # integer and float fields hold the converted type, not the INI string
     assert type(config.n_init) is int and type(config.llm.timeout) is float
+
+
+def test_every_config_field_has_an_ini_key():
+    # A field only Python can set would grow the config unseen. The nested
+    # configs' seeds are the exception: a run draws them from its own seed.
+    keys = [key for section in INI_KEYS.values() for key in section.values()]
+    assert len(set(keys)) == len(keys)  # no two keys set one field
+    fields = {
+        (target, f.name)
+        for target, cls in _TARGETS.items()
+        for f in dataclasses.fields(cls)
+        if f.name not in _TARGETS
+    }
+    assert fields - set(keys) == {("acquisition", "seed"), ("gp_fit", "seed")}
+    assert set(keys) <= fields
 
 
 def test_keyword_overrides_win_over_the_file(tmp_path):
@@ -152,9 +149,10 @@ _ALLOWED_LLM = (
     "'timeout', 'transport_attempts']"
 )
 _ALLOWED_ACQ = (
-    "['gp_maxiter', 'gp_restarts', 'maxiter', 'mc_samples', 'noise_floor', "
-    "'raw_candidates', 'restarts']"
+    "['gp_maxiter', 'gp_restarts', 'maxiter', 'mc_samples', 'raw_candidates', "
+    "'restarts']"
 )
+_ALLOWED_SECTIONS = "['acquisition', 'llm', 'run', 'sampler']"
 
 # (INI text or bytes, the ConfigError message; {path} is the file's path)
 MALFORMED = {
@@ -177,16 +175,17 @@ MALFORMED = {
     ),
     "unknown_section": (
         _RUN + "[acqusition]\nmc_samples = 99\n",
-        "unknown section(s): ['acqusition']; "
-        "allowed: ['acquisition', 'evaluator', 'llm', 'run', 'sampler']",
+        f"unknown section(s): ['acqusition']; allowed: {_ALLOWED_SECTIONS}",
     ),
-    "unknown_evaluator_key": (
-        _RUN + "[evaluator]\nvdd = 1.5\n",
-        "unknown key in [evaluator]: 'vdd'; use constants.<name>",
+    # The process constants belong to the preset and the GP noise floor is a
+    # constant: the section and the key that once set them are unknown.
+    "non_positive_constant": (
+        _RUN + "[evaluator]\nconstants.vdd = 0\n",
+        f"unknown section(s): ['evaluator']; allowed: {_ALLOWED_SECTIONS}",
     ),
-    "unknown_process_constant": (
-        _RUN + "[evaluator]\nconstants.vcc = 1.5\n",
-        "unknown process constant 'vcc'",
+    "zero_noise_floor": (
+        _RUN + "[acquisition]\nnoise_floor = 0\n",
+        f"unknown key(s) in [acquisition]: ['noise_floor']; allowed: {_ALLOWED_ACQ}",
     ),
     "fractional_n_iter": (
         _RUN + "n_iter = 2.5\n",
@@ -216,22 +215,6 @@ MALFORMED = {
         _RUN + "[acquisition]\nrestarts = 0\n",
         "{path}: restarts must be >= 1",
     ),
-    "zero_noise_floor": (
-        _RUN + "[acquisition]\nnoise_floor = 0\n",
-        "{path}: noise_floor must be in (0, 1000)",
-    ),
-    "negative_noise_floor": (
-        _RUN + "[acquisition]\nnoise_floor = -1\n",
-        "{path}: noise_floor must be in (0, 1000)",
-    ),
-    "noise_floor_above_ceiling": (
-        _RUN + "[acquisition]\nnoise_floor = 5e3\n",
-        "{path}: noise_floor must be in (0, 1000)",
-    ),
-    "noise_floor_at_ceiling": (
-        _RUN + "[acquisition]\nnoise_floor = 1000\n",
-        "{path}: noise_floor must be in (0, 1000)",
-    ),
     "negative_gp_maxiter": (
         _RUN + "[acquisition]\ngp_maxiter = -1\n",
         "{path}: maxiter must be >= 0",
@@ -259,10 +242,6 @@ MALFORMED = {
     "negative_seed": (
         _RUN + "seed = -3\n",
         "seed must be >= 0, got -3",
-    ),
-    "non_positive_constant": (
-        _RUN + "[evaluator]\nconstants.vdd = 0\n",
-        "{path}: process constant vdd must be positive",
     ),
     "zero_timeout": (
         _RUN + "[llm]\ntimeout = 0\n",
@@ -337,10 +316,7 @@ def test_readme_ini_block_loads_and_documents_every_key(tmp_path):
     documented = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     documented.read_string(block)
     for section, keys in INI_KEYS.items():
-        if section == "evaluator":  # one constants.<name> line stands for all
-            assert set(documented[section]) and set(documented[section]) <= set(keys)
-        else:
-            assert set(documented[section]) == set(keys), section
+        assert set(documented[section]) == set(keys), section
 
 
 @pytest.mark.parametrize("preset", PRESETS)

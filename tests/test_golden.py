@@ -32,21 +32,21 @@ GOLDEN = [
     (
         dict(method="ado_llm", preset="amp2", n_iter=4,
              llm_queries_per_step=1, gp_queries_per_step=4),
-        "436d0e9326a2f3655609c8dbaf43bf2a27ff7e418f5ffec1ccfbf6f8f11eb262",
-        "f3b30e9fa9c32e0e1c0b7b81170f5ac8ca9111ccacdb698c3141186f97fd1f68",
+        "3742c0575d0eb172643a9998c6ab01965970064420fd0610a065a0a6de8e18a7",
+        "f75fbff6402a2d0ad3fe05dd799707a4b9316512aa76f68e13d5333a24029cfc",
     ),
     (
         dict(method="gp_bo", preset="branin", n_iter=4, llm_queries_per_step=0,
              gp_queries_per_step=5, init_strategy="uniform_random"),
-        "5b27a45a00a383ecadf3f65fe174592ef82272d51bfbd64d6adbf49598c81e46",
-        "5b27a45a00a383ecadf3f65fe174592ef82272d51bfbd64d6adbf49598c81e46",
+        "93d3740edbf3608bc5cbb79844033441955ca8b70abdbf37f642c5444a6215e4",
+        "93d3740edbf3608bc5cbb79844033441955ca8b70abdbf37f642c5444a6215e4",
     ),
     (
         # many all-failed designs share one FOM, so top_k's tie order matters
         dict(method="llm_only", preset="amp2", n_iter=60,
              llm_queries_per_step=1, gp_queries_per_step=0),
-        "178e41931420da1a6ee1351f501d105ab53ef48426bd99fbf4f4b4e3dd0741a9",
-        "37190bc591a5d8e01ab9c0d01ba69b421d46168d5d4b0fc0e3e9237a2c9ec716",
+        "1c0c233e7a65a955ec07e8243bd7bc485e1643fc1efb7e9dba83adf75c5cf7fe",
+        "3bef7ec09fbf304ca0e7f3d222e66eeef8deacee26b5003b3503f0f269df219a",
     ),
 ]
 
@@ -89,6 +89,6 @@ def test_golden_scripted_retry_log_hash(tmp_path):
                    if line["type"] == "iteration"]
     assert substituted == [1, 0, 0, 0]
     assert _hashes(log, tmp_path / "run.jsonl") == (
-        "1b49aa46c961c501ad0ceb3c8432c119e63b53cd11eae707995caa154343ad4b",
-        "c39db9f31bb893a1b7f9f9ec370a487b73fabd049f3215679ae37c3bab1c7bd8",
+        "06c1c905f8b115a34d439d40c1b1606bd89e67faa11738b5bf54db546910ed77",
+        "53a57a4f0520b4cd72f9e5f05a3ce1b27c738c4bec2e5a4711fab4df2ad03925",
     )

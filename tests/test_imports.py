@@ -83,8 +83,9 @@ def test_gp_runs_never_import_scipy_optimize():
 
 @pytest.mark.parametrize("first", ["analogopt", "scipy"])
 def test_scipy_extensions_are_shared_with_scipy_packages(first):
-    # Loaded under their dotted names, the extensions analogopt loads are the
-    # modules scipy's packages use, whichever is imported first.
+    # The extensions analogopt loads from their files hold the objects scipy's
+    # packages use, and stay reachable as attributes of those packages,
+    # whichever is imported first.
     out = _python(
         "import sys\n"
         "def scipy_packages():\n"
@@ -98,10 +99,13 @@ def test_scipy_extensions_are_shared_with_scipy_packages(first):
         "print(sorted({'_lbfgsb', '_flapack', '_special_ufuncs'} & set(sys.modules)))\n"
         "print(scipy.special.expit is acquisition.expit,\n"
         "      scipy.linalg.lapack.dpotrf is surrogate.dpotrf,\n"
-        "      setulb is surrogate._setulb)\n",
+        "      setulb is surrogate._setulb,\n"
+        "      scipy.optimize._lbfgsb.setulb is surrogate._setulb,\n"
+        "      scipy.linalg._flapack.dpotrf is surrogate.dpotrf,\n"
+        "      scipy.special._special_ufuncs.expit is acquisition.expit)\n",
         first,
     )
-    assert out.splitlines() == ["[]", "True True True"]
+    assert out.splitlines() == ["[]", "True True True True True True"]
 
 def test_chat_complete_imports_requests_on_first_call(stub_server):
     server = stub_server([(200, chat_body("deferred reply"))])

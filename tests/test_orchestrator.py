@@ -18,9 +18,9 @@ from analogopt.config import RunConfig, load_run_config
 from analogopt.core import ConfigError, Source
 from analogopt.fom import FOM_PRESETS, compute_fom
 from analogopt.orchestrator import ReportError, report, run
-from analogopt.surrogate import GpFitConfig
+from analogopt.surrogate import GpFitConfig, gp_fit
 
-from conftest import RETRY_SCRIPT, expand, expanded_text
+from conftest import RETRY_SCRIPT, _amp2_reply, expand, expanded_text
 
 FAST_ACQ = AcquisitionConfig(
     mc_samples=128, restarts=2, raw_candidates=64, maxiter=10
@@ -159,6 +159,32 @@ def test_proposer_exhaustion_substitutes_random(tmp_path):
     assert all(l["llm_substituted"] == 1 for l in iter_lines)
 
 
+def test_llm_repeating_one_failing_design_completes_and_reruns(tmp_path, monkeypatch):
+    # an M1 too narrow for its length fails, so every LLM record has the same
+    # point and the same failure FOM
+    script = tmp_path / "stuck.json"
+    script.write_text(
+        json.dumps([_amp2_reply(w1="120 nm", l1="1 um")]), encoding="utf-8"
+    )
+    config = fast_config(preset="amp2", mock=str(script), n_iter=3)
+    fits = []
+
+    def recording_fit(X, y, fit_config):
+        fits.append((X, y))
+        return gp_fit(X, y, fit_config)
+
+    monkeypatch.setattr(orchestrator, "gp_fit", recording_fit)
+    log = run(config)
+    assert len(log.dataset) == 5 + 5 * 3
+    llm = [r for r in log.dataset if r.source in (Source.LLM_INIT, Source.LLM)]
+    assert len(llm) == 5 + 3
+    assert {r.point for r in llm} == {llm[0].point}
+    assert not any(r.simulation_ok for r in llm)
+    X, y = fits[0]
+    assert X.shape[0] == 5 and (X == X[0]).all() and (y == y[0]).all()
+    assert run(config).text() == log.text()
+
+
 def test_iteration_diagnostics_present():
     log = run(fast_config(n_iter=2))
     iter_lines = [l for l in log.lines if l.get("type") == "iteration"]
@@ -250,9 +276,6 @@ gp_restarts = 4
 [sampler]
 kind = uniform
 k = 3
-
-[evaluator]
-constants.vdd = 1.5
 """,
         encoding="utf-8",
     )
@@ -265,7 +288,6 @@ constants.vdd = 1.5
     assert config.acquisition.mc_samples == 99
     assert config.gp_fit.restarts == 4
     assert config.sampler_kind == "uniform" and config.sampler_k == 3
-    assert config.constants.vdd == 1.5
     assert config.seed == 5
     # overrides win
     assert load_run_config(str(path), seed=9).seed == 9

@@ -17,11 +17,22 @@ from scipy.stats import multivariate_normal
 
 from analogopt import acquisition, surrogate
 from analogopt.acquisition import AcquisitionConfig, propose_batch
-from analogopt.core import DesignPoint, DesignSpace, Parameter, RangeError, Scale
+from analogopt.core import (
+    DesignPoint,
+    DesignSpace,
+    Parameter,
+    RangeError,
+    Scale,
+    design_space_contains,
+)
 from analogopt.evaluator import circuit_model
 from analogopt.fom import FOM_PRESETS
 from analogopt.surrogate import (
     JITTER_START,
+    LENGTHSCALE_BOUNDS,
+    NOISE_CEILING,
+    NOISE_FLOOR,
+    SIGNAL_BOUNDS,
     GpFitConfig,
     NumericalError,
     _chol_with_jitter,
@@ -193,9 +204,8 @@ def test_single_point_interpolates():
 def test_duplicate_inputs_need_noise():
     X = np.array([[0.5, 0.5], [0.5, 0.5]])
     y = np.array([0.0, 1.0])
-    config = GpFitConfig(restarts=4, noise_floor=1e-6)
-    model = gp_fit(X, y, config)
-    assert model.noise_variance > config.noise_floor
+    model = gp_fit(X, y, GpFitConfig(restarts=4))
+    assert model.noise_variance > NOISE_FLOOR
 
 
 def test_fit_beats_default_hyperparameters():
@@ -217,6 +227,40 @@ def test_triplicated_rows_with_constant_targets_fit():
     var = np.diag(cov)
     assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
     assert mean == pytest.approx(-9.67, abs=1e-6)
+
+
+def _within(values, bounds):
+    # the optimizer's log-space box, mapped back, may round an ulp outside
+    lower, upper = bounds[0] * (1 - 1e-12), bounds[1] * (1 + 1e-12)
+    return lower <= np.min(values) and np.max(values) <= upper
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    rows=st.integers(1, 4),
+    repeats=st.integers(1, 3),
+    constant=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_degenerate_data_fits_in_bounds_and_proposes_in_box(
+    d, rows, repeats, constant, seed
+):
+    # repeated rows and one FOM for every row: what all-failed designs give
+    rng = np.random.default_rng(seed)
+    X = np.repeat(rng.uniform(size=(rows, d)), repeats, axis=0)
+    n = X.shape[0]
+    y = np.full(n, -9.67) if constant else rng.normal(size=n)
+    model = gp_fit(X, y, GpFitConfig(restarts=2, maxiter=20, seed=seed))
+    assert math.isfinite(model.log_marginal)
+    assert _within(model.lengthscales, LENGTHSCALE_BOUNDS)
+    assert _within(model.signal_variance, SIGNAL_BOUNDS)
+    assert _within(model.noise_variance, (NOISE_FLOOR, NOISE_CEILING))
+    space = DesignSpace(tuple(Parameter(f"x{i}", 0.0, 1.0) for i in range(d)))
+    acq = AcquisitionConfig(mc_samples=64, restarts=2, raw_candidates=16, maxiter=5)
+    batch = propose_batch(model, space, float(y.max()), 3, acq, rng)
+    assert len(batch) == 3
+    assert all(design_space_contains(space, point) for point in batch)
 
 
 def test_non_finite_targets_rejected():
