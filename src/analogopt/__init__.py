@@ -45,7 +45,6 @@ from .evaluator import (
     evaluate,
 )
 from .llm import (
-    ChatMessage,
     LlmConfig,
     TaskCard,
     build_init_prompt,

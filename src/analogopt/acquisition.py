@@ -2,7 +2,7 @@
 greedy batch construction by L-BFGS on the pathwise qEI gradient.
 
 qEI uses common random numbers: the base normal draws are a fixed function of
-the configured seed, drawn block-wise per batch slot so that the draws for
+the call's seed, drawn block-wise per batch slot so that the draws for
 the first q slots coincide for every batch size >= q; a batch draws them once
 and slot j reads the first j + 1 columns. The batch is built greedily: each
 slot maximizes the qEI of (already chosen + candidate), which only needs a
@@ -63,7 +63,6 @@ class AcquisitionConfig:
     restarts: int = 10
     raw_candidates: int = 512
     maxiter: int = 50
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mc_samples < 1:
@@ -100,10 +99,12 @@ def qei_mc(
     batch: np.ndarray,
     best: float,
     config: AcquisitionConfig,
+    seed: int,
 ) -> float:
-    """Monte-Carlo estimate of E[max(0, max_j f(x_j) - best)] for the batch."""
+    """Monte-Carlo estimate of E[max(0, max_j f(x_j) - best)] for the batch,
+    on the base draws of ``seed``."""
     X = np.atleast_2d(np.asarray(batch, dtype=float))
-    Z = _base_draws(config.seed, X.shape[0], config.mc_samples)
+    Z = _base_draws(seed, X.shape[0], config.mc_samples)
     return float(_slot_scorer(model, X[:-1], Z, best)(X[-1:])[0])
 
 
@@ -127,6 +128,12 @@ def _slot_scorer(model, prefix, Z, best):
     sv = model.signal_variance
     inv_l2 = model.lengthscales**-2.0
     n, k = model.train_inputs.shape[0], prefix.shape[0]
+    # A repeated prefix point takes its first copy's sample: the estimate is
+    # unchanged, and the prefix covariance stays factorable without jitter.
+    first = [i for i in range(k) if not (prefix[:i] == prefix[i]).all(axis=1).any()]
+    if len(first) < k:
+        prefix, Z = prefix[first], Z[:, [*first, k]]
+        k = len(first)
     chol = np.asfortranarray(model.chol)
     # Training inputs and prefix points share one kernel block per call; the
     # parts of it that depend on them alone are computed here.
@@ -200,10 +207,11 @@ def propose_batch(
     batch_size: int,
     config: AcquisitionConfig,
     rng: np.random.Generator,
+    seed: int,
 ) -> list[DesignPoint]:
     """Greedy sequential batch of ``batch_size`` points maximizing Monte-Carlo qEI.
 
-    The base draws are made once per batch; slot ``j`` uses their first
+    The base draws of ``seed`` are made once per batch; slot ``j`` uses their first
     ``j + 1`` columns. Each slot builds one scorer over its fixed prefix and
     scores ``raw_candidates`` uniform points with it. The top ``restarts`` of
     them start one joint L-BFGS run on the sum of their qEI values, through a
@@ -213,7 +221,7 @@ def propose_batch(
     its re-scored value is finite and higher, and a failed run keeps it.
     """
     d = space.dimension
-    Z = _base_draws(config.seed, batch_size, config.mc_samples)
+    Z = _base_draws(seed, batch_size, config.mc_samples)
     chosen: list[np.ndarray] = []
     for slot in range(batch_size):
         prefix = np.array(chosen) if chosen else np.empty((0, d))

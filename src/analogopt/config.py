@@ -108,12 +108,8 @@ _TARGETS = {
 }
 
 
-def _same_name(target: str, skip=("seed",)) -> dict:
-    """A key named after each field of ``target`` except ``skip``.
-
-    By default that skips the nested configs' seeds, which the orchestrator
-    draws from the run seed for every call.
-    """
+def _same_name(target: str, skip=()) -> dict:
+    """A key named after each field of ``target`` except ``skip``."""
     fields = dataclasses.fields(_TARGETS[target])
     return {f.name: (target, f.name) for f in fields if f.name not in skip}
 

@@ -2,7 +2,9 @@
 parsing with regeneration retries, and deterministic mock clients.
 
 The wire protocol is the standard chat-completions JSON API (fields: model,
-messages, temperature, max_tokens). Prompt scaffolds and design-principles
+messages, temperature, max_tokens). A message is the wire's own
+``{"role", "content"}`` dict, from the prompt builders through
+:func:`chat_complete` to the run log. Prompt scaffolds and design-principles
 text live in plain-text template files under ``templates/`` so domain
 experts can edit them without touching code.
 """
@@ -78,29 +80,8 @@ class OutOfRange(ParseError):
         self.value = value
 
 
-class ProposerExhausted(LlmError):
-    """Every regeneration attempt produced an unusable response."""
-
-    def __init__(self, transcript, partial=()):
-        super().__init__("proposer retries exhausted")
-        self.transcript = list(transcript)
-        self.partial = list(partial)
-
-
 class PromptBudgetError(ConfigError):
     """A prompt cannot be fit inside the context budget."""
-
-
-@dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    content: str
-
-    def __post_init__(self) -> None:
-        if self.role not in ("system", "user", "assistant"):
-            raise ValueError(f"unknown role {self.role!r}")
-        if not self.content:
-            raise ValueError("message content must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -290,13 +271,14 @@ def _template(name: str) -> str:
 
 def _prompt(
     card: TaskCard, template: str, context_budget: int, **fields
-) -> list[ChatMessage]:
+) -> list[dict]:
     """``[system, user]`` from a prompt template, or PromptBudgetError."""
     messages = [
-        ChatMessage("system", _template("system.txt").strip()),
-        ChatMessage("user", _template(template).format(**card._sections, **fields)),
+        {"role": "system", "content": _template("system.txt").strip()},
+        {"role": "user",
+         "content": _template(template).format(**card._sections, **fields)},
     ]
-    tokens = sum(estimate_tokens(m.content) for m in messages)
+    tokens = sum(estimate_tokens(m["content"]) for m in messages)
     if tokens > context_budget:
         raise PromptBudgetError(
             f"prompt {template} needs {tokens} tokens, over the [llm] "
@@ -307,7 +289,7 @@ def _prompt(
 
 def build_init_prompt(
     card: TaskCard, n: int, context_budget: int = LlmConfig.context_budget
-) -> list[ChatMessage]:
+) -> list[dict]:
     """Zero-shot initialization prompt asking for ``n`` distinct points."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -318,7 +300,7 @@ def build_iteration_prompt(
     card: TaskCard,
     demos: list[EvalRecord],
     context_budget: int = LlmConfig.context_budget,
-) -> list[ChatMessage]:
+) -> list[dict]:
     """Four-step iteration prompt with few-shot demonstrations.
 
     Demonstrations must be ordered by descending FOM; when the rendered
@@ -363,7 +345,7 @@ def build_iteration_prompt(
             return list(messages)
 
 
-def chat_complete(config: LlmConfig, messages: list[ChatMessage]) -> str:
+def chat_complete(config: LlmConfig, messages: list[dict]) -> str:
     """One chat completion over the standard JSON wire protocol.
 
     Transient transport failures (connection errors, timeouts, 429, 5xx) are
@@ -385,7 +367,7 @@ def chat_complete(config: LlmConfig, messages: list[ChatMessage]) -> str:
         headers["Authorization"] = f"Bearer {api_key}"
     payload = {
         "model": config.model,
-        "messages": [{"role": m.role, "content": m.content} for m in messages],
+        "messages": messages,
         "temperature": config.temperature,
         "max_tokens": config.max_tokens,
     }
@@ -434,7 +416,7 @@ class HttpLlmClient:
     def __init__(self, config: LlmConfig) -> None:
         self.config = config
 
-    def complete(self, messages: list[ChatMessage]) -> str:
+    def complete(self, messages: list[dict]) -> str:
         return chat_complete(self.config, messages)
 
 
@@ -451,7 +433,7 @@ class ScriptedLlmClient:
         self.responses = list(responses)
         self.calls = 0
 
-    def complete(self, messages: list[ChatMessage]) -> str:
+    def complete(self, messages: list[dict]) -> str:
         response = self.responses[self.calls % len(self.responses)]
         self.calls += 1
         return response
@@ -469,7 +451,7 @@ class RandomPointLlmClient:
         self.rng = rng
         self.calls = 0
 
-    def complete(self, messages: list[ChatMessage]) -> str:
+    def complete(self, messages: list[dict]) -> str:
         self.calls += 1
         point = from_unit_cube(self.space, self.rng.uniform(size=self.space.dimension))
         lines = "\n".join(
@@ -508,19 +490,18 @@ def load_script(path: str) -> list[str]:
     return script
 
 
-def _corrective_message(error: ParseError, card: TaskCard) -> ChatMessage:
-    return ChatMessage(
-        "user",
-        f"Your previous response was not usable: {error}. "
+def _corrective_message(error: ParseError, card: TaskCard) -> dict:
+    return {
+        "role": "user",
+        "content": f"Your previous response was not usable: {error}. "
         "Reply again with a single fenced code block containing one "
         "`name = value unit` line for every parameter, all inside the "
         "allowed ranges:\n" + card._sections["parameters"],
-    )
+    }
 
 
 def _ask(
-    client, transcript: list[ChatMessage], card: TaskCard, space: DesignSpace,
-    retry_limit: int,
+    client, transcript: list[dict], card: TaskCard, retry_limit: int
 ) -> tuple[DesignPoint | None, ParseError | None]:
     """Complete and parse, up to ``retry_limit`` times, growing ``transcript``.
 
@@ -531,9 +512,9 @@ def _ask(
     error = None
     for _ in range(retry_limit):
         text = client.complete(list(transcript))
-        transcript.append(ChatMessage("assistant", text))
+        transcript.append({"role": "assistant", "content": text})
         try:
-            return parse_response(text, space), error
+            return parse_response(text, card.space), error
         except ParseError as exc:
             error = exc
         logger.info("proposal rejected: %s", error)
@@ -545,18 +526,16 @@ def propose(
     client,
     card: TaskCard,
     demos: list[EvalRecord],
-    space: DesignSpace,
     config: LlmConfig,
-) -> tuple[DesignPoint, list[ChatMessage]]:
+) -> tuple[DesignPoint | None, list[dict]]:
     """One accepted design point plus the full conversation transcript.
 
     Each unusable response appends a corrective message naming the violation
-    and retries, up to ``config.retry_limit`` completions in total.
+    and retries, up to ``config.retry_limit`` completions in total. The point
+    is None when every completion was unusable.
     """
     transcript = build_iteration_prompt(card, demos, config.context_budget)
-    point, _ = _ask(client, transcript, card, space, config.retry_limit)
-    if point is None:
-        raise ProposerExhausted(transcript)
+    point, _ = _ask(client, transcript, card, config.retry_limit)
     return point, transcript
 
 
@@ -564,43 +543,41 @@ def propose_init(
     client,
     card: TaskCard,
     n: int,
-    space: DesignSpace,
     config: LlmConfig,
-) -> tuple[list[DesignPoint], list[ChatMessage]]:
+) -> tuple[list[DesignPoint], list[dict]]:
     """Zero-shot initialization: ``n`` points from one completion.
 
     The first completion is parsed block by block; missing or unusable
     members are re-requested individually, each with the configured retry
-    budget. Raises :class:`ProposerExhausted` (carrying any parsed points)
-    when a member cannot be obtained.
+    budget. When a member cannot be obtained, the points parsed so far are
+    returned: fewer than ``n``.
     """
     transcript = build_init_prompt(card, n, config.context_budget)
     text = client.complete(list(transcript))
-    transcript.append(ChatMessage("assistant", text))
+    transcript.append({"role": "assistant", "content": text})
     points: list[DesignPoint] = []
     last_error: ParseError | None = None
     for block in parse_blocks(text):
         if len(points) == n:
             break
         try:
-            points.append(_parse_block(block, space))
+            points.append(_parse_block(block, card.space))
         except ParseError as error:
             last_error = error
 
     while len(points) < n:
         detail = f" ({last_error})" if last_error else ""
-        request = ChatMessage(
-            "user",
-            f"You have provided {len(points)} of {n} valid design points so "
-            f"far{detail}. Provide exactly one more distinct design point in "
-            "a single fenced code block, one `name = value unit` line per "
-            "parameter, all inside the allowed ranges:\n"
+        transcript.append({
+            "role": "user",
+            "content": f"You have provided {len(points)} of {n} valid design "
+            f"points so far{detail}. Provide exactly one more distinct design "
+            "point in a single fenced code block, one `name = value unit` line "
+            "per parameter, all inside the allowed ranges:\n"
             + card._sections["parameters"],
-        )
-        transcript.append(request)
-        point, error = _ask(client, transcript, card, space, config.retry_limit)
+        })
+        point, error = _ask(client, transcript, card, config.retry_limit)
         last_error = error or last_error
         if point is None:
-            raise ProposerExhausted(transcript, partial=points)
+            break
         points.append(point)
     return points, transcript

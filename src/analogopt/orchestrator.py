@@ -42,7 +42,6 @@ from .evaluator import CircuitModel, evaluate
 from .fom import FOM_PRESETS, compute_fom, count_missed_specs, hits_spec
 from .llm import (
     HttpLlmClient,
-    ProposerExhausted,
     RandomPointLlmClient,
     ScriptedLlmClient,
     load_script,
@@ -163,10 +162,6 @@ def _eval_line(index: int, record) -> dict:
     }
 
 
-def _transcript_dump(transcript) -> list[dict]:
-    return [{"role": m.role, "content": m.content} for m in transcript]
-
-
 def _make_client(config: RunConfig, space, llm_rng):
     if config.mock is None:
         return HttpLlmClient(config.llm)
@@ -219,14 +214,10 @@ def run(config: RunConfig) -> RunLog:
     init_line = {"type": "init", "strategy": config.init_strategy, "n_substituted": 0}
     points: list[DesignPoint] = []
     if config.init_strategy == "llm_zero_shot":
-        try:
-            points, transcript = propose_init(
-                client, card, config.n_init, space, config.llm
-            )
-        except ProposerExhausted as exc:
-            points, transcript = exc.partial, exc.transcript
+        points, init_line["transcript"] = propose_init(
+            client, card, config.n_init, config.llm
+        )
         init_line["n_substituted"] = config.n_init - len(points)
-        init_line["transcript"] = _transcript_dump(transcript)
     evaluate_all(
         [(p, Source.LLM_INIT) for p in points]
         + [(_uniform_point(space, streams["init"]), Source.RANDOM)
@@ -244,33 +235,27 @@ def run(config: RunConfig) -> RunLog:
             transcripts = []
             substituted = 0
             for _ in range(config.llm_queries_per_step):
-                try:
-                    point, transcript = propose(client, card, demos, space, config.llm)
-                    proposals.append((point, Source.LLM))
-                except ProposerExhausted as exc:
-                    transcript = exc.transcript
-                    point = _uniform_point(space, streams["llm"])
-                    proposals.append((point, Source.RANDOM))
+                point, transcript = propose(client, card, demos, config.llm)
+                if point is None:
                     substituted += 1
-                transcripts.append(_transcript_dump(transcript))
+                    proposals.append((_uniform_point(space, streams["llm"]),
+                                      Source.RANDOM))
+                else:
+                    proposals.append((point, Source.LLM))
+                transcripts.append(transcript)
             diag["llm_transcripts"] = transcripts
             diag["llm_substituted"] = substituted
 
         if config.gp_queries_per_step > 0:
             X = np.array([to_unit_cube(space, r.point) for r in dataset])
             y = np.array([r.fom for r in dataset])
-            fit_config = dataclasses.replace(
-                config.gp_fit, seed=int(streams["surrogate"].integers(2**31 - 1))
-            )
-            gp = gp_fit(X, y, fit_config)
+            fit_seed = int(streams["surrogate"].integers(2**31 - 1))
+            gp = gp_fit(X, y, config.gp_fit, fit_seed)
             best = dataset[dataset.best_index].fom
-            acq_config = dataclasses.replace(
-                config.acquisition,
-                seed=int(streams["acquisition"].integers(2**31 - 1)),
-            )
+            acq_seed = int(streams["acquisition"].integers(2**31 - 1))
             batch = propose_batch(
-                gp, space, best, config.gp_queries_per_step, acq_config,
-                streams["acquisition"],
+                gp, space, best, config.gp_queries_per_step, config.acquisition,
+                streams["acquisition"], acq_seed,
             )
             batch_u = np.array([to_unit_cube(space, p) for p in batch])
             diag["gp"] = {
@@ -282,7 +267,9 @@ def run(config: RunConfig) -> RunLog:
             # A diagnostic only: the prefix factor, the one factorization in
             # qei_mc that can fail, is logged on failure, not fatal.
             try:
-                diag["acquisition_value"] = float(qei_mc(gp, batch_u, best, acq_config))
+                diag["acquisition_value"] = float(
+                    qei_mc(gp, batch_u, best, config.acquisition, acq_seed)
+                )
             except NumericalError as exc:
                 diag["acquisition_value"] = None
                 diag["acquisition_error"] = str(exc)

@@ -191,7 +191,6 @@ class GpFitConfig:
 
     restarts: int = 8
     maxiter: int = 100
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
@@ -406,11 +405,13 @@ def _standardize(y):
     return (y - mean) / std, mean, std
 
 
-def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> GpModel:
+def gp_fit(
+    X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None, seed: int = 0
+) -> GpModel:
     """Fit hyperparameters by multi-restart maximum marginal likelihood.
 
     Restart 0 starts from fixed defaults; the rest are log-uniform draws from
-    a seeded stream, so the result is deterministic given ``config.seed``.
+    a stream seeded with ``seed``, so the result is deterministic given it.
     Ties between restarts keep the lowest restart index.
     """
     config = config or GpFitConfig()
@@ -449,7 +450,7 @@ def gp_fit(X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None) -> G
             return 1e25, np.zeros_like(theta)
         return -lml, -grad
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     starts = [
         np.concatenate([np.full(d, math.log(0.5)), [0.0], [math.log(1e-3)]])
     ]

@@ -35,7 +35,7 @@ def fitted_model():
     rng = np.random.default_rng(3)
     X = rng.uniform(size=(8, 2))
     y = np.sin(3.0 * X[:, 0]) * np.cos(2.0 * X[:, 1])
-    return gp_fit(X, y, GpFitConfig(restarts=4, seed=1)), float(y.max())
+    return gp_fit(X, y, GpFitConfig(restarts=4), seed=1), float(y.max())
 
 
 FAR = np.array([[0.0]])  # far from model_with_prior's training point
@@ -99,26 +99,31 @@ def test_ei_nonnegative_everywhere():
 def test_qei_q1_matches_closed_form():
     # 20 (mu, sigma, best) triples with meaningful improvement probability
     rng = np.random.default_rng(17)
-    config = AcquisitionConfig(mc_samples=100_000, seed=23)
+    config = AcquisitionConfig(mc_samples=100_000)
     for _ in range(20):
         mu = rng.normal()
         sigma = rng.uniform(0.3, 2.0)
         best = mu - rng.uniform(-0.5, 2.0) * sigma
         model = model_with_prior(mu, sigma)
         closed = ei(model, FAR, best)
-        mc = qei_mc(model, FAR, best, config)
+        mc = qei_mc(model, FAR, best, config, seed=23)
         assert mc == pytest.approx(closed, rel=0.02)
 
 
 def test_qei_duplicate_point_equals_singleton(fitted_model):
+    # Every copy after the first takes the first copy's sample, so 2, 3 or 4
+    # copies of one point estimate the singleton's qEI, with no jitter added.
     model, _ = fitted_model
-    x = np.array([[0.21, 0.84]])
     best = float(model.target_mean - 3.0 * model.target_std)  # improvement certain
-    config = AcquisitionConfig(mc_samples=20_000, seed=7)
-    single = qei_mc(model, x, best, config)
-    pair = qei_mc(model, np.vstack([x, x]), best, config)
-    assert single > 0
-    assert pair == pytest.approx(single, rel=1e-7)
+    config = AcquisitionConfig(mc_samples=1024)
+    for a in np.linspace(0.0, 1.0, 11):
+        for b in np.linspace(0.0, 1.0, 11):
+            x = np.array([[a, b]])
+            single = qei_mc(model, x, best, config, seed=7)
+            assert single > 0
+            for q in (2, 3, 4):
+                copies = qei_mc(model, np.repeat(x, q, axis=0), best, config, seed=7)
+                assert copies == pytest.approx(single, rel=1e-7), (a, b, q)
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,38 +141,44 @@ def test_qei_is_unmoved_by_a_repeated_point(fitted_model, cells, data):
     batch = np.array(cells) / 10.0
     j = data.draw(st.integers(0, len(cells) - 1), label="repeated")
     best = float(model.target_mean - 3.0 * model.target_std)  # improvement certain
-    config = AcquisitionConfig(mc_samples=1024, seed=7)
-    repeated = qei_mc(model, np.vstack([batch, batch[j]]), best, config)
-    assert repeated == pytest.approx(qei_mc(model, batch, best, config), rel=1e-6)
+    config = AcquisitionConfig(mc_samples=1024)
+    repeated = qei_mc(model, np.vstack([batch, batch[j]]), best, config, seed=7)
+    single = qei_mc(model, batch, best, config, seed=7)
+    assert repeated == pytest.approx(single, rel=1e-6)
 
 
 def test_qei_superset_dominates(fitted_model):
     model, best = fitted_model
     rng = np.random.default_rng(11)
-    config = AcquisitionConfig(mc_samples=8_192, seed=5)
+    config = AcquisitionConfig(mc_samples=8_192)
     for _ in range(10):
         batch = rng.uniform(size=(3, 2))
         extra = np.vstack([batch, rng.uniform(size=(1, 2))])
-        assert qei_mc(model, extra, best, config) >= (
-            qei_mc(model, batch, best, config) - 1e-9
+        assert qei_mc(model, extra, best, config, seed=5) >= (
+            qei_mc(model, batch, best, config, seed=5) - 1e-9
         )
 
 
 def test_qei_is_pure_function_of_inputs(fitted_model):
     model, best = fitted_model
     batch = np.array([[0.2, 0.3], [0.8, 0.1]])
-    config = AcquisitionConfig(mc_samples=4_096, seed=13)
-    assert qei_mc(model, batch, best, config) == qei_mc(model, batch, best, config)
+    config = AcquisitionConfig(mc_samples=4_096)
+    value = qei_mc(model, batch, best, config, seed=13)
+    assert qei_mc(model, batch, best, config, seed=13) == value
 
 
 def test_propose_batch_in_box_and_deterministic(fitted_model, unit_space):
     model, best = fitted_model
     config = AcquisitionConfig(
         mc_samples=512, restarts=3, raw_candidates=128,
-        maxiter=20, seed=3,
+        maxiter=20,
     )
-    batch1 = propose_batch(model, unit_space, best, 4, config, np.random.default_rng(9))
-    batch2 = propose_batch(model, unit_space, best, 4, config, np.random.default_rng(9))
+    batch1 = propose_batch(
+        model, unit_space, best, 4, config, np.random.default_rng(9), seed=3
+    )
+    batch2 = propose_batch(
+        model, unit_space, best, 4, config, np.random.default_rng(9), seed=3
+    )
     assert [p.values for p in batch1] == [p.values for p in batch2]
     assert len(batch1) == 4
     assert all(design_space_contains(unit_space, p) for p in batch1)
@@ -177,14 +188,17 @@ def test_propose_batch_beats_random_batches(fitted_model, unit_space):
     model, best = fitted_model
     config = AcquisitionConfig(
         mc_samples=1024, restarts=3, raw_candidates=128,
-        maxiter=25, seed=3,
+        maxiter=25,
     )
-    batch = propose_batch(model, unit_space, best, 3, config, np.random.default_rng(4))
+    batch = propose_batch(
+        model, unit_space, best, 3, config, np.random.default_rng(4), seed=3
+    )
     u = np.array([to_unit_cube(unit_space, p) for p in batch])
-    value = qei_mc(model, u, best, config)
+    value = qei_mc(model, u, best, config, seed=3)
     rng = np.random.default_rng(100)
     random_best = max(
-        qei_mc(model, rng.uniform(size=(3, 2)), best, config) for _ in range(50)
+        qei_mc(model, rng.uniform(size=(3, 2)), best, config, seed=3)
+        for _ in range(50)
     )
     assert value >= random_best
 
@@ -194,9 +208,11 @@ def test_propose_batch_handles_tiny_search_budget(fitted_model):
     model, best = fitted_model
     space = DesignSpace((Parameter("a", 0.0, 1.0), Parameter("b", 0.0, 1.0)))
     config = AcquisitionConfig(
-        mc_samples=64, restarts=1, raw_candidates=4, maxiter=1, seed=0
+        mc_samples=64, restarts=1, raw_candidates=4, maxiter=1
     )
-    batch = propose_batch(model, space, best, 2, config, np.random.default_rng(0))
+    batch = propose_batch(
+        model, space, best, 2, config, np.random.default_rng(0), seed=0
+    )
     assert all(design_space_contains(space, p) for p in batch)
 
 
@@ -210,12 +226,12 @@ def test_base_draws_prefix_columns_are_bitwise_stable(q):
         assert full[:, :s].strides == _base_draws(11, s, 257).strides
 
 
-def _dense_qei(model, batch, best, config):
+def _dense_qei(model, batch, best, config, seed):
     """Full-batch Monte-Carlo qEI from one joint factor of the batch's
     posterior covariance, independent of the scorer's bordered factor."""
     mean, cov = gp_predict(model, batch)
     L, _ = _chol_with_jitter(cov)
-    Z = _base_draws(config.seed, batch.shape[0], config.mc_samples)
+    Z = _base_draws(seed, batch.shape[0], config.mc_samples)
     samples = mean[None, :] + Z @ L.T
     improvement = np.max(samples, axis=1) - best
     return float(np.mean(np.clip(improvement, 0.0, None)))
@@ -225,15 +241,17 @@ def _dense_qei(model, batch, best, config):
 def test_slot_scorer_matches_qei_of_extended_batch(fitted_model, k):
     model, _ = fitted_model
     best = -0.3  # below every training target: every batch's qEI is positive
-    config = AcquisitionConfig(mc_samples=2048, seed=5)
+    config = AcquisitionConfig(mc_samples=2048)
     prefix = np.array([[0.1, 0.2], [0.8, 0.3], [0.4, 0.9]])[:k]
     cands = np.random.default_rng(100 + k).uniform(size=(6, 2))
     score = _slot_scorer(
-        model, prefix, _base_draws(config.seed, k + 1, config.mc_samples), best
+        model, prefix, _base_draws(5, k + 1, config.mc_samples), best
     )
     scores = score(cands)
     for value, c in zip(scores, cands):
-        expected = _dense_qei(model, np.vstack([prefix, c[None, :]]), best, config)
+        expected = _dense_qei(
+            model, np.vstack([prefix, c[None, :]]), best, config, seed=5
+        )
         assert expected > 0.0
         assert value == pytest.approx(expected, rel=1e-9)
 
@@ -243,7 +261,7 @@ def _model_in(d):
     X = rng.uniform(size=(8 if d == 2 else 30, d))
     y = np.sin(3.0 * X[:, 0]) * np.cos(2.0 * X[:, 1])
     y = y + 0.3 * np.sum(np.sin(4.0 * X[:, 2:]), axis=1)
-    return gp_fit(X, y, GpFitConfig(restarts=4, seed=1)), float(y.min()) - 0.1
+    return gp_fit(X, y, GpFitConfig(restarts=4), seed=1), float(y.min()) - 0.1
 
 
 @pytest.mark.parametrize("d", [2, 14])
@@ -290,4 +308,6 @@ def test_propose_batch_propagates_prefix_factor_failure(unit_space):
         mc_samples=64, restarts=1, raw_candidates=8, maxiter=3
     )
     with pytest.raises(NumericalError):
-        propose_batch(bogus, unit_space, 0.0, 2, config, np.random.default_rng(0))
+        propose_batch(
+            bogus, unit_space, 0.0, 2, config, np.random.default_rng(0), seed=0
+        )

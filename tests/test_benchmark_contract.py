@@ -1,10 +1,13 @@
-"""The benchmark tracer's contract with the orchestrator.
+"""The benchmark's contract with the orchestrator.
 
 ``benchmarks/tracer.py`` times each layer by swapping the functions the
 orchestrator imported into its own namespace. A refactor that renames,
 inlines or stops calling one of them through that global would leave the
-benchmark silently reporting zeros; these tests catch it. The tracer module
-is loaded from its file and used read-only.
+benchmark silently reporting zeros; these tests catch it.
+``benchmarks/harness.py`` checks and counts the in-memory ``RunLog.lines`` of
+each run inside its per-run ``try``, so a change in their shape would show
+there only as failed benchmark runs; a test here reads them the same way.
+Both modules are loaded from their files and used read-only.
 """
 
 import importlib.util
@@ -19,7 +22,8 @@ from analogopt.acquisition import AcquisitionConfig
 from analogopt.config import RunConfig
 from analogopt.surrogate import GpFitConfig
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+TRACER_PATH = BENCHMARKS / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +37,26 @@ def tracer():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def harness():
+    # harness.py imports its neighbours ``env`` and ``tracer`` by name
+    saved_path = list(sys.path)
+    added = [name for name in ("env", "tracer") if name not in sys.modules]
+    sys.path.insert(0, str(BENCHMARKS))
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_harness", BENCHMARKS / "harness.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.path[:] = saved_path
+        for name in [spec.name, *added]:
+            sys.modules.pop(name, None)
 
 
 def test_every_probe_is_an_orchestrator_attribute(tracer):
@@ -85,3 +109,25 @@ def test_traced_report_replays_every_eval_line(tracer, tmp_path):
     metrics = tracer.span_metrics(recorder.spans)
     assert metrics["fom.replay.calls"] == n_evals
     assert metrics["orchestrator.report_parse_s"] > 0.0
+
+
+def test_harness_checks_and_counts_the_in_memory_log_lines(harness):
+    config = RunConfig(
+        method="ado_llm", preset="branin", n_init=3, n_iter=2, seed=0,
+        mock="random",
+        acquisition=AcquisitionConfig(
+            mc_samples=16, restarts=1, raw_candidates=8, maxiter=2
+        ),
+        gp_fit=GpFitConfig(restarts=1, maxiter=5),
+    )
+    lines = orchestrator.run(config).lines
+    assert harness.check_run(config, lines) == []
+    facts = harness.log_facts(lines)
+    init = next(line for line in lines if line["type"] == "init")
+    transcripts = [t for line in lines for t in line.get("llm_transcripts", ())]
+    assert len(transcripts) == config.n_iter
+    assert facts["completions"] == sum(
+        m["role"] == "assistant" for t in [init["transcript"], *transcripts] for m in t
+    )
+    assert len(facts["prompt_tokens"]) == len(transcripts)
+    assert all(tokens > 0 for tokens in facts["prompt_tokens"])

@@ -99,8 +99,7 @@ def test_every_ini_key_sets_its_field(tmp_path):
 
 
 def test_every_config_field_has_an_ini_key():
-    # A field only Python can set would grow the config unseen. The nested
-    # configs' seeds are the exception: a run draws them from its own seed.
+    # A field only Python can set would grow the config unseen.
     keys = [key for section in INI_KEYS.values() for key in section.values()]
     assert len(set(keys)) == len(keys)  # no two keys set one field
     fields = {
@@ -109,8 +108,7 @@ def test_every_config_field_has_an_ini_key():
         for f in dataclasses.fields(cls)
         if f.name not in _TARGETS
     }
-    assert fields - set(keys) == {("acquisition", "seed"), ("gp_fit", "seed")}
-    assert set(keys) <= fields
+    assert set(keys) == fields
 
 
 def test_keyword_overrides_win_over_the_file(tmp_path):

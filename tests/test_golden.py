@@ -32,21 +32,21 @@ GOLDEN = [
     (
         dict(method="ado_llm", preset="amp2", n_iter=4,
              llm_queries_per_step=1, gp_queries_per_step=4),
-        "3742c0575d0eb172643a9998c6ab01965970064420fd0610a065a0a6de8e18a7",
-        "f75fbff6402a2d0ad3fe05dd799707a4b9316512aa76f68e13d5333a24029cfc",
+        "7703618dce5d72eb1bce02e57d8d9bbbdb3b91ed1e0971f05d1a1fbf6410975d",
+        "4ebff9a878c01556ae59da9942f1ca40b5d69787d3ca4096035413357eb9418f",
     ),
     (
         dict(method="gp_bo", preset="branin", n_iter=4, llm_queries_per_step=0,
              gp_queries_per_step=5, init_strategy="uniform_random"),
-        "93d3740edbf3608bc5cbb79844033441955ca8b70abdbf37f642c5444a6215e4",
-        "93d3740edbf3608bc5cbb79844033441955ca8b70abdbf37f642c5444a6215e4",
+        "bf7e26475b8b2c0cc791159ee308aa3a04c12fc75cf2c4edf870545a7537f1f0",
+        "bf7e26475b8b2c0cc791159ee308aa3a04c12fc75cf2c4edf870545a7537f1f0",
     ),
     (
         # many all-failed designs share one FOM, so top_k's tie order matters
         dict(method="llm_only", preset="amp2", n_iter=60,
              llm_queries_per_step=1, gp_queries_per_step=0),
-        "1c0c233e7a65a955ec07e8243bd7bc485e1643fc1efb7e9dba83adf75c5cf7fe",
-        "3bef7ec09fbf304ca0e7f3d222e66eeef8deacee26b5003b3503f0f269df219a",
+        "91e568f2292400bd2d8e7f6dff319eb31ec58e2248467cb0796571b51025de1b",
+        "23cf0296ff6c6e7d65f21699d2881a745f66da3db6c5f3058989d63b483b8780",
     ),
 ]
 
@@ -89,6 +89,6 @@ def test_golden_scripted_retry_log_hash(tmp_path):
                    if line["type"] == "iteration"]
     assert substituted == [1, 0, 0, 0]
     assert _hashes(log, tmp_path / "run.jsonl") == (
-        "06c1c905f8b115a34d439d40c1b1606bd89e67faa11738b5bf54db546910ed77",
-        "53a57a4f0520b4cd72f9e5f05a3ce1b27c738c4bec2e5a4711fab4df2ad03925",
+        "31f814d48c69cb61306c83dc59f308ffbf0bb97f593b91098018bbb71d4a6762",
+        "518a9d92b101013ca479225797def070e2b3d0f59560dffdc2ce63f54abb651a",
     )

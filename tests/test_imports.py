@@ -111,10 +111,10 @@ def test_chat_complete_imports_requests_on_first_call(stub_server):
     server = stub_server([(200, chat_body("deferred reply"))])
     out = _python(
         "import sys\n"
-        "from analogopt.llm import ChatMessage, LlmConfig, chat_complete\n"
+        "from analogopt.llm import LlmConfig, chat_complete\n"
         "assert 'requests' not in sys.modules\n"
         "config = LlmConfig(endpoint=sys.argv[1], backoff=0.0)\n"
-        "print(chat_complete(config, [ChatMessage('user', 'hi')]))\n"
+        "print(chat_complete(config, [{'role': 'user', 'content': 'hi'}]))\n"
         "assert 'requests' in sys.modules\n",
         server.endpoint,
     )

@@ -13,13 +13,11 @@ from analogopt.core import DesignPoint, design_space_contains
 from analogopt.evaluator import evaluate
 from analogopt.llm import (
     AuthError,
-    ChatMessage,
     LlmConfig,
     MissingParameter,
     NotNumeric,
     OutOfRange,
     PromptBudgetError,
-    ProposerExhausted,
     ProtocolError,
     RandomPointLlmClient,
     ScriptedLlmClient,
@@ -202,8 +200,8 @@ def test_format_si_round_trip():
 def test_init_prompt_names_all_parameters(amp2):
     model, card = amp2
     messages = build_init_prompt(card, 5)
-    assert [m.role for m in messages] == ["system", "user"]
-    body = messages[1].content
+    assert [m["role"] for m in messages] == ["system", "user"]
+    body = messages[1]["content"]
     for name in model.space.names:
         assert re.search(rf"\b{name}\b", body)
     assert "5 distinct design points" in body
@@ -214,14 +212,14 @@ def test_init_prompt_names_all_parameters(amp2):
 def test_init_prompt_within_budget(amp2):
     _, card = amp2
     messages = build_init_prompt(card, 5)
-    assert sum(estimate_tokens(m.content) for m in messages) <= 16000
+    assert sum(estimate_tokens(m["content"]) for m in messages) <= 16000
 
 
 def test_iteration_prompt_sections_in_order(amp2):
     model, card = amp2
     demos = [evaluate(model, DEMO_POINT)]
     messages = build_iteration_prompt(card, demos)
-    body = messages[-1].content
+    body = messages[-1]["content"]
     positions = [body.index(f"Step ({s})") for s in "abcd"]
     assert positions == sorted(positions)
     assert "exactly one new design point" in body
@@ -230,7 +228,7 @@ def test_iteration_prompt_sections_in_order(amp2):
 def test_iteration_prompt_renders_demos_with_units_and_regions(amp2):
     model, card = amp2
     demos = [evaluate(model, DEMO_POINT, iteration=i) for i in range(5)]
-    body = build_iteration_prompt(card, demos)[-1].content
+    body = build_iteration_prompt(card, demos)[-1]["content"]
     assert body.count("Demonstration") == 5
     assert "MHz" in body and "dB" in body and "uW" in body
     assert "M1: saturation" in body
@@ -239,7 +237,7 @@ def test_iteration_prompt_renders_demos_with_units_and_regions(amp2):
 
 def test_iteration_prompt_accepts_empty_demos(amp2):
     _, card = amp2
-    body = build_iteration_prompt(card, [])[-1].content
+    body = build_iteration_prompt(card, [])[-1]["content"]
     assert "no demonstrations" in body
     positions = [body.index(f"Step ({s})") for s in "abcd"]
     assert positions == sorted(positions)
@@ -250,10 +248,10 @@ def test_iteration_prompt_drops_lowest_fom_demos_to_fit(amp2, demos):
     budget = 1400  # enough for the scaffold plus a few demos only
     for _ in range(2):  # the second call returns the card's last prompt
         messages = build_iteration_prompt(card, demos, context_budget=budget)
-        body = messages[-1].content
+        body = messages[-1]["content"]
         kept = body.count("Demonstration")
         assert 1 <= kept < 8
-        assert sum(estimate_tokens(m.content) for m in messages) <= budget
+        assert sum(estimate_tokens(m["content"]) for m in messages) <= budget
         # the highest-FOM demo always survives
         assert f"FOM = {demos[0].fom:.4g}" in body
         # the format section is intact
@@ -270,16 +268,16 @@ def test_iteration_prompt_reuses_messages_for_the_same_demos(amp2, demos):
     second = build_iteration_prompt(card, list(demos[:5]))
     assert second == first
     assert all(a is b for a, b in zip(first, second))
-    assert second[-1].content is first[-1].content
+    assert second[-1]["content"] is first[-1]["content"]
 
 
 def test_iteration_prompt_returns_a_fresh_list(amp2, demos):
     _, card = amp2
     first = build_iteration_prompt(card, demos[:5])
-    first.append(ChatMessage("assistant", "a reply"))
+    first.append({"role": "assistant", "content": "a reply"})
     second = build_iteration_prompt(card, demos[:5])
     assert second is not first
-    assert [m.role for m in second] == ["system", "user"]
+    assert [m["role"] for m in second] == ["system", "user"]
 
 
 def test_iteration_prompt_renders_afresh_for_other_demos_or_budget(amp2, demos):
@@ -291,7 +289,7 @@ def test_iteration_prompt_renders_afresh_for_other_demos_or_budget(amp2, demos):
         (demos[1:6], 16000), (demos[:4], 16000), (demos[:5], 1400), (copies, 16000),
     ):
         messages = build_iteration_prompt(card, other, budget)
-        assert messages[-1].content is not shown[-1].content
+        assert messages[-1]["content"] is not shown[-1]["content"]
         assert messages == build_iteration_prompt(replace(card), other, budget)
         shown = messages
 
@@ -302,44 +300,44 @@ def test_propose_retries_then_accepts(amp2):
     model, card = amp2
     client = ScriptedLlmClient(["not a design", GOOD_BLOCK])
     config = LlmConfig(retry_limit=3)
-    point, transcript = propose(client, card, [], model.space, config)
+    point, transcript = propose(client, card, [], config)
     assert client.calls == 2
     assert design_space_contains(model.space, point)
-    roles = [m.role for m in transcript]
+    roles = [m["role"] for m in transcript]
     assert roles.count("assistant") == 2
     # corrective message names the missing parameter
-    corrective = [m for m in transcript if m.role == "user"][1]
-    assert "w1" in corrective.content
+    corrective = [m for m in transcript if m["role"] == "user"][1]
+    assert "w1" in corrective["content"]
 
 
 def test_propose_single_call_when_valid(amp2):
     model, card = amp2
     client = ScriptedLlmClient([GOOD_BLOCK])
-    point, _ = propose(client, card, [], model.space, LlmConfig(retry_limit=3))
+    point, _ = propose(client, card, [], LlmConfig(retry_limit=3))
     assert client.calls == 1
 
 
 def test_propose_exhausts_after_retry_limit(amp2):
     model, card = amp2
     client = ScriptedLlmClient(["bad"])
-    with pytest.raises(ProposerExhausted) as excinfo:
-        propose(client, card, [], model.space, LlmConfig(retry_limit=3))
+    point, transcript = propose(client, card, [], LlmConfig(retry_limit=3))
+    assert point is None
     assert client.calls == 3
-    assert any(m.role == "assistant" for m in excinfo.value.transcript)
+    assert [m["role"] for m in transcript].count("assistant") == 3
 
 
 def test_propose_transcript_replays_to_same_point(amp2):
     model, card = amp2
     client = ScriptedLlmClient(["oops", GOOD_BLOCK])
-    point, transcript = propose(client, card, [], model.space, LlmConfig())
-    last_assistant = [m for m in transcript if m.role == "assistant"][-1]
-    assert parse_response(last_assistant.content, model.space).values == point.values
+    point, transcript = propose(client, card, [], LlmConfig())
+    last_assistant = [m for m in transcript if m["role"] == "assistant"][-1]
+    assert parse_response(last_assistant["content"], model.space).values == point.values
 
 
 def test_propose_init_re_requests_missing_points(amp2):
     model, card = amp2
     client = RandomPointLlmClient(model.space, np.random.default_rng(0))
-    points, transcript = propose_init(client, card, 5, model.space, LlmConfig())
+    points, transcript = propose_init(client, card, 5, LlmConfig())
     assert len(points) == 5
     assert client.calls == 5  # one per point: the mock emits one block per call
     assert all(design_space_contains(model.space, p) for p in points)
@@ -347,7 +345,6 @@ def test_propose_init_re_requests_missing_points(amp2):
 
 def test_propose_init_exhaustion_carries_partial(amp2):
     model, card = amp2
-    client = ScriptedLlmClient([GOOD_BLOCK + "\njunk follows"])
 
     class OneGoodThenBad:
         def __init__(self):
@@ -358,14 +355,63 @@ def test_propose_init_exhaustion_carries_partial(amp2):
             return GOOD_BLOCK if self.calls == 1 else "no point here"
 
     client = OneGoodThenBad()
-    with pytest.raises(ProposerExhausted) as excinfo:
-        propose_init(client, card, 3, model.space, LlmConfig(retry_limit=2))
-    assert len(excinfo.value.partial) == 1
+    points, transcript = propose_init(client, card, 3, LlmConfig(retry_limit=2))
+    assert len(points) == 1
+    assert client.calls == 3
+    assert [m["role"] for m in transcript].count("assistant") == 3
+
+
+# Every kind of reply a proposer has to survive, by name.
+REPLIES = {
+    "valid": GOOD_BLOCK,
+    "out of range": GOOD_BLOCK.replace("w1 = 2.5 um", "w1 = 60nm"),
+    "missing": GOOD_BLOCK.replace("cc = 3 pF", ""),
+    "junk": "I cannot help with that.",
+    "empty": "",
+}
+
+
+def _assert_logged_completions(transcript, client):
+    roles = [m["role"] for m in transcript]
+    assert roles[:2] == ["system", "user"]
+    assert roles.count("assistant") == client.calls
+    assert all(roles[i - 1] == "user" for i, r in enumerate(roles) if r == "assistant")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    replies=st.lists(st.sampled_from(sorted(REPLIES)), min_size=1, max_size=8),
+    n=st.integers(1, 3),
+    retry_limit=st.integers(1, 3),
+)
+def test_proposers_return_points_within_their_retry_budget(
+    amp2, replies, n, retry_limit
+):
+    # The scripted client cycles; a proposer returns what it could parse and
+    # never raises, whatever the replies.
+    model, card = amp2
+    config = LlmConfig(retry_limit=retry_limit)
+    client = ScriptedLlmClient([REPLIES[r] for r in replies])
+    point, transcript = propose(client, card, [], config)
+    assert client.calls <= retry_limit
+    sent = [replies[i % len(replies)] for i in range(client.calls)]
+    assert (point is not None) == (sent[-1] == "valid")
+    assert "valid" not in sent[:-1]
+    if point is not None:
+        assert design_space_contains(model.space, point)
+    _assert_logged_completions(transcript, client)
+
+    client = ScriptedLlmClient([REPLIES[r] for r in replies])
+    points, transcript = propose_init(client, card, n, config)
+    assert len(points) <= n
+    assert all(design_space_contains(model.space, p) for p in points)
+    assert client.calls <= 1 + n * retry_limit
+    _assert_logged_completions(transcript, client)
 
 
 def test_scripted_client_cycles():
     client = ScriptedLlmClient(["a", "b"])
-    out = [client.complete([ChatMessage("user", "x")]) for _ in range(5)]
+    out = [client.complete([{"role": "user", "content": "x"}]) for _ in range(5)]
     assert out == ["a", "b", "a", "b", "a"]
 
 
@@ -387,10 +433,12 @@ def test_load_script_formats(tmp_path):
 
 # ------------------------------------------------------------- wire client
 
+HI = [{"role": "user", "content": "hi"}]
+
 def test_chat_complete_returns_stub_content(stub_server):
     server = stub_server([(200, chat_body("canned reply"))])
     config = LlmConfig(endpoint=server.endpoint, backoff=0.0)
-    assert chat_complete(config, [ChatMessage("user", "hi")]) == "canned reply"
+    assert chat_complete(config, HI) == "canned reply"
     assert server.hits == 1
 
 
@@ -401,7 +449,7 @@ def test_chat_complete_retries_transient_failures(stub_server):
         (200, chat_body("after retries")),
     ])
     config = LlmConfig(endpoint=server.endpoint, backoff=0.0, transport_attempts=3)
-    assert chat_complete(config, [ChatMessage("user", "hi")]) == "after retries"
+    assert chat_complete(config, HI) == "after retries"
     assert server.hits == 3
 
 
@@ -409,7 +457,7 @@ def test_chat_complete_transport_error_after_exhaustion(stub_server):
     server = stub_server([(500, "{}")])
     config = LlmConfig(endpoint=server.endpoint, backoff=0.0, transport_attempts=3)
     with pytest.raises(TransportError):
-        chat_complete(config, [ChatMessage("user", "hi")])
+        chat_complete(config, HI)
     assert server.hits == 3
 
 
@@ -418,7 +466,7 @@ def test_chat_complete_backs_off_between_attempts_only(stub_server, monkeypatch)
     monkeypatch.setattr("analogopt.llm.time.sleep", sleeps.append)
     server = stub_server([(500, "{}"), (429, "{}"), (200, chat_body("late"))])
     config = LlmConfig(endpoint=server.endpoint, backoff=0.5, transport_attempts=3)
-    assert chat_complete(config, [ChatMessage("user", "hi")]) == "late"
+    assert chat_complete(config, HI) == "late"
     assert sleeps == [0.5, 1.0]
     # connection errors share the schedule, and nothing sleeps after the last
     with socket.socket() as probe:
@@ -427,7 +475,7 @@ def test_chat_complete_backs_off_between_attempts_only(stub_server, monkeypatch)
     sleeps.clear()
     config = replace(config, endpoint=f"http://127.0.0.1:{port}/v1")
     with pytest.raises(TransportError, match="after 3 attempts"):
-        chat_complete(config, [ChatMessage("user", "hi")])
+        chat_complete(config, HI)
     assert sleeps == [0.5, 1.0]
 
 
@@ -435,25 +483,19 @@ def test_chat_complete_requires_key_for_remote(monkeypatch):
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)
     config = LlmConfig(endpoint="https://api.example.com/v1")
     with pytest.raises(AuthError):
-        chat_complete(config, [ChatMessage("user", "hi")])
+        chat_complete(config, HI)
 
 
 def test_chat_complete_auth_rejection(stub_server, monkeypatch):
     server = stub_server([(401, "{}")])
     config = LlmConfig(endpoint=server.endpoint)
     with pytest.raises(AuthError):
-        chat_complete(config, [ChatMessage("user", "hi")])
+        chat_complete(config, HI)
 
 
 def test_chat_complete_malformed_response(stub_server):
     server = stub_server([(200, '{"nope": true}')])
     config = LlmConfig(endpoint=server.endpoint)
     with pytest.raises(ProtocolError):
-        chat_complete(config, [ChatMessage("user", "hi")])
+        chat_complete(config, HI)
 
-
-def test_chat_message_validation():
-    with pytest.raises(ValueError):
-        ChatMessage("user", "")
-    with pytest.raises(ValueError):
-        ChatMessage("oracle", "hello")

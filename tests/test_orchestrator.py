@@ -169,9 +169,9 @@ def test_llm_repeating_one_failing_design_completes_and_reruns(tmp_path, monkeyp
     config = fast_config(preset="amp2", mock=str(script), n_iter=3)
     fits = []
 
-    def recording_fit(X, y, fit_config):
+    def recording_fit(X, y, fit_config, seed):
         fits.append((X, y))
-        return gp_fit(X, y, fit_config)
+        return gp_fit(X, y, fit_config, seed)
 
     monkeypatch.setattr(orchestrator, "gp_fit", recording_fit)
     log = run(config)
@@ -182,6 +182,40 @@ def test_llm_repeating_one_failing_design_completes_and_reruns(tmp_path, monkeyp
     assert not any(r.simulation_ok for r in llm)
     X, y = fits[0]
     assert X.shape[0] == 5 and (X == X[0]).all() and (y == y[0]).all()
+    assert run(config).text() == log.text()
+
+
+class _CopyDemonstrationClient:
+    """Replies with Demonstration 1's ``parameters:`` line, verbatim, as a
+    fenced block; with one fixed valid block when the prompt shows none."""
+
+    def complete(self, messages):
+        shown = re.search(r"Demonstration 1 .*\n  parameters: (.*)",
+                          messages[1]["content"])
+        if shown is None:
+            return _amp2_reply()
+        return "```\n" + "\n".join(shown.group(1).split(", ")) + "\n```"
+
+
+def test_llm_copying_a_demonstration_completes_and_reruns(monkeypatch):
+    monkeypatch.setattr(orchestrator, "_make_client",
+                        lambda *args: _CopyDemonstrationClient())
+    config = fast_config(
+        preset="amp2", n_iter=6,
+        acquisition=AcquisitionConfig(
+            mc_samples=64, restarts=2, raw_candidates=32, maxiter=5
+        ),
+    )
+    log = run(config)
+    assert len(log.dataset) == 5 + 5 * 6
+    init = [r.point for r in log.dataset if r.source is Source.LLM_INIT]
+    assert len(init) == 5 and set(init) == {init[0]}
+    llm = [r.point for r in log.dataset if r.source is Source.LLM]
+    assert len(llm) == 6 and len(set(llm)) < 6  # some copies land twice
+    iter_lines = [l for l in log.lines if l.get("type") == "iteration"]
+    assert next(l for l in log.lines if l["type"] == "init")["n_substituted"] == 0
+    assert all(l["llm_substituted"] == 0 for l in iter_lines)
+    assert all(math.isfinite(l["gp"]["log_marginal"]) for l in iter_lines)
     assert run(config).text() == log.text()
 
 
