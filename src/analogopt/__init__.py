@@ -39,7 +39,6 @@ from .surrogate import (
 from .acquisition import AcquisitionConfig, ei, propose_batch, qei_mc
 from .evaluator import (
     CircuitModel,
-    ProcessConstants,
     circuit_model,
     classify_regions,
     evaluate,

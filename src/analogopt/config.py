@@ -1,9 +1,10 @@
 """Experiment configuration: named presets and the INI config file format.
 
 The config file uses sections [run], [llm], [acquisition] and [sampler].
-Presets bundle a circuit model (design space, process constants, FOM
-definition) with the task-card text templates; a run sets no process
-constant, so a log's ``preset`` names the circuit it evaluated.
+Presets bundle a circuit model (design space, solver, FOM definition; the
+evaluator builds each once, at import) with the task-card text templates.
+The process is the evaluator's module constants and a run sets none of
+them, so a log's ``preset`` names the circuit it evaluated.
 """
 
 from __future__ import annotations

@@ -1,20 +1,23 @@
 """Analytic circuit evaluation: reference models of the two benchmark
 circuits plus the Branin function for validating the optimizer.
 
-Each :class:`CircuitModel` carries its own solver, ``solve(model, point) ->
-(metrics, overdrives, ok)``, which unpacks the point in design-space order;
-:func:`evaluate` runs it, then applies the headroom check and the region
-classification of the model's devices and stacks (Branin has none).
+Each preset's :class:`CircuitModel` is built once at import and
+:func:`circuit_model` looks it up by name. A model carries its own solver,
+``solve(point) -> (metrics, overdrives, ok)``, which unpacks the point in
+design-space order; :func:`evaluate` runs it, then applies the headroom check
+and the region classification of the model's devices and stacks (Branin has
+none). The process is a set of module constants (``VDD``, ``KP_N``, ...)
+that the solvers and the headroom check read directly.
 
 The circuit models use textbook square-law device physics:
 
     I_D = 0.5 * k' * (W/L) * V_ov^2
     gm  = sqrt(2 * k' * (W/L) * I_D)
-    r_o = 1 / (lambda * I_D),   lambda = lambda0 / L
+    r_o = 1 / (lambda * I_D),   lambda = LAMBDA0 / L
 
 Bias currents are mirrored from a diode-referenced bias device Mb whose gate
-overdrive is pinned at ``v_ov_bias``, so every mirrored branch current is
-I = 0.5 * k' * (W/L) * v_ov_bias^2 for that branch's mirror device. The
+overdrive is pinned at ``V_OV_BIAS``, so every mirrored branch current is
+I = 0.5 * k' * (W/L) * V_OV_BIAS^2 for that branch's mirror device. The
 models are smooth, monotone-structured, and fail their headroom guards over
 much of the box, which exercises both the optimizer and the operating-region
 feedback channel without a transistor-level simulator.
@@ -48,26 +51,16 @@ from .fom import (
 )
 
 
-@dataclass(frozen=True)
-class ProcessConstants:
-    """Device and environment constants of the reference process (SI units)."""
-
-    vdd: float = 1.2
-    vth_n: float = 0.35
-    vth_p: float = 0.35
-    kp_n: float = 200e-6
-    kp_p: float = 80e-6
-    lambda0: float = 0.1e-6  # V^-1 * m; channel-length modulation lambda = lambda0 / L
-    c_load: float = 1e-12
-    c_node: float = 0.5e-12
-    v_ov_bias: float = 0.2
-    v_headroom: float = 0.2
-    offset_coeff: float = 5e-9  # V * m; offset = offset_coeff / sqrt(W1 * L1)
-
-    def __post_init__(self) -> None:
-        for name, value in self.__dict__.items():
-            if value <= 0:
-                raise ValueError(f"process constant {name} must be positive")
+# The reference process (SI units).
+VDD = 1.2
+KP_N = 200e-6
+KP_P = 80e-6
+LAMBDA0 = 0.1e-6  # V^-1 * m; channel-length modulation lambda = LAMBDA0 / L
+C_LOAD = 1e-12
+C_NODE = 0.5e-12
+V_OV_BIAS = 0.2
+V_HEADROOM = 0.2
+OFFSET_COEFF = 5e-9  # V * m; offset = OFFSET_COEFF / sqrt(W1 * L1)
 
 
 @dataclass(frozen=True)
@@ -88,127 +81,28 @@ class Stack:
 class CircuitModel:
     name: str
     space: DesignSpace
-    constants: ProcessConstants
-    solve: Callable[[CircuitModel, DesignPoint], tuple[dict, dict, bool]]
+    solve: Callable[[DesignPoint], tuple[dict, dict, bool]]
+    fom: FomConfig
     devices: tuple[str, ...] = ()
     stacks: tuple[Stack, ...] = ()
-    fom: FomConfig = SYNTHETIC_FOM
-
-
-def _amp2_space() -> DesignSpace:
-    width = dict(lower=120e-9, upper=50e-6, scale=Scale.LOG, unit="m")
-    length = dict(lower=80e-9, upper=1e-6, scale=Scale.LINEAR, unit="m")
-    return DesignSpace(
-        parameters=(
-            Parameter("w1", **width),
-            Parameter("l1", **length),
-            Parameter("w3", **width),
-            Parameter("l3", **length),
-            Parameter("w5", **width),
-            Parameter("l5", **length),
-            Parameter("w6", **width),
-            Parameter("l6", **length),
-            Parameter("w7", **width),
-            Parameter("l7", **length),
-            Parameter("wb", **width),
-            Parameter("lb", **length),
-            Parameter("rz", 10.0, 100e3, Scale.LOG, "ohm"),
-            Parameter("cc", 10e-15, 100e-12, Scale.LOG, "F"),
-        )
-    )
-
-
-def _comparator_space() -> DesignSpace:
-    width = dict(lower=90e-9, upper=200e-6, scale=Scale.LOG, unit="m")
-    length = dict(lower=90e-9, upper=1e-6, scale=Scale.LINEAR, unit="m")
-    return DesignSpace(
-        parameters=(
-            Parameter("w1", **width),
-            Parameter("l1", **length),
-            Parameter("w3", **width),
-            Parameter("l3", **length),
-            Parameter("w5", **width),
-            Parameter("l5", **length),
-            Parameter("w7", **width),
-            Parameter("l7", **length),
-            Parameter("w9", **width),
-            Parameter("l9", **length),
-            Parameter("wb", **width),
-            Parameter("lb", **length),
-        )
-    )
-
-
-def _branin_space() -> DesignSpace:
-    return DesignSpace((Parameter("x1", -5.0, 10.0), Parameter("x2", 0.0, 15.0)))
-
-
-def circuit_model(
-    name: str, constants: ProcessConstants | None = None
-) -> CircuitModel:
-    """Build a named evaluation model: amp2, comparator or branin."""
-    constants = constants or ProcessConstants()
-    if name == "amp2":
-        return CircuitModel(
-            name="amp2",
-            space=_amp2_space(),
-            constants=constants,
-            solve=_amp2_solve,
-            devices=("M1", "M2", "M3", "M4", "M5", "M6", "M7", "Mb"),
-            stacks=(
-                Stack(("Mb", "M1", "M3"), ("Mb", "M1", "M2", "M3", "M4")),
-                Stack(("M6", "M7"), ("M6", "M7")),
-                Stack(("M5",), ("M5",), gain_path=False),
-            ),
-            fom=AMP2_FOM,
-        )
-    if name == "comparator":
-        return CircuitModel(
-            name="comparator",
-            space=_comparator_space(),
-            constants=constants,
-            solve=_comparator_solve,
-            devices=(
-                "M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M9", "M10", "M11",
-                "Mb",
-            ),
-            stacks=(
-                Stack(
-                    ("Mb", "M1", "M3"),
-                    ("Mb", "M1", "M2", "M3", "M4", "M5", "M6"),
-                ),
-                Stack(("M7", "M9"), ("M7", "M8", "M9", "M10", "M11")),
-            ),
-            fom=COMPARATOR_FOM,
-        )
-    if name == "branin":
-        return CircuitModel(
-            name="branin",
-            space=_branin_space(),
-            constants=constants,
-            solve=_branin_solve,
-            fom=SYNTHETIC_FOM,
-        )
-    raise ConfigError(f"unknown circuit model {name!r}")
 
 
 def _parallel(a: float, b: float) -> float:
     return a * b / (a + b)
 
 
-def _amp2_solve(model: CircuitModel, point: DesignPoint):
-    c = model.constants
+def _amp2_solve(point: DesignPoint):
     # w5/l5 are not read: M5 is not modelled yet.
     w1, l1, w3, l3, _w5, _l5, w6, l6, w7, l7, wb, lb, rz, cc = point.values
 
-    i_tail = 0.5 * c.kp_n * (wb / lb) * c.v_ov_bias**2
+    i_tail = 0.5 * KP_N * (wb / lb) * V_OV_BIAS**2
     i_stage2 = i_tail * (w7 / l7) / (wb / lb)
     i_d1 = 0.5 * i_tail
 
-    gm1 = math.sqrt(2.0 * c.kp_n * (w1 / l1) * i_d1)
-    gm3 = math.sqrt(2.0 * c.kp_p * (w3 / l3) * i_d1)
-    gm6 = math.sqrt(2.0 * c.kp_p * (w6 / l6) * i_stage2)
-    lam = lambda length: c.lambda0 / length
+    gm1 = math.sqrt(2.0 * KP_N * (w1 / l1) * i_d1)
+    gm3 = math.sqrt(2.0 * KP_P * (w3 / l3) * i_d1)
+    gm6 = math.sqrt(2.0 * KP_P * (w6 / l6) * i_stage2)
+    lam = lambda length: LAMBDA0 / length
     ro2 = 1.0 / (lam(l1) * i_d1)
     ro4 = 1.0 / (lam(l3) * i_d1)
     ro6 = 1.0 / (lam(l6) * i_stage2)
@@ -219,7 +113,7 @@ def _amp2_solve(model: CircuitModel, point: DesignPoint):
     stage2 = gm6 * _parallel(ro6, ro7)
     gbw_hz = gm1 / (2.0 * math.pi * cc)
     wu = 2.0 * math.pi * gbw_hz
-    p2 = gm6 / c.c_load
+    p2 = gm6 / C_LOAD
     pm_deg = (
         90.0
         - math.degrees(math.atan(wu / p2))
@@ -230,30 +124,29 @@ def _amp2_solve(model: CircuitModel, point: DesignPoint):
         "gain": 20.0 * math.log10(stage1 * stage2),
         "cmrr": 20.0 * math.log10(stage1 * 2.0 * gm3 * rob),
         "pm": pm_deg,
-        "power": c.vdd * (i_tail + i_stage2) * 1e6,
+        "power": VDD * (i_tail + i_stage2) * 1e6,
     }
-    vov1 = math.sqrt(2.0 * i_d1 / (c.kp_n * (w1 / l1)))
-    vov3 = math.sqrt(2.0 * i_d1 / (c.kp_p * (w3 / l3)))
-    vov6 = math.sqrt(2.0 * i_stage2 / (c.kp_p * (w6 / l6)))
+    vov1 = math.sqrt(2.0 * i_d1 / (KP_N * (w1 / l1)))
+    vov3 = math.sqrt(2.0 * i_d1 / (KP_P * (w3 / l3)))
+    vov6 = math.sqrt(2.0 * i_stage2 / (KP_P * (w6 / l6)))
     overdrives = {
         "M1": vov1,
         "M2": vov1,
         "M3": vov3,
         "M4": vov3,
-        "M5": c.v_ov_bias,
+        "M5": V_OV_BIAS,
         "M6": vov6,
-        "M7": c.v_ov_bias,
-        "Mb": c.v_ov_bias,
+        "M7": V_OV_BIAS,
+        "Mb": V_OV_BIAS,
     }
     ok = i_tail > 0 and i_stage2 > 0
     return metrics, overdrives, ok
 
 
-def _comparator_solve(model: CircuitModel, point: DesignPoint):
-    c = model.constants
+def _comparator_solve(point: DesignPoint):
     w1, l1, w3, l3, w5, l5, w7, l7, w9, l9, wb, lb = point.values
 
-    i_tail = 0.5 * c.kp_n * (wb / lb) * c.v_ov_bias**2
+    i_tail = 0.5 * KP_N * (wb / lb) * V_OV_BIAS**2
     i_branch = 0.5 * i_tail
     # Diode-connected and cross-coupled loads share the branch current in the
     # ratio of their aspect ratios (equal gate-source voltages at balance).
@@ -261,14 +154,14 @@ def _comparator_solve(model: CircuitModel, point: DesignPoint):
     i_diode = i_branch / (1.0 + alpha)
     i_out = i_tail * (w9 / l9) / (wb / lb)
 
-    gm1 = math.sqrt(2.0 * c.kp_n * (w1 / l1) * i_branch)
-    gm9 = math.sqrt(2.0 * c.kp_n * (w9 / l9) * i_out)
-    lam = lambda length: c.lambda0 / length
+    gm1 = math.sqrt(2.0 * KP_N * (w1 / l1) * i_branch)
+    gm9 = math.sqrt(2.0 * KP_N * (w9 / l9) * i_out)
+    lam = lambda length: LAMBDA0 / length
     ro2 = 1.0 / (lam(l1) * i_branch)
     ro4 = 1.0 / (lam(l3) * i_diode)
     ro9 = 1.0 / (lam(l9) * i_out)  # M9 and M11 share sizes, so ro11 == ro9
 
-    vov1 = math.sqrt(2.0 * i_branch / (c.kp_n * (w1 / l1)))
+    vov1 = math.sqrt(2.0 * i_branch / (KP_N * (w1 / l1)))
     v_hys = (
         vov1 * (math.sqrt(alpha) - 1.0) / math.sqrt(alpha + 1.0)
         if alpha > 1.0
@@ -277,13 +170,13 @@ def _comparator_solve(model: CircuitModel, point: DesignPoint):
     metrics = {
         "gain": 20.0
         * math.log10(gm1 * _parallel(ro2, ro4) * gm9 * _parallel(ro9, ro9)),
-        "ugf": gm1 / (2.0 * math.pi * c.c_node) / 1e6,
+        "ugf": gm1 / (2.0 * math.pi * C_NODE) / 1e6,
         "v_hys_err": v_hys * 1e3,
-        "v_offset": c.offset_coeff / math.sqrt(w1 * l1) * 1e3,
-        "power": c.vdd * (i_tail + 2.0 * i_out) * 1e6,
+        "v_offset": OFFSET_COEFF / math.sqrt(w1 * l1) * 1e3,
+        "power": VDD * (i_tail + 2.0 * i_out) * 1e6,
     }
-    vov_load = math.sqrt(2.0 * i_diode / (c.kp_p * (w3 / l3)))
-    vov7 = math.sqrt(2.0 * i_out / (c.kp_p * (w7 / l7)))
+    vov_load = math.sqrt(2.0 * i_diode / (KP_P * (w3 / l3)))
+    vov7 = math.sqrt(2.0 * i_out / (KP_P * (w7 / l7)))
     overdrives = {
         "M1": vov1,
         "M2": vov1,
@@ -293,22 +186,102 @@ def _comparator_solve(model: CircuitModel, point: DesignPoint):
         "M6": vov_load,
         "M7": vov7,
         "M8": vov7,
-        "M9": c.v_ov_bias,
-        "M10": c.v_ov_bias,
-        "M11": c.v_ov_bias,
-        "Mb": c.v_ov_bias,
+        "M9": V_OV_BIAS,
+        "M10": V_OV_BIAS,
+        "M11": V_OV_BIAS,
+        "Mb": V_OV_BIAS,
     }
     ok = i_tail > 0 and i_out > 0
     return metrics, overdrives, ok
 
 
-def _branin_solve(model: CircuitModel, point: DesignPoint):
+def _branin_solve(point: DesignPoint):
     """The negated Branin function (maximization convention)."""
     x1, x2 = point.values
     a, b, c = 1.0, 5.1 / (4.0 * math.pi**2), 5.0 / math.pi
     r, s, t = 6.0, 10.0, 1.0 / (8.0 * math.pi)
     value = a * (x2 - b * x1**2 + c * x1 - r) ** 2 + s * (1.0 - t) * math.cos(x1) + s
     return {"objective": -value}, {}, True
+
+
+_AMP2_W = dict(lower=120e-9, upper=50e-6, scale=Scale.LOG, unit="m")
+_AMP2_L = dict(lower=80e-9, upper=1e-6, scale=Scale.LINEAR, unit="m")
+_COMP_W = dict(lower=90e-9, upper=200e-6, scale=Scale.LOG, unit="m")
+_COMP_L = dict(lower=90e-9, upper=1e-6, scale=Scale.LINEAR, unit="m")
+
+# The evaluation model of each preset, built once at import.
+_MODELS = {
+    "amp2": CircuitModel(
+        name="amp2",
+        space=DesignSpace((
+            Parameter("w1", **_AMP2_W),
+            Parameter("l1", **_AMP2_L),
+            Parameter("w3", **_AMP2_W),
+            Parameter("l3", **_AMP2_L),
+            Parameter("w5", **_AMP2_W),
+            Parameter("l5", **_AMP2_L),
+            Parameter("w6", **_AMP2_W),
+            Parameter("l6", **_AMP2_L),
+            Parameter("w7", **_AMP2_W),
+            Parameter("l7", **_AMP2_L),
+            Parameter("wb", **_AMP2_W),
+            Parameter("lb", **_AMP2_L),
+            Parameter("rz", 10.0, 100e3, Scale.LOG, "ohm"),
+            Parameter("cc", 10e-15, 100e-12, Scale.LOG, "F"),
+        )),
+        solve=_amp2_solve,
+        fom=AMP2_FOM,
+        devices=("M1", "M2", "M3", "M4", "M5", "M6", "M7", "Mb"),
+        stacks=(
+            Stack(("Mb", "M1", "M3"), ("Mb", "M1", "M2", "M3", "M4")),
+            Stack(("M6", "M7"), ("M6", "M7")),
+            Stack(("M5",), ("M5",), gain_path=False),
+        ),
+    ),
+    "comparator": CircuitModel(
+        name="comparator",
+        space=DesignSpace((
+            Parameter("w1", **_COMP_W),
+            Parameter("l1", **_COMP_L),
+            Parameter("w3", **_COMP_W),
+            Parameter("l3", **_COMP_L),
+            Parameter("w5", **_COMP_W),
+            Parameter("l5", **_COMP_L),
+            Parameter("w7", **_COMP_W),
+            Parameter("l7", **_COMP_L),
+            Parameter("w9", **_COMP_W),
+            Parameter("l9", **_COMP_L),
+            Parameter("wb", **_COMP_W),
+            Parameter("lb", **_COMP_L),
+        )),
+        solve=_comparator_solve,
+        fom=COMPARATOR_FOM,
+        devices=(
+            "M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M9", "M10", "M11",
+            "Mb",
+        ),
+        stacks=(
+            Stack(
+                ("Mb", "M1", "M3"),
+                ("Mb", "M1", "M2", "M3", "M4", "M5", "M6"),
+            ),
+            Stack(("M7", "M9"), ("M7", "M8", "M9", "M10", "M11")),
+        ),
+    ),
+    "branin": CircuitModel(
+        name="branin",
+        space=DesignSpace((Parameter("x1", -5.0, 10.0), Parameter("x2", 0.0, 15.0))),
+        solve=_branin_solve,
+        fom=SYNTHETIC_FOM,
+    ),
+}
+
+
+def circuit_model(name: str) -> CircuitModel:
+    """The named evaluation model: amp2, comparator or branin."""
+    if name not in _MODELS:
+        raise ConfigError(f"unknown circuit model {name!r}")
+    return _MODELS[name]
 
 
 def classify_regions(
@@ -318,7 +291,7 @@ def classify_regions(
 
     ``overdrives`` maps each device to its quiescent gate overdrive (volts).
     cutoff when the overdrive is non-positive; triode when the device sits in
-    a stack whose summed overdrives exceed vdd - v_headroom; saturation
+    a stack whose summed overdrives exceed VDD - V_HEADROOM; saturation
     otherwise.
     """
     return _regions(model, overdrives, _crowded_stacks(model, overdrives))
@@ -342,8 +315,8 @@ def _regions(
 
 
 def _crowded_stacks(model: CircuitModel, overdrives: dict[str, float]) -> list[Stack]:
-    """The stacks whose summed level overdrives exceed vdd - v_headroom."""
-    budget = model.constants.vdd - model.constants.v_headroom
+    """The stacks whose summed level overdrives exceed VDD - V_HEADROOM."""
+    budget = VDD - V_HEADROOM
     return [s for s in model.stacks if sum(overdrives[n] for n in s.levels) > budget]
 
 
@@ -362,7 +335,7 @@ def evaluate(
     if not design_space_contains(model.space, point):
         raise RangeError(f"point outside the {model.name} design space")
     try:
-        metrics, overdrives, ok = model.solve(model, point)
+        metrics, overdrives, ok = model.solve(point)
         crowded = _crowded_stacks(model, overdrives)
         headroom_ok = not any(stack.gain_path for stack in crowded)
         ok = ok and headroom_ok and all(math.isfinite(m) for m in metrics.values())

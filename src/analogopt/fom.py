@@ -81,12 +81,6 @@ class FomConfig:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate metric names: {names}")
 
-    def metric(self, name: str) -> MetricSpec:
-        for m in self.metrics:
-            if m.name == name:
-                return m
-        raise KeyError(name)
-
     @functools.cached_property
     def terms(self) -> tuple[tuple, ...]:
         """One row of plain values per metric, read by ``compute_fom``: (name,
@@ -214,7 +208,7 @@ SYNTHETIC_FOM = FomConfig(
     )
 )
 
-# The preset list. Each also has a circuit_model branch and its two templates.
+# The preset list. Each also has an evaluator model and its two templates.
 FOM_PRESETS: dict[str, FomConfig] = {
     "amp2": AMP2_FOM,
     "comparator": COMPARATOR_FOM,

@@ -77,7 +77,6 @@ class OutOfRange(ParseError):
             f"{parameter} = {value:g} {unit} is outside the allowed range "
             f"[{format_si(lower, unit)}, {format_si(upper, unit)}]".rstrip(),
         )
-        self.value = value
 
 
 class PromptBudgetError(ConfigError):

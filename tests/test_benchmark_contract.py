@@ -7,11 +7,14 @@ benchmark silently reporting zeros; these tests catch it.
 ``benchmarks/harness.py`` checks and counts the in-memory ``RunLog.lines`` of
 each run inside its per-run ``try``, so a change in their shape would show
 there only as failed benchmark runs; a test here reads them the same way.
-Both modules are loaded from their files and used read-only.
+Both modules are loaded from their files and used read-only. The last test
+runs ``benchmarks/selftest.py``, which writes only under the git-ignored
+``benchmarks/results/``.
 """
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -131,3 +134,12 @@ def test_harness_checks_and_counts_the_in_memory_log_lines(harness):
     )
     assert len(facts["prompt_tokens"]) == len(transcripts)
     assert all(tokens > 0 for tokens in facts["prompt_tokens"])
+
+
+def test_benchmark_selftest_passes():
+    done = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "selftest.py")],
+        cwd=BENCHMARKS.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "selftest: ok"

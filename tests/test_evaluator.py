@@ -1,3 +1,4 @@
+import dis
 import math
 
 import numpy as np
@@ -6,13 +7,9 @@ import pytest
 from analogopt.core import ConfigError, DesignPoint, RangeError, Region, StructuralError
 from analogopt import evaluator
 from analogopt.config import PRESETS
-from analogopt.evaluator import (
-    ProcessConstants,
-    circuit_model,
-    classify_regions,
-    evaluate,
-)
-from analogopt.fom import compute_fom, failed_metrics
+from analogopt.evaluator import circuit_model, classify_regions, evaluate
+from analogopt.fom import FOM_PRESETS, compute_fom, failed_metrics
+from analogopt.orchestrator import _preset_checksum
 from analogopt.surrogate import from_unit_cube
 
 
@@ -136,7 +133,7 @@ def test_evaluate_checks_the_stacks_once_and_classifies_as_classify_regions(
     assert len(calls) == len(points)
     monkeypatch.undo()
     for point, record in zip(points, records):
-        metrics, overdrives, _ = model.solve(model, point)
+        metrics, overdrives, _ = model.solve(point)
         assert record.regions == classify_regions(model, overdrives)
 
 
@@ -165,9 +162,8 @@ def test_offset_decreases_with_input_pair_area():
         record = evaluate(COMP, _with(COMP, COMP_POINT, w1=100e-6 * scale / 4))
         offsets.append(abs(record.metrics["v_offset"]))
     assert all(a > b for a, b in zip(offsets, offsets[1:]))
-    # formula check: offset_coeff / sqrt(W1 L1), reported in mV
-    c = COMP.constants
-    expected = c.offset_coeff / math.sqrt(100e-6 * 0.5e-6) * 1e3
+    # formula check: OFFSET_COEFF / sqrt(W1 L1), reported in mV
+    expected = evaluator.OFFSET_COEFF / math.sqrt(100e-6 * 0.5e-6) * 1e3
     assert evaluate(COMP, COMP_POINT).metrics["v_offset"] == pytest.approx(expected)
 
 
@@ -176,9 +172,45 @@ def test_comparator_regions_cover_all_devices():
     assert set(record.regions) == set(COMP.devices)
 
 
-def test_constants_validation():
-    with pytest.raises(ValueError):
-        ProcessConstants(vdd=0.0)
+def _loaded_globals(code):
+    """Every global name a code object loads, nested lambdas included."""
+    names = {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            names |= _loaded_globals(const)
+    return names
+
+
+def test_every_process_constant_is_read():
+    constants = {
+        name for name, value in vars(evaluator).items()
+        if name.isupper() and type(value) is float
+    }
+    assert {"VDD", "KP_N", "V_HEADROOM"} <= constants
+    read = set()
+    for function in (
+        evaluator._amp2_solve, evaluator._comparator_solve, evaluator._crowded_stacks
+    ):
+        read |= _loaded_globals(function.__code__)
+    assert sorted(constants - read) == []
+
+
+# every log header pins its preset's space and FOM by this checksum, so these
+# values move only with a deliberate change of a preset
+PRESET_CHECKSUMS = {
+    "amp2": "6f5ba0956074b2f937158db2191339706b7ee0d6982d354b603d0ff814f33a01",
+    "comparator": "4cf5f8c89ef6481e5430b108acd4e9b64fd4f6083aff05aa423373f5ae254015",
+    "branin": "93f81709e6c17f388d021a0e782be5adcbbf735c808a8517504f4acd044f132b",
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_every_preset_is_one_model_with_its_fom_and_checksum(preset):
+    model = circuit_model(preset)
+    assert circuit_model(preset) is model
+    # the run scores with model.fom, report replays with FOM_PRESETS
+    assert model.fom is FOM_PRESETS[preset]
+    assert _preset_checksum(model) == PRESET_CHECKSUMS[preset]
 
 
 # --------------------------------------------------------------- synthetic

@@ -22,6 +22,9 @@ from analogopt.fom import (
     hits_spec,
 )
 
+AMP2_METRICS = {m.name: m for m in AMP2_FOM.metrics}
+COMPARATOR_METRICS = {m.name: m for m in COMPARATOR_FOM.metrics}
+
 # best-parameter-set rows used as recomputation oracles:
 # (metrics, reported_fom, fom_tol, reported_missed)
 AMP2_ROWS = [
@@ -45,13 +48,13 @@ COMPARATOR_ROWS = [
 
 
 def test_hits_spec_examples():
-    gain = AMP2_FOM.metric("gain")
+    gain = AMP2_METRICS["gain"]
     assert not hits_spec(27.12, gain)
     assert hits_spec(60.0, gain)  # inclusive
-    power = AMP2_FOM.metric("power")
+    power = AMP2_METRICS["power"]
     assert hits_spec(27.02, power)
     assert hits_spec(30.0, power)
-    offset = COMPARATOR_FOM.metric("v_offset")
+    offset = COMPARATOR_METRICS["v_offset"]
     assert hits_spec(-3.95, offset)
     assert not hits_spec(-25.0, offset)
 
@@ -62,18 +65,18 @@ def _term(value, spec):
 
 
 def test_compute_fom_normalizes_one_metric():
-    gain = AMP2_FOM.metric("gain")
+    gain = AMP2_METRICS["gain"]
     assert _term(27.12, gain) == pytest.approx(-1.0)
     assert _term(60.0, gain) == pytest.approx(1.0)
-    power = AMP2_FOM.metric("power")  # a minus-sign metric
+    power = AMP2_METRICS["power"]  # a minus-sign metric
     assert _term(0.0, power) == 0.0
     assert _term(65.76, power) == pytest.approx(-80.0 / 30.0)
-    offset = COMPARATOR_FOM.metric("v_offset")
+    offset = COMPARATOR_METRICS["v_offset"]
     assert _term(-3.95, offset) == pytest.approx(-3.95 / 20.0)
 
 
 def test_failing_value_is_constant():
-    gain = AMP2_FOM.metric("gain")
+    gain = AMP2_METRICS["gain"]
     rng = np.random.default_rng(0)
     expected = (gain.failed - gain.norm_min) / (gain.norm_max - gain.norm_min)
     for v in rng.uniform(-500.0, 59.999, size=100):
@@ -81,7 +84,7 @@ def test_failing_value_is_constant():
 
 
 def test_compute_fom_bounds_only_the_upper_side():
-    gbw = AMP2_FOM.metric("gbw")  # norm range [0, 10], bound 2
+    gbw = AMP2_METRICS["gbw"]  # norm range [0, 10], bound 2
     assert _term(21.72, gbw) == 2.0
     assert _term(4.63, gbw) == pytest.approx(0.463)
     assert _term(0.5, gbw) == -1.0  # a failing term is never clipped
@@ -130,7 +133,7 @@ def test_monotone_in_passing_metrics():
     for _ in range(200):
         metrics = dict(base)
         name = rng.choice(["gbw", "gain", "cmrr", "pm", "power"])
-        spec = AMP2_FOM.metric(name)
+        spec = AMP2_METRICS[name]
         before = compute_fom(metrics, AMP2_FOM)
         bumped = dict(metrics)
         bumped[name] = metrics[name] + rng.uniform(0.0, 2.0)
