@@ -19,6 +19,11 @@ one problem, a single L-BFGS run over the stacked starting points, as
 BoTorch's ``gen_candidates_scipy`` does (Balandat et al., NeurIPS 2020). That
 run goes through the L-BFGS-B driver the GP fit uses,
 :func:`analogopt.surrogate._lbfgsb`, unbounded in logit space.
+
+A batch can be confined to a box in the unit cube, a trust region as in
+TuRBO-1 (Eriksson et al., NeurIPS 2019): its sides follow the GP's
+lengthscales, and its size adapts to the run's successes and failures
+(:func:`trust_region`, :func:`trust_region_box`).
 """
 
 from __future__ import annotations
@@ -49,6 +54,14 @@ expit, logit, ndtr = _special.expit, _special.logit, _special.ndtr
 
 _SIGMA_FLOOR = 1e-12
 _LOGIT_EPS = 1e-9
+
+# Trust-region side length in the unit cube (start, cap, restart threshold),
+# the success streak that doubles it, and the relative rise that succeeds.
+TR_LENGTH_INIT = 0.8
+TR_LENGTH_MAX = 1.6
+TR_LENGTH_MIN = 0.5**7
+TR_SUCCESS_STREAK = 3
+TR_RISE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -200,6 +213,45 @@ def _slot_scorer(model, prefix, Z, best):
     return score
 
 
+def trust_region(history, q: int, d: int) -> dict:
+    """Trust-region state ``{"length", "successes", "failures"}`` after the
+    iterations in ``history``, one ``(best before, best after)`` FOM pair per
+    iteration that used the region, in run order.
+
+    A rise above ``TR_RISE * |best before|`` is a success. ``TR_SUCCESS_STREAK``
+    successes in a row double the length, up to ``TR_LENGTH_MAX``;
+    ⌈max(4/q, d/q)⌉ failures in a row halve it, q the points an iteration
+    evaluates and d the dimension; below ``TR_LENGTH_MIN`` it restarts at
+    ``TR_LENGTH_INIT``. The FOMs alone set it, so a run log's eval lines
+    rebuild it.
+    """
+    fail_streak = math.ceil(max(4, d) / q)
+    length, successes, failures = TR_LENGTH_INIT, 0, 0
+    for before, after in history:
+        if after > before + TR_RISE * abs(before):
+            successes, failures = successes + 1, 0
+        else:
+            successes, failures = 0, failures + 1
+        if successes == TR_SUCCESS_STREAK:
+            length, successes = min(2.0 * length, TR_LENGTH_MAX), 0
+        elif failures == fail_streak:
+            length, failures = length / 2.0, 0
+        if length < TR_LENGTH_MIN:
+            length = TR_LENGTH_INIT
+    return {"length": length, "successes": successes, "failures": failures}
+
+
+def trust_region_box(
+    model: GpModel, center: np.ndarray, length: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` of the box around ``center`` with half-side
+    ``length * w_i / 2``, w the model's lengthscales over their geometric
+    mean, clipped to the unit cube."""
+    w = model.lengthscales / np.exp(np.mean(np.log(model.lengthscales)))
+    half = length * w / 2.0
+    return np.clip(center - half, 0.0, 1.0), np.clip(center + half, 0.0, 1.0)
+
+
 def propose_batch(
     model: GpModel,
     space: DesignSpace,
@@ -208,6 +260,7 @@ def propose_batch(
     config: AcquisitionConfig,
     rng: np.random.Generator,
     seed: int,
+    box: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[DesignPoint]:
     """Greedy sequential batch of ``batch_size`` points maximizing Monte-Carlo qEI.
 
@@ -219,13 +272,24 @@ def propose_batch(
     pathwise gradient on the fixed draws; ``maxiter`` caps that joint run.
     The best raw candidate is the fallback: an optimum replaces it only when
     its re-scored value is finite and higher, and a failed run keeps it.
+
+    ``box``, a ``(lo, hi)`` pair in the unit cube, confines the batch: raw
+    candidates are ``lo + span * u`` and the logistic map becomes
+    ``lo + span * expit(z)``. No box is the unit cube, on the same bits.
     """
     d = space.dimension
+    lo, hi = box if box is not None else (np.zeros(d), np.ones(d))
+    span = hi - lo
+
+    def in_box(u):
+        # lo + span * u can round an ulp past hi
+        return np.minimum(lo + span * u, hi)
+
     Z = _base_draws(seed, batch_size, config.mc_samples)
     chosen: list[np.ndarray] = []
     for slot in range(batch_size):
         prefix = np.array(chosen) if chosen else np.empty((0, d))
-        cands = rng.uniform(size=(config.raw_candidates, d))
+        cands = in_box(rng.uniform(size=(config.raw_candidates, d)))
         score = _slot_scorer(model, prefix, Z[:, : slot + 1], best)
         scores = score(cands)
         order = np.argsort(-scores, kind="stable")
@@ -234,15 +298,15 @@ def propose_batch(
         starts = cands[order[: config.restarts]]
 
         def neg_total_and_grad(z):
-            x = expit(z.reshape(starts.shape))
-            values, grad = score(x, grad=True)
-            return -np.sum(values), -(grad * x * (1.0 - x)).ravel()
+            s = expit(z.reshape(starts.shape))
+            values, grad = score(in_box(s), grad=True)
+            return -np.sum(values), -(grad * span * s * (1.0 - s)).ravel()
 
-        z0 = logit(np.clip(starts, _LOGIT_EPS, 1.0 - _LOGIT_EPS)).ravel()
+        z0 = logit(np.clip((starts - lo) / span, _LOGIT_EPS, 1.0 - _LOGIT_EPS)).ravel()
         try:
             z = _lbfgsb(neg_total_and_grad, z0, None, None, config.maxiter)
             if np.all(np.isfinite(z)):
-                optima = expit(z.reshape(starts.shape))
+                optima = in_box(expit(z.reshape(starts.shape)))
                 for x_opt, val in zip(optima, score(optima)):
                     if np.isfinite(val) and val > slot_val:
                         slot_val = val

@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .acquisition import propose_batch, qei_mc
+from .acquisition import propose_batch, qei_mc, trust_region, trust_region_box
 from .config import RunConfig, build_model, build_task_card
 from .core import (
     Dataset,
@@ -202,6 +202,8 @@ def run(config: RunConfig) -> RunLog:
 
     lines: list[dict] = [_header_line(config, model)]
     dataset = Dataset()
+    # (best before, best after) of each iteration that used a trust region
+    region_history: list[tuple[float, float]] = []
 
     def evaluate_all(proposals, iteration: int) -> None:
         for point, source in proposals:
@@ -229,6 +231,7 @@ def run(config: RunConfig) -> RunLog:
     for iteration in range(1, config.n_iter + 1):
         diag: dict = {"type": "iteration", "iteration": iteration}
         proposals: list[tuple[DesignPoint, Source]] = []
+        region = None
 
         if config.llm_queries_per_step > 0:
             demos = _select_demos(config, dataset, streams["sampler"])
@@ -251,11 +254,21 @@ def run(config: RunConfig) -> RunLog:
             y = np.array([r.fom for r in dataset])
             fit_seed = int(streams["surrogate"].integers(2**31 - 1))
             gp = gp_fit(X, y, config.gp_fit, fit_seed)
-            best = dataset[dataset.best_index].fom
+            incumbent = dataset[dataset.best_index]
+            best = incumbent.fom
+            # The region is centred on the incumbent only once it meets every
+            # spec (SCBO's rule); until then the batch searches the whole cube.
+            box = None
+            if count_missed_specs(incumbent.metrics, model.fom) == 0:
+                region = trust_region(
+                    region_history, config.batch_size, space.dimension
+                )
+                box = trust_region_box(gp, X[dataset.best_index], region["length"])
+            diag["trust_region"] = region
             acq_seed = int(streams["acquisition"].integers(2**31 - 1))
             batch = propose_batch(
                 gp, space, best, config.gp_queries_per_step, config.acquisition,
-                streams["acquisition"], acq_seed,
+                streams["acquisition"], acq_seed, box,
             )
             batch_u = np.array([to_unit_cube(space, p) for p in batch])
             diag["gp"] = {
@@ -277,6 +290,8 @@ def run(config: RunConfig) -> RunLog:
 
         lines.append(diag)
         evaluate_all(proposals, iteration)
+        if region is not None:
+            region_history.append((best, dataset[dataset.best_index].fom))
 
     expected = config.total_evaluations
     if len(dataset) != expected:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +10,18 @@ from scipy.stats import norm
 from analogopt import acquisition
 from analogopt.acquisition import (
     _SIGMA_FLOOR,
+    TR_LENGTH_INIT,
+    TR_LENGTH_MAX,
+    TR_LENGTH_MIN,
+    TR_RISE,
     AcquisitionConfig,
     _base_draws,
     _slot_scorer,
     ei,
     propose_batch,
     qei_mc,
+    trust_region,
+    trust_region_box,
 )
 from analogopt.core import DesignSpace, Parameter, design_space_contains
 from analogopt.surrogate import (
@@ -182,6 +189,114 @@ def test_propose_batch_in_box_and_deterministic(fitted_model, unit_space):
     assert [p.values for p in batch1] == [p.values for p in batch2]
     assert len(batch1) == 4
     assert all(design_space_contains(unit_space, p) for p in batch1)
+
+
+# The batch of test_propose_batch_in_box_and_deterministic before boxes
+# existed, as float.hex of each point's coordinates.
+UNBOXED_BATCH = [
+    ("0x1.037978e94331ap-1", "0x1.764bd4a14aacfp-35"),
+    ("0x1.119516e42d08ep-1", "0x1.bb9c8ae0917bbp-4"),
+    ("0x1.d87e82c063a85p-2", "0x1.83c6b3558901bp-27"),
+    ("0x1.1932a40331350p-1", "0x1.3e8be56955f3bp-3"),
+]
+
+
+@pytest.mark.parametrize("box", [None, (np.zeros(2), np.ones(2))], ids=["none", "cube"])
+def test_propose_batch_without_a_box_or_in_the_unit_cube_keeps_its_points(
+    fitted_model, unit_space, box
+):
+    model, best = fitted_model
+    config = AcquisitionConfig(
+        mc_samples=512, restarts=3, raw_candidates=128, maxiter=20,
+    )
+    batch = propose_batch(
+        model, unit_space, best, 4, config, np.random.default_rng(9), seed=3, box=box
+    )
+    assert [tuple(v.hex() for v in p.values) for p in batch] == UNBOXED_BATCH
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lo=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+    widths=st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0)),
+    seed=st.integers(0, 2**16),
+)
+def test_propose_batch_stays_in_its_box(fitted_model, lo, widths, seed):
+    model, best = fitted_model
+    unit_space = DesignSpace((Parameter("a", 0.0, 1.0), Parameter("b", 0.0, 1.0)))
+    lo = np.array(lo)
+    hi = np.minimum(lo + np.array(widths), 1.0)
+    config = AcquisitionConfig(mc_samples=64, restarts=2, raw_candidates=16, maxiter=5)
+    batch = propose_batch(
+        model, unit_space, best, 3, config, np.random.default_rng(seed), seed=seed,
+        box=(lo, hi),
+    )
+    for p in batch:  # on the unit square a point's values are its coordinates
+        assert np.all(lo <= p.values) and np.all(np.array(p.values) <= hi)
+
+
+def test_trust_region_box_follows_the_lengthscales():
+    model = replace(model_with_prior(0.0, 1.0), lengthscales=np.array([1.0, 4.0]))
+    # w = (0.5, 2): half-sides 0.2 and 0.8, the second clipped at both ends
+    lo, hi = trust_region_box(model, np.array([0.5, 0.5]), 0.8)
+    assert lo == pytest.approx([0.3, 0.0]) and hi == pytest.approx([0.7, 1.0])
+    lo, hi = trust_region_box(model, np.array([0.0, 0.9]), 0.4)
+    assert lo == pytest.approx([0.0, 0.5]) and hi == pytest.approx([0.1, 1.0])
+
+
+def _steps(*rises, start=1.0):
+    """(best before, best after) pairs: each iteration raises the best by its rise."""
+    history, best = [], start
+    for rise in rises:
+        history.append((best, best + rise))
+        best += rise
+    return history
+
+
+def test_trust_region_starts_at_its_initial_length():
+    assert trust_region([], 4, 14) == {
+        "length": TR_LENGTH_INIT, "successes": 0, "failures": 0,
+    }
+
+
+def test_trust_region_doubles_after_three_successes_up_to_its_cap():
+    assert trust_region(_steps(1, 1), 4, 14) == {
+        "length": 0.8, "successes": 2, "failures": 0,
+    }
+    assert trust_region(_steps(1, 1, 1), 4, 14) == {
+        "length": 1.6, "successes": 0, "failures": 0,
+    }
+    assert trust_region(_steps(*[1] * 6), 4, 14)["length"] == TR_LENGTH_MAX
+    # a failure breaks the streak
+    assert trust_region(_steps(1, 1, 0, 1), 4, 14) == {
+        "length": 0.8, "successes": 1, "failures": 0,
+    }
+
+
+@pytest.mark.parametrize("q, d, streak", [(4, 14, 4), (5, 14, 3), (5, 2, 1), (1, 2, 4)])
+def test_trust_region_halves_after_its_failure_streak(q, d, streak):
+    assert streak == math.ceil(max(4 / q, d / q))
+    before = trust_region(_steps(*[0] * (streak - 1)), q, d)
+    assert before == {"length": 0.8, "successes": 0, "failures": streak - 1}
+    assert trust_region(_steps(*[0] * streak), q, d) == {
+        "length": 0.4, "successes": 0, "failures": 0,
+    }
+
+
+def test_trust_region_restarts_below_its_minimum_length():
+    # one failure halves it at q = 5, d = 2: 0.8 / 2**6 = 0.0125 stays,
+    # 0.8 / 2**7 = 0.00625 < 0.5**7 starts again at 0.8
+    assert trust_region(_steps(*[0] * 6), 5, 2)["length"] == 0.8 / 2**6
+    assert 0.8 / 2**7 < TR_LENGTH_MIN
+    assert trust_region(_steps(*[0] * 7), 5, 2)["length"] == TR_LENGTH_INIT
+
+
+@pytest.mark.parametrize("before", [-2.0, 3.7, 0.0])
+def test_trust_region_success_needs_a_rise_above_its_threshold(before):
+    edge = before + TR_RISE * abs(before)
+    assert trust_region([(before, edge)], 4, 14)["failures"] == 1
+    above = float(np.nextafter(edge, np.inf))
+    assert trust_region([(before, above)], 4, 14)["successes"] == 1
 
 
 def test_propose_batch_beats_random_batches(fitted_model, unit_space):

@@ -32,14 +32,14 @@ GOLDEN = [
     (
         dict(method="ado_llm", preset="amp2", n_iter=4,
              llm_queries_per_step=1, gp_queries_per_step=4),
-        "7703618dce5d72eb1bce02e57d8d9bbbdb3b91ed1e0971f05d1a1fbf6410975d",
-        "4ebff9a878c01556ae59da9942f1ca40b5d69787d3ca4096035413357eb9418f",
+        "9daf1e32b7ac933665721e0b834b10ff9ad94ee46407a1daea2ca55c3b4ee8fd",
+        "b02768933730740b32fabb0c7a7100360a0cc81c6afe09c9826adabb4ac4957f",
     ),
     (
         dict(method="gp_bo", preset="branin", n_iter=4, llm_queries_per_step=0,
              gp_queries_per_step=5, init_strategy="uniform_random"),
-        "bf7e26475b8b2c0cc791159ee308aa3a04c12fc75cf2c4edf870545a7537f1f0",
-        "bf7e26475b8b2c0cc791159ee308aa3a04c12fc75cf2c4edf870545a7537f1f0",
+        "828d55f7d5b4eca533c7ee9bb07a0f9cffd11f78f7c53532409279644b45924e",
+        "828d55f7d5b4eca533c7ee9bb07a0f9cffd11f78f7c53532409279644b45924e",
     ),
     (
         # many all-failed designs share one FOM, so top_k's tie order matters
@@ -89,6 +89,6 @@ def test_golden_scripted_retry_log_hash(tmp_path):
                    if line["type"] == "iteration"]
     assert substituted == [1, 0, 0, 0]
     assert _hashes(log, tmp_path / "run.jsonl") == (
-        "31f814d48c69cb61306c83dc59f308ffbf0bb97f593b91098018bbb71d4a6762",
-        "518a9d92b101013ca479225797def070e2b3d0f59560dffdc2ce63f54abb651a",
+        "419d98e287337603fce3d6aafd834df7fe6bd99de73aba97c69445e579ed6050",
+        "f14605947ef683bfb333f7c63da774318c6fec24d9d117bbc054d0e73a8ef5ff",
     )

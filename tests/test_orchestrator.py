@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from analogopt import orchestrator
-from analogopt.acquisition import AcquisitionConfig
+from analogopt.acquisition import AcquisitionConfig, propose_batch, trust_region
 from analogopt.cli import main
-from analogopt.config import RunConfig, load_run_config
+from analogopt.config import RunConfig, build_model, load_run_config
 from analogopt.core import ConfigError, Source
-from analogopt.fom import FOM_PRESETS, compute_fom
+from analogopt.fom import FOM_PRESETS, compute_fom, count_missed_specs
 from analogopt.orchestrator import ReportError, report, run
 from analogopt.surrogate import GpFitConfig, gp_fit
 
@@ -229,6 +229,79 @@ def test_iteration_diagnostics_present():
         }
         assert line["acquisition_value"] >= 0.0
         assert line["llm_transcripts"]
+
+
+# ------------------------------------------------------------ trust region
+
+def _amp2_gp_bo(seed, n_iter):
+    return fast_config(
+        method="gp_bo", preset="amp2", llm_queries_per_step=0, gp_queries_per_step=5,
+        init_strategy="uniform_random", mock=None, n_iter=n_iter, seed=seed,
+    )
+
+
+def test_trust_region_waits_for_an_incumbent_that_meets_every_spec(monkeypatch):
+    boxes = []
+
+    def recording_propose_batch(*args):
+        boxes.append(args[-1])
+        return propose_batch(*args)
+
+    monkeypatch.setattr(orchestrator, "propose_batch", recording_propose_batch)
+    log = run(_amp2_gp_bo(seed=2, n_iter=7))
+    fom_config = FOM_PRESETS["amp2"]
+    first_met = next(r.iteration for r in log.dataset
+                     if count_missed_specs(r.metrics, fom_config) == 0)
+    assert 0 < first_met < 6  # the run has iterations on both sides of the gate
+    for iteration, box in enumerate(boxes, 1):
+        if iteration <= first_met:
+            assert box is None, iteration
+        else:
+            lo, hi = box
+            assert np.all(0.0 <= lo) and np.all(lo < hi) and np.all(hi <= 1.0)
+
+
+def _replayed_regions(path, q, d, fom_config):
+    """Each iteration's trust-region entry, recomputed from the eval lines alone."""
+    entries, history = [], []
+    incumbent = before = None
+    with open(path, encoding="utf-8") as handle:
+        for line in map(json.loads, handle):
+            if line["type"] == "eval":
+                # the highest FOM so far; a tie keeps the earlier eval
+                if incumbent is None or line["fom"] > incumbent["fom"]:
+                    incumbent = line
+            elif line["type"] in ("iteration", "summary"):
+                if before is not None:
+                    history.append((before, incumbent["fom"]))
+                    before = None
+                if line["type"] == "iteration":
+                    if count_missed_specs(incumbent["metrics"], fom_config) == 0:
+                        entries.append(trust_region(history, q, d))
+                        before = incumbent["fom"]
+                    else:
+                        entries.append(None)
+    return entries
+
+
+@pytest.mark.parametrize("config", [
+    _amp2_gp_bo(seed=2, n_iter=7),
+    _amp2_gp_bo(seed=0, n_iter=7),
+    fast_config(preset="amp2", seed=3, n_iter=6),
+    fast_config(method="gp_bo", llm_queries_per_step=0, gp_queries_per_step=5,
+                init_strategy="uniform_random", mock=None, n_iter=10),
+], ids=["amp2-gp_bo-gate", "amp2-gp_bo-halving", "amp2-ado_llm", "branin-gp_bo"])
+def test_trust_region_entries_are_rebuilt_from_the_eval_lines(tmp_path, config):
+    log = run(config)
+    path = tmp_path / "run.jsonl"
+    log.write(str(path))
+    logged = [l["trust_region"] for l in log.lines if l["type"] == "iteration"]
+    assert all(e is None or set(e) == {"length", "successes", "failures"} for e in logged)
+    assert any(e is not None for e in logged)
+    d = build_model(config).space.dimension
+    assert _replayed_regions(
+        path, config.batch_size, d, FOM_PRESETS[config.preset]
+    ) == logged
 
 
 def test_failed_acquisition_diagnostic_is_logged_not_fatal(monkeypatch):
