@@ -28,12 +28,14 @@ lengthscales, and its size adapts to the run's successes and failures
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DesignPoint, DesignSpace
+from .fom import FomConfig, count_missed_specs
 from .surrogate import (
     GpModel,
     NumericalError,
@@ -57,9 +59,12 @@ _LOGIT_EPS = 1e-9
 
 # Trust-region side length in the unit cube (start, cap, restart threshold),
 # the success streak that doubles it, and the relative rise that succeeds.
+# TuRBO restarts below 0.5**7; at a budget of ~20 batches a box that small
+# holds points the GP cannot tell apart, and a converged region spends its
+# batches there (branin), so the region restarts at its third halving.
 TR_LENGTH_INIT = 0.8
 TR_LENGTH_MAX = 1.6
-TR_LENGTH_MIN = 0.5**7
+TR_LENGTH_MIN = 0.5**3
 TR_SUCCESS_STREAK = 3
 TR_RISE = 1e-3
 
@@ -213,22 +218,32 @@ def _slot_scorer(model, prefix, Z, best):
     return score
 
 
-def trust_region(history, q: int, d: int) -> dict:
-    """Trust-region state ``{"length", "successes", "failures"}`` after the
-    iterations in ``history``, one ``(best before, best after)`` FOM pair per
-    iteration that used the region, in run order.
+def trust_region(records, fom: FomConfig, q: int, d: int) -> dict | None:
+    """Trust-region state ``{"length", "successes", "failures"}`` for the
+    iteration after ``records``, a run's evaluations in order; ``None`` while
+    the incumbent, the best record so far (ties to the earliest), misses a
+    spec (SCBO's rule).
 
-    A rise above ``TR_RISE * |best before|`` is a success. ``TR_SUCCESS_STREAK``
-    successes in a row double the length, up to ``TR_LENGTH_MAX``;
-    ⌈max(4/q, d/q)⌉ failures in a row halve it, q the points an iteration
-    evaluates and d the dimension; below ``TR_LENGTH_MIN`` it restarts at
-    ``TR_LENGTH_INIT``. The FOMs alone set it, so a run log's eval lines
+    The region was in use in each iteration whose incumbent met every spec.
+    Such an iteration succeeds when it raises the best FOM by more than
+    ``TR_RISE * |best before|``. ``TR_SUCCESS_STREAK`` successes in a row
+    double the length, up to ``TR_LENGTH_MAX``; ⌈max(4/q, d/q)⌉ failures in
+    a row halve it, q the points an iteration evaluates and d the dimension;
+    below ``TR_LENGTH_MIN`` it restarts at ``TR_LENGTH_INIT``. Only the
+    records' iterations, FOMs and metrics enter, so a run log's eval lines
     rebuild it.
     """
     fail_streak = math.ceil(max(4, d) / q)
     length, successes, failures = TR_LENGTH_INIT, 0, 0
-    for before, after in history:
-        if after > before + TR_RISE * abs(before):
+    incumbent = None
+    for iteration, group in itertools.groupby(records, key=lambda r: r.iteration):
+        before = incumbent
+        for record in group:
+            if incumbent is None or record.fom > incumbent.fom:
+                incumbent = record
+        if iteration == 0 or count_missed_specs(before.metrics, fom) > 0:
+            continue
+        if incumbent.fom > before.fom + TR_RISE * abs(before.fom):
             successes, failures = successes + 1, 0
         else:
             successes, failures = 0, failures + 1
@@ -238,6 +253,8 @@ def trust_region(history, q: int, d: int) -> dict:
             length, failures = length / 2.0, 0
         if length < TR_LENGTH_MIN:
             length = TR_LENGTH_INIT
+    if count_missed_specs(incumbent.metrics, fom) > 0:
+        return None
     return {"length": length, "successes": successes, "failures": failures}
 
 

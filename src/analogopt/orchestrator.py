@@ -202,8 +202,6 @@ def run(config: RunConfig) -> RunLog:
 
     lines: list[dict] = [_header_line(config, model)]
     dataset = Dataset()
-    # (best before, best after) of each iteration that used a trust region
-    region_history: list[tuple[float, float]] = []
 
     def evaluate_all(proposals, iteration: int) -> None:
         for point, source in proposals:
@@ -231,7 +229,6 @@ def run(config: RunConfig) -> RunLog:
     for iteration in range(1, config.n_iter + 1):
         diag: dict = {"type": "iteration", "iteration": iteration}
         proposals: list[tuple[DesignPoint, Source]] = []
-        region = None
 
         if config.llm_queries_per_step > 0:
             demos = _select_demos(config, dataset, streams["sampler"])
@@ -254,16 +251,16 @@ def run(config: RunConfig) -> RunLog:
             y = np.array([r.fom for r in dataset])
             fit_seed = int(streams["surrogate"].integers(2**31 - 1))
             gp = gp_fit(X, y, config.gp_fit, fit_seed)
-            incumbent = dataset[dataset.best_index]
-            best = incumbent.fom
+            best = dataset[dataset.best_index].fom
             # The region is centred on the incumbent only once it meets every
             # spec (SCBO's rule); until then the batch searches the whole cube.
-            box = None
-            if count_missed_specs(incumbent.metrics, model.fom) == 0:
-                region = trust_region(
-                    region_history, config.batch_size, space.dimension
-                )
-                box = trust_region_box(gp, X[dataset.best_index], region["length"])
+            region = trust_region(
+                dataset, model.fom, config.batch_size, space.dimension
+            )
+            box = (
+                None if region is None
+                else trust_region_box(gp, X[dataset.best_index], region["length"])
+            )
             diag["trust_region"] = region
             acq_seed = int(streams["acquisition"].integers(2**31 - 1))
             batch = propose_batch(
@@ -290,8 +287,6 @@ def run(config: RunConfig) -> RunLog:
 
         lines.append(diag)
         evaluate_all(proposals, iteration)
-        if region is not None:
-            region_history.append((best, dataset[dataset.best_index].fom))
 
     expected = config.total_evaluations
     if len(dataset) != expected:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from analogopt.acquisition import (
     trust_region_box,
 )
 from analogopt.core import DesignSpace, Parameter, design_space_contains
+from analogopt.fom import FOM_PRESETS, FomConfig, failed_metrics
 from analogopt.surrogate import (
     GpFitConfig,
     GpModel,
@@ -244,31 +246,38 @@ def test_trust_region_box_follows_the_lengthscales():
     assert lo == pytest.approx([0.0, 0.5]) and hi == pytest.approx([0.1, 1.0])
 
 
+NO_SPECS = FomConfig(())
+
+
+def _records(*foms):
+    """Init record at ``foms[0]``, then one record per iteration at each FOM."""
+    return [SimpleNamespace(iteration=i, fom=f, metrics={}) for i, f in enumerate(foms)]
+
+
 def _steps(*rises, start=1.0):
-    """(best before, best after) pairs: each iteration raises the best by its rise."""
-    history, best = [], start
+    """Records whose best rises by each of ``rises`` in turn, from ``start``."""
+    foms = [start]
     for rise in rises:
-        history.append((best, best + rise))
-        best += rise
-    return history
+        foms.append(foms[-1] + rise)
+    return _records(*foms)
 
 
 def test_trust_region_starts_at_its_initial_length():
-    assert trust_region([], 4, 14) == {
+    assert trust_region(_steps(), NO_SPECS, 4, 14) == {
         "length": TR_LENGTH_INIT, "successes": 0, "failures": 0,
     }
 
 
 def test_trust_region_doubles_after_three_successes_up_to_its_cap():
-    assert trust_region(_steps(1, 1), 4, 14) == {
+    assert trust_region(_steps(1, 1), NO_SPECS, 4, 14) == {
         "length": 0.8, "successes": 2, "failures": 0,
     }
-    assert trust_region(_steps(1, 1, 1), 4, 14) == {
+    assert trust_region(_steps(1, 1, 1), NO_SPECS, 4, 14) == {
         "length": 1.6, "successes": 0, "failures": 0,
     }
-    assert trust_region(_steps(*[1] * 6), 4, 14)["length"] == TR_LENGTH_MAX
+    assert trust_region(_steps(*[1] * 6), NO_SPECS, 4, 14)["length"] == TR_LENGTH_MAX
     # a failure breaks the streak
-    assert trust_region(_steps(1, 1, 0, 1), 4, 14) == {
+    assert trust_region(_steps(1, 1, 0, 1), NO_SPECS, 4, 14) == {
         "length": 0.8, "successes": 1, "failures": 0,
     }
 
@@ -276,27 +285,50 @@ def test_trust_region_doubles_after_three_successes_up_to_its_cap():
 @pytest.mark.parametrize("q, d, streak", [(4, 14, 4), (5, 14, 3), (5, 2, 1), (1, 2, 4)])
 def test_trust_region_halves_after_its_failure_streak(q, d, streak):
     assert streak == math.ceil(max(4 / q, d / q))
-    before = trust_region(_steps(*[0] * (streak - 1)), q, d)
+    before = trust_region(_steps(*[0] * (streak - 1)), NO_SPECS, q, d)
     assert before == {"length": 0.8, "successes": 0, "failures": streak - 1}
-    assert trust_region(_steps(*[0] * streak), q, d) == {
+    assert trust_region(_steps(*[0] * streak), NO_SPECS, q, d) == {
         "length": 0.4, "successes": 0, "failures": 0,
     }
 
 
 def test_trust_region_restarts_below_its_minimum_length():
-    # one failure halves it at q = 5, d = 2: 0.8 / 2**6 = 0.0125 stays,
-    # 0.8 / 2**7 = 0.00625 < 0.5**7 starts again at 0.8
-    assert trust_region(_steps(*[0] * 6), 5, 2)["length"] == 0.8 / 2**6
-    assert 0.8 / 2**7 < TR_LENGTH_MIN
-    assert trust_region(_steps(*[0] * 7), 5, 2)["length"] == TR_LENGTH_INIT
+    # one failure halves it at q = 5, d = 2: 0.8 / 2**2 = 0.2 stays,
+    # 0.8 / 2**3 = 0.1 < 0.5**3 starts again at 0.8
+    assert trust_region(_steps(*[0] * 2), NO_SPECS, 5, 2)["length"] == 0.8 / 2**2
+    assert 0.8 / 2**3 < TR_LENGTH_MIN <= 0.8 / 2**2
+    assert trust_region(_steps(*[0] * 3), NO_SPECS, 5, 2)["length"] == TR_LENGTH_INIT
+    assert trust_region(_steps(*[0] * 5), NO_SPECS, 5, 2)["length"] == 0.8 / 2**2
 
 
 @pytest.mark.parametrize("before", [-2.0, 3.7, 0.0])
 def test_trust_region_success_needs_a_rise_above_its_threshold(before):
     edge = before + TR_RISE * abs(before)
-    assert trust_region([(before, edge)], 4, 14)["failures"] == 1
+    assert trust_region(_records(before, edge), NO_SPECS, 4, 14)["failures"] == 1
     above = float(np.nextafter(edge, np.inf))
-    assert trust_region([(before, above)], 4, 14)["successes"] == 1
+    assert trust_region(_records(before, above), NO_SPECS, 4, 14)["successes"] == 1
+
+
+def test_trust_region_counts_only_iterations_whose_incumbent_meets_every_spec():
+    amp2 = FOM_PRESETS["amp2"]
+    met = {m.name: m.spec for m in amp2.metrics}
+    missed = failed_metrics(amp2)
+    records = [
+        SimpleNamespace(iteration=0, fom=-5.0, metrics=missed),
+        SimpleNamespace(iteration=1, fom=-4.0, metrics=missed),
+        SimpleNamespace(iteration=2, fom=1.0, metrics=met),
+        SimpleNamespace(iteration=2, fom=0.5, metrics=missed),
+        SimpleNamespace(iteration=3, fom=2.0, metrics=met),
+    ]
+    assert trust_region(records[:2], amp2, 5, 14) is None
+    # iterations 1 and 2 started from an incumbent that missed specs
+    assert trust_region(records[:4], amp2, 5, 14) == {
+        "length": TR_LENGTH_INIT, "successes": 0, "failures": 0,
+    }
+    assert trust_region(records, amp2, 5, 14)["successes"] == 1
+    # a later best that misses a spec closes the region again
+    worse = records + [SimpleNamespace(iteration=4, fom=3.0, metrics=missed)]
+    assert trust_region(worse, amp2, 5, 14) is None
 
 
 def test_propose_batch_beats_random_batches(fitted_model, unit_space):

@@ -5,6 +5,7 @@ import os
 import re
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -263,25 +264,16 @@ def test_trust_region_waits_for_an_incumbent_that_meets_every_spec(monkeypatch):
 
 def _replayed_regions(path, q, d, fom_config):
     """Each iteration's trust-region entry, recomputed from the eval lines alone."""
-    entries, history = [], []
-    incumbent = before = None
     with open(path, encoding="utf-8") as handle:
-        for line in map(json.loads, handle):
-            if line["type"] == "eval":
-                # the highest FOM so far; a tie keeps the earlier eval
-                if incumbent is None or line["fom"] > incumbent["fom"]:
-                    incumbent = line
-            elif line["type"] in ("iteration", "summary"):
-                if before is not None:
-                    history.append((before, incumbent["fom"]))
-                    before = None
-                if line["type"] == "iteration":
-                    if count_missed_specs(incumbent["metrics"], fom_config) == 0:
-                        entries.append(trust_region(history, q, d))
-                        before = incumbent["fom"]
-                    else:
-                        entries.append(None)
-    return entries
+        lines = [json.loads(line) for line in handle]
+    evals = [
+        SimpleNamespace(iteration=l["iteration"], fom=l["fom"], metrics=l["metrics"])
+        for l in lines if l["type"] == "eval"
+    ]
+    return [
+        trust_region([r for r in evals if r.iteration < i], fom_config, q, d)
+        for i in (l["iteration"] for l in lines if l["type"] == "iteration")
+    ]
 
 
 @pytest.mark.parametrize("config", [
