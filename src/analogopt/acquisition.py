@@ -177,23 +177,33 @@ def _slot_scorer(model, prefix, Z, best):
         R, d = cands.shape
         cols = _rbf_cross(rows, cands, model.lengthscales, sv)
         if grad:
-            # dk(p, x)/dx_a = k(p, x) (p_a - x_a) / l_a^2, stacked behind the
-            # values as column R + r*d + a: one solve per factor covers all.
-            dK = cols[:, :, None] * (points[:, None, :] - cands) * inv_l2
-            cols = np.hstack([cols, dK.reshape(n + k, R * d)])
+            # The right-hand side of both solves: the kernel values, then
+            # dk(p, x)/dx_a = k(p, x) (p_a - x_a) / l_a^2 as column R + r*d + a.
+            # dK is built contiguous and joined after: ufuncs writing into a
+            # strided view of a preallocated right-hand side run twice as long.
+            dK = points[:, None, :] - cands
+            dK *= cols[:, :, None]
+            dK *= inv_l2
+            cols = np.concatenate((cols, dK.reshape(n + k, R * d)), axis=1)
         V = _solve_lower(chol, cols[:n])
         V_C = V[:, :R]
         mean_C = model.target_mean + model.target_std * (cols[:n, :R].T @ model.alpha)
-        var_C = std2 * np.maximum(sv - np.sum(V_C**2, axis=0), 0.0)
+        var_C = std2 * np.maximum(sv - (V_C**2).sum(axis=0), 0.0)
         # Rows of L_A^-1 cov(prefix, candidate), then with grad their derivatives.
         sol = _solve_lower(L_A, std2 * (cols[n:] - V_P.T @ V)) if k else cols[n:]
         W = sol[:, :R]
-        border = np.sqrt(np.maximum(var_C - np.sum(W**2, axis=0), 0.0))
-        factor = np.vstack([W, border])
+        # The candidate's conditional sd borders the factor. concatenate lays
+        # the factor out after sol's strides (Fortran order from two prefix
+        # rows on), which sets the transposition of the gemm with Z.
+        border = var_C - (W**2).sum(axis=0)
+        np.maximum(border, 0.0, out=border)
+        np.sqrt(border, out=border)
+        factor = np.concatenate((W, border[None]))
         f_last = Z @ factor
         f_last += mean_C
-        # Only draws whose bordered sample sets the clipped maximum move it.
-        active = f_last > threshold
+        if grad:
+            # Only draws whose bordered sample sets the clipped maximum move it.
+            active = f_last > threshold
         # The clipped improvement overwrites f_last in place: a raw scoring's
         # (draws, R) temporaries are 0.5 MB each, and allocating them afresh
         # re-faults their pages on every call.
@@ -208,9 +218,11 @@ def _slot_scorer(model, prefix, Z, best):
         dvar_border = dvar - 2.0 * np.einsum("jr,jra->ra", W, dW)
         dborder = np.divide(
             dvar_border, 2.0 * border[:, None],
-            out=np.zeros_like(dvar_border), where=border[:, None] > 0.0,
+            out=np.zeros((R, d)), where=border[:, None] > 0.0,
         )
         G = active.astype(float).T @ weights
+        # Laid out as concatenate lays out dW's strides, which fixes the order
+        # in which the einsum below adds its terms.
         dfactor = np.concatenate([dW, dborder[None]])
         gradients = G[:, -1:] * dmean + np.einsum("rj,jra->ra", G[:, :-1], dfactor)
         return values, gradients
@@ -295,12 +307,14 @@ def propose_batch(
     ``lo + span * expit(z)``. No box is the unit cube, on the same bits.
     """
     d = space.dimension
-    lo, hi = box if box is not None else (np.zeros(d), np.ones(d))
-    span = hi - lo
+    if box is not None:
+        lo, hi = box
+        span = hi - lo
 
     def in_box(u):
-        # lo + span * u can round an ulp past hi
-        return np.minimum(lo + span * u, hi)
+        # lo + span * u can round an ulp past hi. No box is the unit cube,
+        # where lo = 0 and span = 1 would give back u bit for bit.
+        return u if box is None else np.minimum(lo + span * u, hi)
 
     Z = _base_draws(seed, batch_size, config.mc_samples)
     chosen: list[np.ndarray] = []
@@ -317,9 +331,14 @@ def propose_batch(
         def neg_total_and_grad(z):
             s = expit(z.reshape(starts.shape))
             values, grad = score(in_box(s), grad=True)
-            return -np.sum(values), -(grad * span * s * (1.0 - s)).ravel()
+            if box is not None:
+                grad *= span
+            grad *= s
+            grad *= 1.0 - s
+            return -values.sum(), -grad.ravel()
 
-        z0 = logit(np.clip((starts - lo) / span, _LOGIT_EPS, 1.0 - _LOGIT_EPS)).ravel()
+        unit_starts = starts if box is None else (starts - lo) / span
+        z0 = logit(np.clip(unit_starts, _LOGIT_EPS, 1.0 - _LOGIT_EPS)).ravel()
         try:
             z = _lbfgsb(neg_total_and_grad, z0, None, None, config.maxiter)
             if np.all(np.isfinite(z)):

@@ -10,12 +10,20 @@ and ``NOISE_FLOOR`` to ``NOISE_CEILING`` for the noise variance.
 
 What a fit needs from the inputs is computed once per fit: the pairwise
 squared differences, as one (n*n, d) table. Each objective call builds the
-kernel from it with one matrix-vector product and takes the lengthscale
-gradient with another. The factorization, the solves and the inverse call
-LAPACK (``potrf``, ``potrs``, ``trtri``, ``trtrs``) directly: at the
-n <= 105 of a run, scipy's per-call argument handling costs as much as the
-arithmetic. Past the fit there is one cross kernel, :func:`rbf_kernel`, and
-one posterior helper, which :func:`gp_predict` and the qEI scorer share.
+kernel from it with one matrix-vector product, adds the noise to the
+diagonal of a copy (the bits of ``K + noise * I``, with no identity
+matrix), and takes the lengthscale gradient with another product. The
+factorization, the solves and the inverse call LAPACK (``potrf``,
+``potrs``, ``trtri``, ``trtrs``) directly: at the n <= 105 of a run,
+scipy's per-call argument handling costs as much as the arithmetic, and
+so does numpy's, which is why the hot path works in place wherever that
+keeps every operand, order and memory layout. A restart's result is the
+LML at its final x; the objective remembers the last x it evaluated, and
+the fit reuses that LML when the final x has the same bits. An ABNORMAL
+L-BFGS-B exit can end at another x, which is evaluated again (reading the
+last objective value regardless, a rejected rule, moved run logs). Past
+the fit there is one cross kernel, :func:`rbf_kernel`, and one posterior
+helper, which :func:`gp_predict` and the qEI scorer share.
 
 Both L-BFGS-B problems of a run, this fit and the stacked qEI restarts of
 :mod:`analogopt.acquisition`, go through one driver, :func:`_lbfgsb`. It is
@@ -281,8 +289,13 @@ def _rbf_cross(rows, B, lengthscales, signal_variance):
     """:func:`rbf_kernel` with its left rows prepared by :func:`_kernel_rows`."""
     a_sq, a2 = rows
     b = B / lengthscales
-    sq = a_sq + np.sum(b**2, axis=1)[None, :] - a2 @ b.T
-    return signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
+    sq = a_sq + (b**2).sum(axis=1)[None, :]
+    sq -= a2 @ b.T
+    np.maximum(sq, 0.0, out=sq)
+    sq *= -0.5
+    np.exp(sq, out=sq)
+    sq *= signal_variance
+    return sq
 
 
 def _chol_with_jitter(matrix):
@@ -337,21 +350,20 @@ def log_marginal_likelihood(
         np.asarray(lengthscales, dtype=float) * np.ones(X.shape[1]),
         signal_variance,
         noise_variance,
-        *_fit_invariants(X),
+        _fit_invariants(X),
     )
 
 
 def _fit_invariants(X):
-    """The parts of the LML that depend on X alone, fixed for a whole fit.
-
-    Returns the pairwise squared differences as one (n*n, d) table, row
-    i*n + j holding (x_i - x_j)**2, and the n x n identity. The table is
-    Fortran-ordered, so both products with it run down contiguous columns.
+    """The part of the LML that depends on X alone, fixed for a whole fit:
+    the pairwise squared differences as one (n*n, d) table, row i*n + j
+    holding (x_i - x_j)**2. The table is Fortran-ordered, so both products
+    with it run down contiguous columns.
     """
     cols = np.ascontiguousarray(X.T)
     diff = cols[:, :, None] - cols[:, None, :]
     np.square(diff, out=diff)
-    return diff.reshape(X.shape[1], -1).T, np.eye(X.shape[0])
+    return diff.reshape(X.shape[1], -1).T
 
 
 def _train_kernel(sqdiff, inv_l2, signal_variance, n):
@@ -367,15 +379,22 @@ def _train_kernel(sqdiff, inv_l2, signal_variance, n):
     return K.reshape(n, n)
 
 
-def _lml_and_grad(y, lengthscales, signal_variance, noise_variance, sqdiff, eye):
+def _with_noise(K, noise_variance):
+    """``K + noise_variance * I``, bit for bit, added to the diagonal of a copy."""
+    A = K.copy()
+    A.ravel()[:: K.shape[0] + 1] += noise_variance
+    return A
+
+
+def _lml_and_grad(y, lengthscales, signal_variance, noise_variance, sqdiff):
     n = y.shape[0]
     inv_l2 = lengthscales**-2.0
     K = _train_kernel(sqdiff, inv_l2, signal_variance, n)
-    L, _ = _chol_with_jitter(K + noise_variance * eye)
+    L, _ = _chol_with_jitter(_with_noise(K, noise_variance))
     alpha = dpotrs(L, y, lower=1)[0]
     lml = (
         -0.5 * float(y @ alpha)
-        - float(np.sum(np.log(L.diagonal())))
+        - float(np.log(L.diagonal()).sum())
         - 0.5 * n * math.log(2.0 * math.pi)
     )
 
@@ -387,13 +406,13 @@ def _lml_and_grad(y, lengthscales, signal_variance, noise_variance, sqdiff, eye)
     # triangular solve applies L^-T. With OpenBLAS at 1, 2 and 4 threads
     # (n <= 120) both give the same bits; potri (via lauum) and syrk do not.
     L_inv = dtrtri(L, lower=1)[0]
-    W = np.outer(alpha, alpha)
-    W -= dtrtrs(L, L_inv, lower=1, trans=1)[0]
-    M = W * K
+    W = alpha[:, None] * alpha
+    W -= dtrtrs(L, L_inv, lower=1, trans=1, overwrite_b=1)[0]  # solved in L_inv
     grad = np.empty(lengthscales.shape[0] + 2)
-    grad[:-2] = 0.5 * (M.ravel() @ sqdiff) * inv_l2
-    grad[-2] = 0.5 * float(np.sum(M))
-    grad[-1] = 0.5 * noise_variance * float(np.trace(W))
+    grad[-1] = 0.5 * noise_variance * float(W.trace())
+    W *= K  # now (alpha alpha^T - K^-1) . K, C-ordered as W was
+    grad[:-2] = 0.5 * (W.ravel() @ sqdiff) * inv_l2
+    grad[-2] = 0.5 * float(W.sum())
     return lml, grad
 
 
@@ -438,17 +457,21 @@ def gp_fit(
             [np.full(d, LENGTHSCALE_BOUNDS[1]), [SIGNAL_BOUNDS[1]], [NOISE_CEILING]]
         )
     )
-    sqdiff, eye = _fit_invariants(X)
+    sqdiff = _fit_invariants(X)
+    # The bytes of the last theta evaluated, and its LML (None: not factorable).
+    last_theta = last_lml = None
 
     def objective(theta):
+        nonlocal last_theta, last_lml
+        last_theta, last_lml = theta.tobytes(), None
         ls = np.exp(theta[:d])
         sv = math.exp(theta[d])
         nv = math.exp(theta[d + 1])
         try:
-            lml, grad = _lml_and_grad(y_std, ls, sv, nv, sqdiff, eye)
+            last_lml, grad = _lml_and_grad(y_std, ls, sv, nv, sqdiff)
         except NumericalError:
             return 1e25, np.zeros_like(theta)
-        return -lml, -grad
+        return -last_lml, -grad
 
     rng = np.random.default_rng(seed)
     starts = [
@@ -466,22 +489,14 @@ def gp_fit(
         theta0 = np.clip(theta0, lo, hi)
         theta = _lbfgsb(objective, theta0, lo, hi, config.maxiter)
         candidate = theta if np.all(np.isfinite(theta)) else theta0
-        # Not redundant: an ABNORMAL L-BFGS-B exit can end at an x other than
-        # the last one evaluated (18 of 400 branin gp_bo restarts; taking the
-        # last objective value instead moved 10 of 20 run logs).
-        try:
-            lml, _ = _lml_and_grad(
-                y_std,
-                np.exp(candidate[:d]),
-                math.exp(candidate[d]),
-                math.exp(candidate[d + 1]),
-                sqdiff,
-                eye,
-            )
-        except NumericalError:
-            continue
-        if lml > best_lml:
-            best_lml = lml
+        # The final x is usually the last one evaluated, and its LML is reused
+        # only when the bits agree: an ABNORMAL L-BFGS-B exit can end at
+        # another x (18 of 400 branin gp_bo restarts; taking the last
+        # objective value there instead moved 10 of 20 run logs).
+        if candidate.tobytes() != last_theta:
+            objective(candidate)
+        if last_lml is not None and last_lml > best_lml:
+            best_lml = last_lml
             best_theta = candidate
     if best_theta is None:
         raise NumericalError("all hyperparameter restarts failed")
@@ -490,7 +505,7 @@ def gp_fit(
     sv = math.exp(best_theta[d])
     nv = math.exp(best_theta[d + 1])
     K = _train_kernel(sqdiff, ls**-2.0, sv, X.shape[0])
-    L, jitter = _chol_with_jitter(K + nv * eye)
+    L, jitter = _chol_with_jitter(_with_noise(K, nv))
     alpha = dpotrs(L, y_std, lower=1)[0]
     return GpModel(
         train_inputs=X,

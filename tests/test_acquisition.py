@@ -436,6 +436,54 @@ def test_slot_scorer_gradient_matches_central_differences(d, k):
         assert np.max(np.abs(g_row - fd_row)) <= 1e-6 * scale
 
 
+def _model_at(X, y, lengthscales, sv, nv):
+    """A GP at fixed hyperparameters, factored by numpy alone, with
+    standardized targets."""
+    mean, std = float(y.mean()), float(y.std())
+    targets = (y - mean) / std
+    diff = (X[:, None, :] - X[None, :, :]) / lengthscales
+    K = sv * np.exp(-0.5 * (diff**2).sum(axis=2))
+    L = np.linalg.cholesky(K + nv * np.eye(len(y)))
+    alpha = np.linalg.solve(L.T, np.linalg.solve(L, targets))
+    return GpModel(X, targets, lengthscales, sv, nv, L, alpha, mean, std, 0.0)
+
+
+# score(cands, grad=True) of the scorer below, as float.hex: the two values,
+# then the (2, 14) gradients row by row.
+SCORE_R2_K3_D14 = (
+    ("0x1.36a70a14772d2p+1", "0x1.31f2907577736p+1"),
+    (
+        "0x1.f81a368934c3dp-2", "-0x1.2f73df0a6ab70p-2", "0x1.250beb5045902p-4",
+        "-0x1.9c0124542c6dap-4", "-0x1.87431a54218b8p-4", "-0x1.3afabc5c7e008p-7",
+        "-0x1.c274481622a73p-6", "-0x1.8ae9f0a934783p-3", "-0x1.324b8befc1b8cp-3",
+        "0x1.a9a5d3bf9c55ap-8", "0x1.80e525f772585p-6", "-0x1.f4d98f5736b68p-5",
+        "-0x1.a733243aab5a1p-7", "-0x1.4b4c9f4424d81p-6", "0x1.e05671b88789ep-2",
+        "-0x1.b77be0a126f80p-3", "0x1.34546b800525cp-3", "0x1.e766a14fe67d8p-3",
+        "-0x1.110939adbe3a7p-3", "-0x1.1aa5eda4c87c3p-3", "-0x1.41b4557e090f6p-4",
+        "-0x1.515a857a030b4p-4", "-0x1.256ceccd6194fp-3", "-0x1.7c3aa1bfb6a4cp-5",
+        "-0x1.1f82c84dffae6p-8", "-0x1.11916cc314865p-4", "-0x1.492742599047cp-7",
+        "0x1.e4efcc8ec20a0p-7",
+    ),
+)
+
+
+def test_slot_scorer_keeps_its_bits_at_r2_k3_d14():
+    # The scorer's arithmetic is kept to the bit, including the memory
+    # layouts that fix the summation order of its einsum and gemm calls.
+    rng = np.random.default_rng(3)
+    X = rng.uniform(size=(30, 14))
+    y = np.sin(3.0 * X[:, 0]) * np.cos(2.0 * X[:, 1])
+    y = y + 0.3 * np.sum(np.sin(4.0 * X[:, 2:]), axis=1)
+    model = _model_at(X, y, np.linspace(0.4, 1.7, 14), 1.1, 1e-3)
+    prefix = np.random.default_rng(8).uniform(size=(3, 14))
+    cands = np.random.default_rng(103).uniform(size=(2, 14))
+    score = _slot_scorer(model, prefix, _base_draws(5, 4, 512), float(y.min()) - 0.1)
+    values, grad = score(cands, grad=True)
+    assert (
+        tuple(v.hex() for v in values), tuple(g.hex() for g in grad.ravel())
+    ) == SCORE_R2_K3_D14
+
+
 def test_propose_batch_propagates_prefix_factor_failure(unit_space):
     # A Cholesky factor far too small for its kernel makes every prefix
     # covariance strongly negative, beyond what diagonal jitter can repair.

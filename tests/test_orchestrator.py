@@ -19,7 +19,7 @@ from analogopt.config import RunConfig, build_model, load_run_config
 from analogopt.core import ConfigError, Source
 from analogopt.fom import FOM_PRESETS, compute_fom, count_missed_specs
 from analogopt.orchestrator import ReportError, report, run
-from analogopt.surrogate import GpFitConfig, gp_fit
+from analogopt.surrogate import GpFitConfig, gp_fit, to_unit_cube
 
 from conftest import RETRY_SCRIPT, _amp2_reply, expand, expanded_text
 
@@ -230,6 +230,29 @@ def test_iteration_diagnostics_present():
         }
         assert line["acquisition_value"] >= 0.0
         assert line["llm_transcripts"]
+
+
+@pytest.mark.parametrize("method, llm_q, gp_q, init, expected", [
+    # amp2-hybrid's shape: the 50 records before the last fit, each mapped
+    # once, and the 4 x 10 points of the logged batches (315 when every fit
+    # mapped its whole dataset)
+    ("ado_llm", 1, 4, "llm_zero_shot", 90),
+    ("gp_bo", 0, 5, "uniform_random", 100),
+    ("llm_only", 1, 0, "llm_zero_shot", 0),  # agent-long: no GP, no rows
+])
+def test_run_maps_each_record_to_the_unit_cube_once(
+    monkeypatch, method, llm_q, gp_q, init, expected
+):
+    calls = []
+
+    def counted(space, point):
+        calls.append(point)
+        return to_unit_cube(space, point)
+
+    monkeypatch.setattr(orchestrator, "to_unit_cube", counted)
+    run(fast_config(method=method, preset="amp2", n_iter=10, llm_queries_per_step=llm_q,
+                    gp_queries_per_step=gp_q, init_strategy=init))
+    assert len(calls) == expected
 
 
 # ------------------------------------------------------------ trust region

@@ -393,6 +393,26 @@ def test_lml_bits_do_not_depend_on_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
+# log_marginal_likelihood at n = 55, d = 14 (the gradient test's inputs), as
+# float.hex of the LML and then of its gradient: what the fit's objective
+# returns, kept to the bit by every change to its arithmetic.
+LML_N55_D14 = (
+    "-0x1.98dac9500c7b9p+5",
+    "0x1.4eee795484f71p+3", "0x1.d846392f86a0ap+2", "0x1.c5d147a3ad182p+2",
+    "0x1.8ae28413dc386p+2", "0x1.604883b05032fp+2", "0x1.f6ea76f221869p+1",
+    "0x1.b5aee8c64bb59p+1", "0x1.7ea8e9374fff5p+1", "0x1.51371d03eb1a4p+1",
+    "0x1.2a64e4eabc5b2p+1", "0x1.3d68ec98dea21p+1", "0x1.00e85137035dcp+1",
+    "0x1.98f78c291b4d4p+0", "0x1.3a3689af094c4p+0", "-0x1.2b4b6e73f228ep+4",
+    "-0x1.78741f34b2db5p-3",
+)
+
+
+def test_lml_and_gradient_keep_their_bits_at_n55_d14():
+    X, y = _training_set(n=55, d=14, seed=10)
+    lml, grad = log_marginal_likelihood(X, y, np.linspace(0.3, 2.0, 14), 1.3, 4e-3)
+    assert tuple(v.hex() for v in (lml, *grad)) == LML_N55_D14
+
+
 def test_lml_scale_equivariance():
     X, y = _training_set(n=5, seed=8)
     ls = np.array([0.6, 0.6])
@@ -507,6 +527,52 @@ def _assert_matches_minimize(fun, x0, lower, upper, maxiter):
     assert x.tobytes() == reference.x.tobytes()
     assert len(calls) == len(reference_calls) == reference.nfev
     return reference
+
+
+@pytest.mark.parametrize("n, d, seed", [(10, 2, 14), (30, 2, 3), (55, 14, 14)],
+                         ids=["fit_n10_d2", "fit_n30_d2_abnormal", "fit_n55_d14"])
+def test_gp_fit_reevaluates_only_a_final_x_it_did_not_evaluate_last(
+    monkeypatch, n, d, seed
+):
+    # The fit problems of lbfgsb_problems, at two restarts. A restart's LML
+    # is the objective's last value when its final x is the last x the
+    # driver evaluated, bit for bit; otherwise (an ABNORMAL exit) the fit
+    # evaluates the final x once more.
+    X, y = _training_set(n=n, d=d, seed=seed)
+    lml_calls, restarts = [], []
+
+    def counted_lml(*args):
+        lml_calls.append(None)
+        return lml_and_grad(*args)
+
+    def watched_lbfgsb(fun, x0, lower, upper, maxiter):
+        seen = []
+
+        def watched(x):
+            seen.append(x.tobytes())
+            return fun(x)
+
+        x = _lbfgsb(watched, x0, lower, upper, maxiter)
+        restarts.append((len(seen), x.tobytes() == seen[-1]))
+        return x
+
+    lml_and_grad = surrogate._lml_and_grad
+    monkeypatch.setattr(surrogate, "_lml_and_grad", counted_lml)
+    monkeypatch.setattr(surrogate, "_lbfgsb", watched_lbfgsb)
+    model = gp_fit(X, y, GpFitConfig(restarts=2))
+    monkeypatch.undo()
+
+    assert len(restarts) == 2
+    assert len(lml_calls) == sum(calls + (not last) for calls, last in restarts)
+    if n == 30:
+        assert not restarts[0][1]  # the ABNORMAL exit of the first restart
+    else:
+        assert all(last for _, last in restarts)
+    lml, _ = log_marginal_likelihood(
+        X, model.train_targets, model.lengthscales, model.signal_variance,
+        model.noise_variance,
+    )
+    assert lml.hex() == model.log_marginal.hex()
 
 
 @pytest.mark.parametrize("maxiter", [0, 1, 5, 100])
