@@ -307,14 +307,12 @@ def propose_batch(
     ``lo + span * expit(z)``. No box is the unit cube, on the same bits.
     """
     d = space.dimension
-    if box is not None:
-        lo, hi = box
-        span = hi - lo
+    lo, hi = box if box is not None else (np.zeros(d), np.ones(d))
+    span = hi - lo
 
     def in_box(u):
-        # lo + span * u can round an ulp past hi. No box is the unit cube,
-        # where lo = 0 and span = 1 would give back u bit for bit.
-        return u if box is None else np.minimum(lo + span * u, hi)
+        # lo + span * u can round an ulp past hi
+        return np.minimum(lo + span * u, hi)
 
     Z = _base_draws(seed, batch_size, config.mc_samples)
     chosen: list[np.ndarray] = []
@@ -331,14 +329,12 @@ def propose_batch(
         def neg_total_and_grad(z):
             s = expit(z.reshape(starts.shape))
             values, grad = score(in_box(s), grad=True)
-            if box is not None:
-                grad *= span
+            grad *= span
             grad *= s
             grad *= 1.0 - s
             return -values.sum(), -grad.ravel()
 
-        unit_starts = starts if box is None else (starts - lo) / span
-        z0 = logit(np.clip(unit_starts, _LOGIT_EPS, 1.0 - _LOGIT_EPS)).ravel()
+        z0 = logit(np.clip((starts - lo) / span, _LOGIT_EPS, 1.0 - _LOGIT_EPS)).ravel()
         try:
             z = _lbfgsb(neg_total_and_grad, z0, None, None, config.maxiter)
             if np.all(np.isfinite(z)):

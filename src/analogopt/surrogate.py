@@ -312,9 +312,8 @@ def _chol_with_jitter(matrix):
     if info == 0:
         return L, 0.0
     jitter = JITTER_START
-    eye = np.eye(matrix.shape[0])
     while jitter <= JITTER_MAX:
-        L, info = dpotrf(matrix + jitter * eye, lower=1)
+        L, info = dpotrf(_with_noise(matrix, jitter), lower=1)
         if info == 0:
             return L, jitter
         jitter *= 10.0
@@ -380,7 +379,9 @@ def _train_kernel(sqdiff, inv_l2, signal_variance, n):
 
 
 def _with_noise(K, noise_variance):
-    """``K + noise_variance * I``, bit for bit, added to the diagonal of a copy."""
+    """``K + noise_variance * I`` on the diagonal of a copy: the sum's bits
+    unless K holds an off-diagonal -0.0, which none here does (kernel entries
+    are positive, and ``k - v^T v`` cancels to +0.0)."""
     A = K.copy()
     A.ravel()[:: K.shape[0] + 1] += noise_variance
     return A

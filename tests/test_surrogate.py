@@ -181,6 +181,20 @@ def test_chol_with_jitter_escalates_on_singular_input():
     assert np.allclose(L @ L.T, A + 1e-10 * np.eye(4), rtol=0.0, atol=1e-14)
 
 
+def test_chol_with_jitter_factors_the_bits_of_the_identity_sum():
+    # A posterior covariance at near-duplicate points needs jitter; the
+    # ladder adds it on the diagonal in place, and the factor is potrf's
+    # of cov + jitter * I, bit for bit.
+    X, y = _training_set(n=12, d=3, seed=5)
+    model = gp_fit(X, y, GpFitConfig(restarts=1), 0)
+    x = np.array([0.3, 0.6, 0.2])
+    _, cov = gp_predict(model, np.array([x, x + 1e-12, [0.9, 0.1, 0.5]]))
+    L, jitter = _chol_with_jitter(cov)
+    assert jitter > 0.0
+    expected = lapack.dpotrf(cov + jitter * np.eye(3), lower=1)[0]
+    assert L.tobytes() == expected.tobytes()
+
+
 def test_chol_with_jitter_raises_past_the_ceiling():
     with pytest.raises(NumericalError):
         _chol_with_jitter(-np.eye(3))
