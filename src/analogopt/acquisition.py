@@ -6,11 +6,13 @@ the call's seed, drawn block-wise per batch slot so that the draws for
 the first q slots coincide for every batch size >= q; a batch draws them once
 and slot j reads the first j + 1 columns. The batch is built greedily: each
 slot maximizes the qEI of (already chosen + candidate), which only needs a
-rank-one border on the fixed prefix Cholesky factor. A per-slot scorer
-computes the prefix posterior, that factor and the per-draw prefix maximum
-once; each of its calls then adds only the candidate columns, vectorized over
-many candidates at once. :func:`qei_mc` is that scorer's last slot: the qEI of
-a batch is the score of its last point behind the rest as prefix.
+rank-one border on the fixed prefix Cholesky factor. A slot's scorer keeps
+the sample apart from the objective, as BoTorch does: :func:`_joint_sample`
+computes the prefix posterior and factor once, and each call adds only the
+candidate columns, vectorized over many candidates; :func:`_improvement`
+maps the draws to the clipped improvement and its per-draw derivative u'.
+:func:`qei_mc` is that scorer's last slot: the qEI of a batch is the score
+of its last point behind the rest as prefix.
 
 On the fixed draws the estimate is piecewise smooth in the candidate, so the
 scorer also returns its exact pathwise (reparameterization) gradient (Wilson,
@@ -42,7 +44,6 @@ from .surrogate import (
     _chol_with_jitter,
     _kernel_rows,
     _lbfgsb,
-    _posterior,
     _rbf_cross,
     _scipy_extension,
     _solve_lower,
@@ -126,54 +127,34 @@ def qei_mc(
     return float(_slot_scorer(model, X[:-1], Z, best)(X[-1:])[0])
 
 
-def _slot_scorer(model, prefix, Z, best):
-    """qEI of (prefix + candidate) for every candidate row, common draws ``Z``.
+def _joint_sample(model, prefix, Z):
+    """Joint posterior sample of ``prefix`` and one candidate on the base
+    draws ``Z`` (a column per prefix point, then the candidate's), as
+    ``(prefix_draws, sample)``. The candidate borders the prefix's factor by
+    one row, so the prefix posterior and factor are computed here once, off
+    the kernel block training inputs and prefix share with each candidate.
 
-    ``Z`` holds the base draws for the prefix slots plus the candidate slot.
-    The joint sample for each candidate is the prefix sample plus one
-    bordered coordinate, so everything that depends only on the prefix (its
-    posterior, Cholesky factor and per-draw maximum) is computed here once
-    and shared by every call of the returned ``score(cands)``.
-
-    ``score(cands, grad=True)`` returns ``(values, gradients)``; row r of the
-    (R, d) gradient is the pathwise derivative of value r with respect to
-    candidate r: the draw mean of ``1[f_last > max(prefix max, best)]``
-    times the derivative of the bordered sample ``f_last``, built from
-    closed-form RBF derivatives of the candidate's mean, variance and prefix
-    covariance.
+    ``sample(cands)`` returns the (draws, R) candidate coordinate ``f_last``;
+    with ``grad``, also ``(dmean, dfactor)``, closed-form RBF derivatives
+    with df_last[s, r]/dcands[r, a] = dmean[r, a] + Z[s] @ dfactor[:, r, a].
     """
     std2 = model.target_std**2
     sv = model.signal_variance
     inv_l2 = model.lengthscales**-2.0
     n, k = model.train_inputs.shape[0], prefix.shape[0]
-    # A repeated prefix point takes its first copy's sample: the estimate is
-    # unchanged, and the prefix covariance stays factorable without jitter.
-    first = [i for i in range(k) if not (prefix[:i] == prefix[i]).all(axis=1).any()]
-    if len(first) < k:
-        prefix, Z = prefix[first], Z[:, [*first, k]]
-        k = len(first)
     chol = np.asfortranarray(model.chol)
-    # Training inputs and prefix points share one kernel block per call; the
-    # parts of it that depend on them alone are computed here.
     points = np.vstack([model.train_inputs, prefix])
     rows = _kernel_rows(points, model.lengthscales)
-    if k == 0:
-        best_prefix = np.full(Z.shape[0], -np.inf)
-    else:
-        mean_P, cov_PP, V_P = _posterior(model, prefix)
-        L_A, _ = _chol_with_jitter(cov_PP)
-        L_A = np.asfortranarray(L_A)
-        prefix_samples = mean_P[None, :] + Z[:, :k] @ L_A.T
-        best_prefix = np.max(prefix_samples, axis=1)
-    # Folding ``best`` into the per-draw threshold makes max(threshold, f) - best
-    # the clipped improvement, never negative.
-    threshold = np.maximum(best_prefix, best)[:, None]
-    # Draw weights of the pathwise gradient: the k + 1 slot columns and a
-    # ones column (the active fraction), pre-divided by the draw count.
-    draws = Z.shape[0]
-    weights = np.hstack([Z, np.ones((draws, 1))]) / draws
+    prefix_draws = Z[:, :0]
+    if k:
+        K_P = _rbf_cross(rows, prefix, model.lengthscales, sv)
+        V_P = _solve_lower(chol, K_P[:n])
+        mean_P = model.target_mean + model.target_std * (K_P[:n].T @ model.alpha)
+        cov_PP = std2 * (K_P[n:] - V_P.T @ V_P)
+        L_A = np.asfortranarray(_chol_with_jitter(0.5 * (cov_PP + cov_PP.T))[0])
+        prefix_draws = mean_P[None, :] + Z[:, :k] @ L_A.T
 
-    def score(cands: np.ndarray, grad: bool = False):
+    def sample(cands: np.ndarray, grad: bool = False):
         R, d = cands.shape
         cols = _rbf_cross(rows, cands, model.lengthscales, sv)
         if grad:
@@ -201,17 +182,8 @@ def _slot_scorer(model, prefix, Z, best):
         factor = np.concatenate((W, border[None]))
         f_last = Z @ factor
         f_last += mean_C
-        if grad:
-            # Only draws whose bordered sample sets the clipped maximum move it.
-            active = f_last > threshold
-        # The clipped improvement overwrites f_last in place: a raw scoring's
-        # (draws, R) temporaries are 0.5 MB each, and allocating them afresh
-        # re-faults their pages on every call.
-        np.maximum(threshold, f_last, out=f_last)
-        f_last -= best
-        values = np.add.reduce(f_last, axis=0) / draws
         if not grad:
-            return values
+            return f_last
         dmean = model.target_std * (model.alpha @ cols[:n, R:]).reshape(R, d)
         dvar = -2.0 * std2 * np.einsum("nr,nra->ra", V_C, V[:, R:].reshape(n, R, d))
         dW = sol[:, R:].reshape(k, R, d)
@@ -220,12 +192,54 @@ def _slot_scorer(model, prefix, Z, best):
             dvar_border, 2.0 * border[:, None],
             out=np.zeros((R, d)), where=border[:, None] > 0.0,
         )
-        G = active.astype(float).T @ weights
         # Laid out as concatenate lays out dW's strides, which fixes the order
-        # in which the einsum below adds its terms.
-        dfactor = np.concatenate([dW, dborder[None]])
-        gradients = G[:, -1:] * dmean + np.einsum("rj,jra->ra", G[:, :-1], dfactor)
-        return values, gradients
+        # in which the chain rule's einsum adds its terms.
+        return f_last, (dmean, np.concatenate([dW, dborder[None]]))
+
+    return prefix_draws, sample
+
+
+def _improvement(f_last, threshold, best, grad=False):
+    """Draw mean of the clipped improvement ``max(threshold, f_last) - best``
+    per column of ``f_last``, written over it (a raw scoring's temporaries
+    are 0.5 MB, and fresh ones re-fault their pages every call). With
+    ``grad`` also ``u'``, its per-draw derivative in ``f_last``: the draws
+    with ``f_last > threshold``, as booleans.
+    """
+    active = f_last > threshold if grad else None
+    np.maximum(threshold, f_last, out=f_last)
+    f_last -= best
+    values = np.add.reduce(f_last, axis=0) / f_last.shape[0]
+    return (values, active) if grad else values
+
+
+def _slot_scorer(model, prefix, Z, best):
+    """qEI of (prefix + candidate) for every candidate row, common draws ``Z``.
+
+    ``score(cands, grad=True)`` returns ``(values, gradients)``: row r of the
+    (R, d) gradient is the pathwise derivative of value r in candidate r, by
+    the chain rule ``G = u'.T @ [Z, 1] / draws`` over the sample's pieces.
+    """
+    k = prefix.shape[0]
+    # A repeated prefix point takes its first copy's sample: the estimate is
+    # unchanged, and the prefix covariance stays factorable without jitter.
+    first = [i for i in range(k) if not (prefix[:i] == prefix[i]).all(axis=1).any()]
+    if len(first) < k:
+        prefix, Z = prefix[first], Z[:, [*first, k]]
+    prefix_draws, sample = _joint_sample(model, prefix, Z)
+    # Folding best into each draw's prefix maximum keeps the improvement >= 0.
+    threshold = np.maximum(prefix_draws.max(axis=1, initial=-np.inf), best)[:, None]
+    # The chain rule's draw weights: the slot columns and a ones column (the
+    # active fraction), pre-divided by the draw count.
+    weights = np.hstack([Z, np.ones((Z.shape[0], 1))]) / Z.shape[0]
+
+    def score(cands: np.ndarray, grad: bool = False):
+        if not grad:
+            return _improvement(sample(cands), threshold, best)
+        f_last, (dmean, dfactor) = sample(cands, grad=True)
+        values, du = _improvement(f_last, threshold, best, grad=True)
+        G = du.astype(float).T @ weights
+        return values, G[:, -1:] * dmean + np.einsum("rj,jra->ra", G[:, :-1], dfactor)
 
     return score
 

@@ -22,8 +22,9 @@ LML at its final x; the objective remembers the last x it evaluated, and
 the fit reuses that LML when the final x has the same bits. An ABNORMAL
 L-BFGS-B exit can end at another x, which is evaluated again (reading the
 last objective value regardless, a rejected rule, moved run logs). Past
-the fit there is one cross kernel, :func:`rbf_kernel`, and one posterior
-helper, which :func:`gp_predict` and the qEI scorer share.
+the fit there is one cross kernel, :func:`rbf_kernel`; :func:`gp_predict`
+and the qEI sample of :mod:`analogopt.acquisition` each read their
+posterior off one kernel block of training and query rows.
 
 Both L-BFGS-B problems of a run, this fit and the stacked qEI restarts of
 :mod:`analogopt.acquisition`, go through one driver, :func:`_lbfgsb`. It is
@@ -37,7 +38,9 @@ start.
 
 Every compiled scipy routine a run calls comes through one loader,
 :func:`_scipy_extension`, which loads an extension module from its file in
-scipy's package directory without running that package's ``__init__``:
+scipy's package directory without running that package's ``__init__`` or
+scipy's own: the directory is located, not imported, and the version is read
+from scipy's metadata only to name it in an error.
 ``setulb`` from ``optimize/_lbfgsb``, the four LAPACK calls from
 ``linalg/_flapack``, and ``expit``, ``logit`` and ``ndtr`` (used by
 :mod:`analogopt.acquisition`) from ``special/_special_ufuncs``. These are the
@@ -45,7 +48,8 @@ objects ``scipy.optimize``, ``scipy.linalg.lapack`` and ``scipy.special``
 re-export, so every result is the same bits. The package ``__init__`` files
 are what a cold start would otherwise pay for: ``scipy.linalg`` alone pulls
 in ``numpy.f2py`` and ``numpy.testing`` through scipy's array-API layer
-(~0.3 s under ``python -X importtime``), ``scipy.special`` another ~0.08 s.
+(~0.3 s under ``python -X importtime``), ``scipy.special`` another ~0.08 s,
+and ``scipy`` itself 11-17 ms.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .core import DesignPoint, DesignSpace, RangeError
 
@@ -88,6 +91,13 @@ _SETULB_SIGNATURE = (
 )
 
 
+# scipy's package directory, located without running its __init__.
+_SCIPY_SPEC = importlib.util.find_spec("scipy")
+if _SCIPY_SPEC is None:
+    raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+_SCIPY_DIR = Path(_SCIPY_SPEC.submodule_search_locations[0])
+
+
 def _scipy_extension(package: str, name: str):
     """The compiled module ``scipy.<package>.<name>``, loaded from its file
     without running ``scipy.<package>``'s ``__init__``. Loading enters it in
@@ -100,10 +110,12 @@ def _scipy_extension(package: str, name: str):
     if module is not None:
         return module
     spec = importlib.machinery.PathFinder.find_spec(
-        fullname, [str(Path(scipy.__file__).parent / package)]
+        fullname, [str(_SCIPY_DIR / package)]
     )
     if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no {package}/{name} extension")
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy {version('scipy')} has no {package}/{name} extension")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules.pop(fullname, None)
@@ -118,8 +130,10 @@ def _load_setulb():
     """
     setulb = _scipy_extension("optimize", "_lbfgsb").setulb
     if setulb.__doc__ != _SETULB_SIGNATURE:
+        from importlib.metadata import version
+
         raise ImportError(
-            f"scipy {scipy.__version__}: L-BFGS-B kernel signature "
+            f"scipy {version('scipy')}: L-BFGS-B kernel signature "
             f"{setulb.__doc__!r}, expected {_SETULB_SIGNATURE!r}"
         )
     return setulb
@@ -523,9 +537,13 @@ def gp_fit(
     )
 
 
-def _posterior(model, Q):
-    """Mean and symmetrized covariance at the rows of ``Q`` in target units,
-    and ``V = L^-1 k(train, Q)``; train and query rows share one kernel block."""
+def gp_predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and full covariance at the query points, in target units.
+
+    The covariance is the latent (noise-free) posterior covariance,
+    symmetrized to guard against round-off.
+    """
+    Q = np.atleast_2d(np.asarray(queries, dtype=float))
     n = model.train_inputs.shape[0]
     K = rbf_kernel(
         np.vstack([model.train_inputs, Q]), Q, model.lengthscales,
@@ -534,14 +552,4 @@ def _posterior(model, Q):
     V = _solve_lower(model.chol, K[:n])
     mean = model.target_mean + model.target_std * (K[:n].T @ model.alpha)
     cov = model.target_std**2 * (K[n:] - V.T @ V)
-    return mean, 0.5 * (cov + cov.T), V
-
-
-def gp_predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and full covariance at the query points, in target units.
-
-    The covariance is the latent (noise-free) posterior covariance,
-    symmetrized to guard against round-off.
-    """
-    mean, cov, _ = _posterior(model, np.atleast_2d(np.asarray(queries, dtype=float)))
-    return mean, cov
+    return mean, 0.5 * (cov + cov.T)

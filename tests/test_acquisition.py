@@ -17,6 +17,8 @@ from analogopt.acquisition import (
     TR_RISE,
     AcquisitionConfig,
     _base_draws,
+    _improvement,
+    _joint_sample,
     _slot_scorer,
     ei,
     propose_batch,
@@ -401,6 +403,38 @@ def test_slot_scorer_matches_qei_of_extended_batch(fitted_model, k):
         )
         assert expected > 0.0
         assert value == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_joint_sample_is_the_dense_joint_posterior_sample(fitted_model, k):
+    # The bordered candidate coordinate equals the last coordinate of
+    # mean + L z, L the Cholesky factor of the dense joint covariance.
+    model, _ = fitted_model
+    prefix = np.array([[0.1, 0.2], [0.8, 0.3], [0.4, 0.9]])[:k]
+    cands = np.random.default_rng(100 + k).uniform(size=(6, 2))
+    Z = _base_draws(5, k + 1, 256)
+    prefix_draws, sample = _joint_sample(model, prefix, Z)
+    assert prefix_draws.shape == (256, k)
+    f_last = sample(cands)
+    for r, c in enumerate(cands):
+        mean, cov = gp_predict(model, np.vstack([prefix, c[None, :]]))
+        L, _ = _chol_with_jitter(cov)
+        dense = mean[None, :] + Z @ L.T
+        np.testing.assert_allclose(f_last[:, r], dense[:, -1], rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(prefix_draws, dense[:, :-1], rtol=1e-10, atol=0.0)
+
+
+def test_improvement_clips_at_the_threshold_and_marks_active_draws():
+    threshold = np.array([[1.0], [2.0], [0.5]])
+    f_last = np.array([[0.0, 1.5], [2.0, 3.0], [1.0, 0.5]])
+    values, active = _improvement(f_last.copy(), threshold, 0.5, grad=True)
+    # improvements max(threshold, f) - 0.5, column by column
+    assert values.tolist() == [(0.5 + 1.5 + 0.5) / 3, (1.0 + 2.5 + 0.0) / 3]
+    # a draw equal to its threshold does not set the maximum
+    assert active.tolist() == [[False, True], [False, True], [True, False]]
+    overwritten = f_last.copy()
+    assert _improvement(overwritten, threshold, 0.5).tolist() == values.tolist()
+    assert overwritten.tolist() == [[0.5, 1.0], [1.5, 2.5], [0.5, 0.0]]
 
 
 def _model_in(d):

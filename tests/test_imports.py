@@ -37,11 +37,13 @@ def test_import_and_config_build_skip_scipy_stats_and_requests():
         "config = RunConfig(method='ado_llm', preset='amp2', mock='random')\n"
         "build_task_card(config, build_model(config))\n"
         "for name in ('scipy.stats', 'requests', 'scipy.linalg', 'scipy.optimize',\n"
-        "             'scipy.special'):\n"
+        "             'scipy.special', 'scipy'):\n"
         "    print(name, name in sys.modules)\n"
     )
     loaded = dict(line.split() for line in out.splitlines())
     assert loaded == {
+        # scipy's directory is located without running its package __init__
+        "scipy": "False",
         "scipy.stats": "False",
         "requests": "False",
         # L-BFGS-B, LAPACK and the special functions are loaded from their
