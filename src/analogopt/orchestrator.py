@@ -202,8 +202,6 @@ def run(config: RunConfig) -> RunLog:
 
     lines: list[dict] = [_header_line(config, model)]
     dataset = Dataset()
-    # The GP's inputs: each record's unit-cube row, mapped once, in order.
-    unit_rows: list[np.ndarray] = []
 
     def evaluate_all(proposals, iteration: int) -> None:
         for point, source in proposals:
@@ -249,11 +247,7 @@ def run(config: RunConfig) -> RunLog:
             diag["llm_substituted"] = substituted
 
         if config.gp_queries_per_step > 0:
-            unit_rows.extend(
-                to_unit_cube(space, dataset[i].point)
-                for i in range(len(unit_rows), len(dataset))
-            )
-            X = np.array(unit_rows)
+            X = np.array([to_unit_cube(space, r.point) for r in dataset])
             y = np.array([r.fom for r in dataset])
             fit_seed = int(streams["surrogate"].integers(2**31 - 1))
             gp = gp_fit(X, y, config.gp_fit, fit_seed)

@@ -17,14 +17,14 @@ factorization, the solves and the inverse call LAPACK (``potrf``,
 ``potrs``, ``trtri``, ``trtrs``) directly: at the n <= 105 of a run,
 scipy's per-call argument handling costs as much as the arithmetic, and
 so does numpy's, which is why the hot path works in place wherever that
-keeps every operand, order and memory layout. A restart's result is the
-LML at its final x; the objective remembers the last x it evaluated, and
-the fit reuses that LML when the final x has the same bits. An ABNORMAL
-L-BFGS-B exit can end at another x, which is evaluated again (reading the
-last objective value regardless, a rejected rule, moved run logs). Past
-the fit there is one cross kernel, :func:`rbf_kernel`; :func:`gp_predict`
-and the qEI sample of :mod:`analogopt.acquisition` each read their
-posterior off one kernel block of training and query rows.
+keeps every operand, order and memory layout. One routine, :func:`_factor`,
+builds K, its Cholesky factor, alpha and the LML; the objective adds the
+gradient to it and holds no state. A fit factors each restart's final x
+once more, whether or not the driver evaluated it last, and the model is
+the best restart's factorization, with no refit. Past the fit there is one
+cross kernel, :func:`rbf_kernel`; :func:`gp_predict` and the qEI sample of
+:mod:`analogopt.acquisition` each read their posterior off one kernel block
+of training and query rows.
 
 Both L-BFGS-B problems of a run, this fit and the stacked qEI restarts of
 :mod:`analogopt.acquisition`, go through one driver, :func:`_lbfgsb`. It is
@@ -401,16 +401,25 @@ def _with_noise(K, noise_variance):
     return A
 
 
-def _lml_and_grad(y, lengthscales, signal_variance, noise_variance, sqdiff):
+def _factor(y, lengthscales, signal_variance, noise_variance, sqdiff):
+    """The LML of ``y`` and what it is computed from: K, the lower Cholesky
+    factor L of K + noise * I (plus the returned jitter, if escalation was
+    needed), and alpha = (K + noise * I)^-1 y."""
     n = y.shape[0]
-    inv_l2 = lengthscales**-2.0
-    K = _train_kernel(sqdiff, inv_l2, signal_variance, n)
-    L, _ = _chol_with_jitter(_with_noise(K, noise_variance))
+    K = _train_kernel(sqdiff, lengthscales**-2.0, signal_variance, n)
+    L, jitter = _chol_with_jitter(_with_noise(K, noise_variance))
     alpha = dpotrs(L, y, lower=1)[0]
     lml = (
         -0.5 * float(y @ alpha)
         - float(np.log(L.diagonal()).sum())
         - 0.5 * n * math.log(2.0 * math.pi)
+    )
+    return lml, K, L, alpha, jitter
+
+
+def _lml_and_grad(y, lengthscales, signal_variance, noise_variance, sqdiff):
+    lml, K, L, alpha, _ = _factor(
+        y, lengthscales, signal_variance, noise_variance, sqdiff
     )
 
     # d lml / d theta_j = 0.5 sum((alpha alpha^T - K^-1) . dK/dtheta_j),
@@ -426,7 +435,7 @@ def _lml_and_grad(y, lengthscales, signal_variance, noise_variance, sqdiff):
     grad = np.empty(lengthscales.shape[0] + 2)
     grad[-1] = 0.5 * noise_variance * float(W.trace())
     W *= K  # now (alpha alpha^T - K^-1) . K, C-ordered as W was
-    grad[:-2] = 0.5 * (W.ravel() @ sqdiff) * inv_l2
+    grad[:-2] = 0.5 * (W.ravel() @ sqdiff) * lengthscales**-2.0
     grad[-2] = 0.5 * float(W.sum())
     return lml, grad
 
@@ -446,7 +455,9 @@ def gp_fit(
 
     Restart 0 starts from fixed defaults; the rest are log-uniform draws from
     a stream seeded with ``seed``, so the result is deterministic given it.
-    Ties between restarts keep the lowest restart index.
+    Each restart's final x is factored once; a restart whose kernel cannot be
+    factored is dropped, the highest LML wins, and ties keep the lowest
+    restart index. The model holds that restart's factorization.
     """
     config = config or GpFitConfig()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -473,20 +484,16 @@ def gp_fit(
         )
     )
     sqdiff = _fit_invariants(X)
-    # The bytes of the last theta evaluated, and its LML (None: not factorable).
-    last_theta = last_lml = None
+
+    def hyperparameters(theta):
+        return np.exp(theta[:d]), math.exp(theta[d]), math.exp(theta[d + 1])
 
     def objective(theta):
-        nonlocal last_theta, last_lml
-        last_theta, last_lml = theta.tobytes(), None
-        ls = np.exp(theta[:d])
-        sv = math.exp(theta[d])
-        nv = math.exp(theta[d + 1])
         try:
-            last_lml, grad = _lml_and_grad(y_std, ls, sv, nv, sqdiff)
+            lml, grad = _lml_and_grad(y_std, *hyperparameters(theta), sqdiff)
         except NumericalError:
             return 1e25, np.zeros_like(theta)
-        return -last_lml, -grad
+        return -lml, -grad
 
     rng = np.random.default_rng(seed)
     starts = [
@@ -498,30 +505,21 @@ def gp_fit(
         nv0 = rng.uniform(math.log(NOISE_FLOOR), math.log(1e-2))
         starts.append(np.concatenate([ls0, [sv0], [nv0]]))
 
-    best_theta = None
-    best_lml = -np.inf
+    best_lml, best = -np.inf, None
     for theta0 in starts:
         theta0 = np.clip(theta0, lo, hi)
         theta = _lbfgsb(objective, theta0, lo, hi, config.maxiter)
-        candidate = theta if np.all(np.isfinite(theta)) else theta0
-        # The final x is usually the last one evaluated, and its LML is reused
-        # only when the bits agree: an ABNORMAL L-BFGS-B exit can end at
-        # another x (18 of 400 branin gp_bo restarts; taking the last
-        # objective value there instead moved 10 of 20 run logs).
-        if candidate.tobytes() != last_theta:
-            objective(candidate)
-        if last_lml is not None and last_lml > best_lml:
-            best_lml = last_lml
-            best_theta = candidate
-    if best_theta is None:
+        hyper = hyperparameters(theta if np.all(np.isfinite(theta)) else theta0)
+        try:
+            lml, _, L, alpha, jitter = _factor(y_std, *hyper, sqdiff)
+        except NumericalError:
+            continue
+        if lml > best_lml:
+            best_lml, best = lml, (hyper, L, alpha, jitter)
+    if best is None:
         raise NumericalError("all hyperparameter restarts failed")
 
-    ls = np.exp(best_theta[:d])
-    sv = math.exp(best_theta[d])
-    nv = math.exp(best_theta[d + 1])
-    K = _train_kernel(sqdiff, ls**-2.0, sv, X.shape[0])
-    L, jitter = _chol_with_jitter(_with_noise(K, nv))
-    alpha = dpotrs(L, y_std, lower=1)[0]
+    (ls, sv, nv), L, alpha, jitter = best
     return GpModel(
         train_inputs=X,
         train_targets=y_std,

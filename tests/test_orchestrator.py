@@ -5,6 +5,7 @@ import os
 import re
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,7 @@ from analogopt.config import RunConfig, build_model, load_run_config
 from analogopt.core import ConfigError, Source
 from analogopt.fom import FOM_PRESETS, compute_fom, count_missed_specs
 from analogopt.orchestrator import ReportError, report, run
-from analogopt.surrogate import GpFitConfig, gp_fit, to_unit_cube
+from analogopt.surrogate import GpFitConfig, gp_fit
 
 from conftest import RETRY_SCRIPT, _amp2_reply, expand, expanded_text
 
@@ -230,29 +231,6 @@ def test_iteration_diagnostics_present():
         }
         assert line["acquisition_value"] >= 0.0
         assert line["llm_transcripts"]
-
-
-@pytest.mark.parametrize("method, llm_q, gp_q, init, expected", [
-    # amp2-hybrid's shape: the 50 records before the last fit, each mapped
-    # once, and the 4 x 10 points of the logged batches (315 when every fit
-    # mapped its whole dataset)
-    ("ado_llm", 1, 4, "llm_zero_shot", 90),
-    ("gp_bo", 0, 5, "uniform_random", 100),
-    ("llm_only", 1, 0, "llm_zero_shot", 0),  # agent-long: no GP, no rows
-])
-def test_run_maps_each_record_to_the_unit_cube_once(
-    monkeypatch, method, llm_q, gp_q, init, expected
-):
-    calls = []
-
-    def counted(space, point):
-        calls.append(point)
-        return to_unit_cube(space, point)
-
-    monkeypatch.setattr(orchestrator, "to_unit_cube", counted)
-    run(fast_config(method=method, preset="amp2", n_iter=10, llm_queries_per_step=llm_q,
-                    gp_queries_per_step=gp_q, init_strategy=init))
-    assert len(calls) == expected
 
 
 # ------------------------------------------------------------ trust region
@@ -634,7 +612,7 @@ def test_report_curves(tmp_path):
 
 def test_report_corrupt_log_names_line(tmp_path):
     path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=1))
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     lines[3] = lines[3][:-10]  # truncate mid-JSON
     broken = tmp_path / "broken.jsonl"
     broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -645,7 +623,7 @@ def test_report_corrupt_log_names_line(tmp_path):
 
 def test_report_detects_fom_tampering(tmp_path):
     path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=1))
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     entry = json.loads(lines[1])
     assert entry["type"] == "eval"
     entry["fom"] = entry["fom"] + 0.5
@@ -659,7 +637,7 @@ def test_report_detects_fom_tampering(tmp_path):
 
 def test_report_names_the_earliest_bad_line(tmp_path):
     path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=1))
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     entry = json.loads(lines[1])
     entry["fom"] = entry["fom"] + 0.5
     lines[1] = json.dumps(entry, sort_keys=True)
@@ -716,7 +694,7 @@ def _replace_in(lines, kind, old, new):
 ])
 def test_report_rejects_malformed_logs(tmp_path, edit, message):
     path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=1))
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     first_of = {}
     for lineno, line in enumerate(lines, 1):
         first_of.setdefault(json.loads(line)["type"], lineno)
@@ -756,7 +734,7 @@ def test_report_rejects_malformed_logs(tmp_path, edit, message):
         "bom_eval", "bom_alone", "truncated", "bad_literal"])
 def test_report_json_error_messages(tmp_path, edit, message):
     path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=1))
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     broken = tmp_path / "broken.jsonl"
     broken.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
     with pytest.raises(ReportError) as excinfo:
@@ -770,7 +748,7 @@ def test_report_json_error_messages(tmp_path, edit, message):
 ], ids=["crlf", "blank_lines", "crlf_blank_lines", "unicode_space_lines"])
 def test_report_reads_crlf_and_blank_lines(tmp_path, newline, blank):
     path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=2))
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     other = tmp_path / "other.jsonl"
     other.write_bytes((blank + blank.join(line + newline for line in lines) + blank)
                       .encode("utf-8"))
@@ -873,7 +851,7 @@ def test_cli_seed_override_changes_log(tmp_path):
     out1, out2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     assert main(["run", "--config", ini, "--out", out1, "--seed", "21"]) == 0
     assert main(["run", "--config", ini, "--out", out2, "--seed", "22"]) == 0
-    assert open(out1).read() != open(out2).read()
+    assert Path(out1).read_text(encoding="utf-8") != Path(out2).read_text(encoding="utf-8")
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

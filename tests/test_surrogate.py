@@ -266,6 +266,13 @@ def test_degenerate_data_fits_in_bounds_and_proposes_in_box(
     y = np.full(n, -9.67) if constant else rng.normal(size=n)
     model = gp_fit(X, y, GpFitConfig(restarts=2, maxiter=20), seed=seed)
     assert math.isfinite(model.log_marginal)
+    # the model's LML, bit for bit, is the one at its own hyperparameters; a
+    # jittered fit's too, since both go through one factorization routine
+    lml, _ = log_marginal_likelihood(
+        X, model.train_targets, model.lengthscales, model.signal_variance,
+        model.noise_variance,
+    )
+    assert model.log_marginal.hex() == lml.hex()
     assert _within(model.lengthscales, LENGTHSCALE_BOUNDS)
     assert _within(model.signal_variance, SIGNAL_BOUNDS)
     assert _within(model.noise_variance, (NOISE_FLOOR, NOISE_CEILING))
@@ -522,9 +529,9 @@ def lbfgsb_problems():
 def _counted(fun):
     calls = []
 
-    def counted(x):
+    def counted(*args):
         calls.append(None)
-        return fun(x)
+        return fun(*args)
 
     return counted, calls
 
@@ -545,39 +552,44 @@ def _assert_matches_minimize(fun, x0, lower, upper, maxiter):
 
 @pytest.mark.parametrize("n, d, seed", [(10, 2, 14), (30, 2, 3), (55, 14, 14)],
                          ids=["fit_n10_d2", "fit_n30_d2_abnormal", "fit_n55_d14"])
-def test_gp_fit_reevaluates_only_a_final_x_it_did_not_evaluate_last(
-    monkeypatch, n, d, seed
-):
-    # The fit problems of lbfgsb_problems, at two restarts. A restart's LML
-    # is the objective's last value when its final x is the last x the
-    # driver evaluated, bit for bit; otherwise (an ABNORMAL exit) the fit
-    # evaluates the final x once more.
+def test_gp_fit_factors_each_restart_end_point_once(n, d, seed):
+    # The fit problems of lbfgsb_problems, at two restarts. Every objective
+    # call is one LML-and-gradient evaluation, and each restart's final x is
+    # factored once more, also where the driver evaluated it last; an
+    # ABNORMAL exit ends at an x it did not.
     X, y = _training_set(n=n, d=d, seed=seed)
-    lml_calls, restarts = [], []
 
-    def counted_lml(*args):
-        lml_calls.append(None)
-        return lml_and_grad(*args)
+    def fit():
+        lml_and_grad, lml_calls = _counted(surrogate._lml_and_grad)
+        factor, factor_calls = _counted(surrogate._factor)
+        restarts = []
 
-    def watched_lbfgsb(fun, x0, lower, upper, maxiter):
-        seen = []
+        def watched_lbfgsb(fun, x0, lower, upper, maxiter):
+            seen = []
 
-        def watched(x):
-            seen.append(x.tobytes())
-            return fun(x)
+            def watched(x):
+                seen.append(x.tobytes())
+                return fun(x)
 
-        x = _lbfgsb(watched, x0, lower, upper, maxiter)
-        restarts.append((len(seen), x.tobytes() == seen[-1]))
-        return x
+            x = _lbfgsb(watched, x0, lower, upper, maxiter)
+            restarts.append((len(seen), x.tobytes() == seen[-1]))
+            return x
 
-    lml_and_grad = surrogate._lml_and_grad
-    monkeypatch.setattr(surrogate, "_lml_and_grad", counted_lml)
-    monkeypatch.setattr(surrogate, "_lbfgsb", watched_lbfgsb)
-    model = gp_fit(X, y, GpFitConfig(restarts=2))
-    monkeypatch.undo()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(surrogate, "_lml_and_grad", lml_and_grad)
+            mp.setattr(surrogate, "_factor", factor)
+            mp.setattr(surrogate, "_lbfgsb", watched_lbfgsb)
+            model = gp_fit(X, y, GpFitConfig(restarts=2))
+        objective_calls = sum(calls for calls, _ in restarts)
+        assert len(restarts) == 2
+        assert len(lml_calls) == objective_calls
+        assert len(factor_calls) == objective_calls + len(restarts)
+        return model, restarts
 
-    assert len(restarts) == 2
-    assert len(lml_calls) == sum(calls + (not last) for calls, last in restarts)
+    model, restarts = fit()
+    again, restarts_again = fit()
+    assert restarts_again == restarts
+    assert again.log_marginal.hex() == model.log_marginal.hex()
     if n == 30:
         assert not restarts[0][1]  # the ABNORMAL exit of the first restart
     else:
