@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DesignPoint, DesignSpace
+from .core import DesignPoint, DesignSpace, from_unit_cube
 from .fom import FomConfig, count_missed_specs
 from .surrogate import (
     GpModel,
@@ -47,7 +47,6 @@ from .surrogate import (
     _rbf_cross,
     _scipy_extension,
     _solve_lower,
-    from_unit_cube,
     gp_predict,
 )
 

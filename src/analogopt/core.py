@@ -1,4 +1,5 @@
-"""Shared domain types: design spaces, points, metrics, and the run dataset.
+"""Shared domain types: design spaces, points, metrics, and the run dataset,
+and the maps between a space's points and the unit cube the GP works on.
 
 All types are immutable values except :class:`Dataset`, which is append-only.
 Parameter values are stored in SI base units (meters, ohms, farads); metric
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 
 class StructuralError(ValueError):
@@ -56,8 +59,8 @@ class Region(str, Enum):
 class Parameter:
     """A named, bounded design variable.
 
-    ``scale`` controls how the surrogate maps the parameter onto the unit
-    cube: variables spanning several decades (widths, resistances,
+    ``scale`` controls how :func:`to_unit_cube` maps the parameter onto the
+    unit cube: variables spanning several decades (widths, resistances,
     capacitances) use a logarithmic map, short linear ranges (lengths) stay
     linear. ``unit`` is the SI base unit used for display only.
     """
@@ -139,6 +142,43 @@ class DesignPoint:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def to_unit_cube(space: DesignSpace, point: DesignPoint) -> np.ndarray:
+    """Map a design point onto [0, 1]^d (log map for logarithmic parameters)."""
+    if len(point) != space.dimension:
+        raise ValueError(
+            f"point has {len(point)} values, space has dimension {space.dimension}"
+        )
+    out = []
+    for i, ((lower, upper, origin, span, is_log), v) in enumerate(
+        zip(space.unit_map, point.values)
+    ):
+        if not lower <= v <= upper:
+            raise RangeError(
+                f"{space.names[i]} = {v!r} outside range [{lower!r}, {upper!r}]"
+            )
+        out.append(((math.log(v) if is_log else v) - origin) / span)
+    return np.array(out)
+
+
+def from_unit_cube(space: DesignSpace, u: np.ndarray) -> DesignPoint:
+    """Inverse of :func:`to_unit_cube`; coordinates are clipped to [0, 1].
+
+    Clips and maps each coordinate as a Python float, through the space's
+    cached unit map.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != (space.dimension,):
+        raise ValueError(f"expected shape ({space.dimension},), got {u.shape}")
+    values = []
+    for (lower, upper, origin, span, is_log), t in zip(space.unit_map, u.tolist()):
+        v = origin + min(max(t, 0.0), 1.0) * span
+        if is_log:
+            v = math.exp(v)
+        # exp/log round-off can land an ulp outside the box at the endpoints
+        values.append(min(max(v, lower), upper))
+    return DesignPoint(tuple(values))
 
 
 # Metric vectors and region reports are plain mappings; their shape is

@@ -24,9 +24,8 @@ from urllib.parse import urlparse
 
 import numpy as np
 
-from .core import ConfigError, DesignPoint, DesignSpace, EvalRecord
+from .core import ConfigError, DesignPoint, DesignSpace, EvalRecord, from_unit_cube
 from .fom import FomConfig
-from .surrogate import from_unit_cube
 
 logger = logging.getLogger("analogopt.llm")
 

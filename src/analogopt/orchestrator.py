@@ -37,6 +37,8 @@ from .core import (
     Source,
     StructuralError,
     dataset_append,
+    from_unit_cube,
+    to_unit_cube,
 )
 from .evaluator import CircuitModel, evaluate
 from .fom import FOM_PRESETS, compute_fom, count_missed_specs, hits_spec
@@ -49,7 +51,7 @@ from .llm import (
     propose_init,
 )
 from .sampler import top_k, uniform_k
-from .surrogate import NumericalError, from_unit_cube, gp_fit, to_unit_cube
+from .surrogate import NumericalError, gp_fit
 
 _SEED_STREAMS = ("init", "llm", "acquisition", "surrogate", "sampler")
 

@@ -1,12 +1,13 @@
 """Gaussian-process regression with an anisotropic RBF kernel.
 
-Inputs live on the unit cube (see :func:`to_unit_cube`); targets are
-standardized to zero mean and unit variance before fitting. Hyperparameters
-(per-dimension lengthscales, signal variance, noise variance) are chosen by
-maximizing the log marginal likelihood with multi-restart L-BFGS-B in log
-space, using the analytic gradient (Rasmussen & Williams, *GPML*, Alg. 2.1
-and eq. 5.9). The box is fixed: ``LENGTHSCALE_BOUNDS``, ``SIGNAL_BOUNDS``,
-and ``NOISE_FLOOR`` to ``NOISE_CEILING`` for the noise variance.
+Inputs live on the unit cube (see :func:`analogopt.core.to_unit_cube`);
+targets are standardized to zero mean and unit variance before fitting.
+Hyperparameters (per-dimension lengthscales, signal variance, noise
+variance) are chosen by maximizing the log marginal likelihood with
+multi-restart L-BFGS-B in log space, using the analytic gradient (Rasmussen
+& Williams, *GPML*, Alg. 2.1 and eq. 5.9). The box is fixed:
+``LENGTHSCALE_BOUNDS``, ``SIGNAL_BOUNDS``, and ``NOISE_FLOOR`` to
+``NOISE_CEILING`` for the noise variance.
 
 What a fit needs from the inputs is computed once per fit: the pairwise
 squared differences, as one (n*n, d) table. Each objective call builds the
@@ -62,8 +63,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .core import DesignPoint, DesignSpace, RangeError
 
 LENGTHSCALE_BOUNDS = (1e-3, 1e3)
 SIGNAL_BOUNDS = (1e-9, 1e6)
@@ -153,10 +152,11 @@ def _lbfgsb(fun, x0, lower, upper, maxiter):
     ``lower`` and ``upper`` are finite box bounds, or both None. This is the
     loop of ``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
     bounds=..., options={"maxiter": maxiter})`` with its default settings:
-    the same x0 clipping, the same evaluation at x0 before the first kernel
-    call, the same reuse of the last (f, g) when the kernel asks again at the
-    same x, and the same ``maxiter``/``maxfun`` stops. An iteration is
-    counted before the cap is checked, so ``maxiter`` 0 and 1 both run one
+    the same x0 clipping, the same evaluations (the kernel's first request
+    for f and g is at x0, where ``minimize`` evaluates before its loop), the
+    same reuse of the last (f, g) when the kernel asks again at the same x,
+    and the same ``maxiter``/``maxfun`` stops. An iteration is counted
+    before the cap is checked, so ``maxiter`` 0 and 1 both run one
     iteration. Exceptions from ``fun`` propagate.
     """
     x = np.array(x0, dtype=np.float64).ravel()
@@ -176,9 +176,8 @@ def _lbfgsb(fun, x0, lower, upper, maxiter):
     isave = np.zeros(44, np.int32)
     dsave = np.zeros(29)
 
-    x_eval = x.copy()
-    f_eval, g_eval = fun(x_eval)
-    nfev = 1
+    x_eval = np.full(n, np.nan)  # equals no x, so the first request evaluates
+    nfev = 0
     f = np.array(0.0)
     g = np.zeros(n)
     n_iter = 0
@@ -242,43 +241,6 @@ class GpModel:
     target_std: float
     log_marginal: float
     jitter: float = 0.0
-
-
-def to_unit_cube(space: DesignSpace, point: DesignPoint) -> np.ndarray:
-    """Map a design point onto [0, 1]^d (log map for logarithmic parameters)."""
-    if len(point) != space.dimension:
-        raise ValueError(
-            f"point has {len(point)} values, space has dimension {space.dimension}"
-        )
-    out = []
-    for i, ((lower, upper, origin, span, is_log), v) in enumerate(
-        zip(space.unit_map, point.values)
-    ):
-        if not lower <= v <= upper:
-            raise RangeError(
-                f"{space.names[i]} = {v!r} outside range [{lower!r}, {upper!r}]"
-            )
-        out.append(((math.log(v) if is_log else v) - origin) / span)
-    return np.array(out)
-
-
-def from_unit_cube(space: DesignSpace, u: np.ndarray) -> DesignPoint:
-    """Inverse of :func:`to_unit_cube`; coordinates are clipped to [0, 1].
-
-    Clips and maps each coordinate as a Python float, through the space's
-    cached unit map.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (space.dimension,):
-        raise ValueError(f"expected shape ({space.dimension},), got {u.shape}")
-    values = []
-    for (lower, upper, origin, span, is_log), t in zip(space.unit_map, u.tolist()):
-        v = origin + min(max(t, 0.0), 1.0) * span
-        if is_log:
-            v = math.exp(v)
-        # exp/log round-off can land an ulp outside the box at the endpoints
-        values.append(min(max(v, lower), upper))
-    return DesignPoint(tuple(values))
 
 
 def rbf_kernel(
@@ -379,19 +341,6 @@ def _fit_invariants(X):
     return diff.reshape(X.shape[1], -1).T
 
 
-def _train_kernel(sqdiff, inv_l2, signal_variance, n):
-    """K over the training inputs from the :func:`_fit_invariants` table.
-
-    Summing squared differences directly has none of the cancellation of
-    the |a|^2 + |b|^2 - 2 a.b form, and the diagonal is exactly
-    ``signal_variance``.
-    """
-    K = sqdiff @ (-0.5 * inv_l2)
-    np.exp(K, out=K)
-    K *= signal_variance
-    return K.reshape(n, n)
-
-
 def _with_noise(K, noise_variance):
     """``K + noise_variance * I`` on the diagonal of a copy: the sum's bits
     unless K holds an off-diagonal -0.0, which none here does (kernel entries
@@ -406,7 +355,13 @@ def _factor(y, lengthscales, signal_variance, noise_variance, sqdiff):
     factor L of K + noise * I (plus the returned jitter, if escalation was
     needed), and alpha = (K + noise * I)^-1 y."""
     n = y.shape[0]
-    K = _train_kernel(sqdiff, lengthscales**-2.0, signal_variance, n)
+    # K from the _fit_invariants table: summing the squared differences
+    # directly has none of the cancellation of the |a|^2 + |b|^2 - 2 a.b
+    # form, and the diagonal is exactly signal_variance.
+    K = sqdiff @ (-0.5 * lengthscales**-2.0)
+    np.exp(K, out=K)
+    K *= signal_variance
+    K = K.reshape(n, n)
     L, jitter = _chol_with_jitter(_with_noise(K, noise_variance))
     alpha = dpotrs(L, y, lower=1)[0]
     lml = (
@@ -440,14 +395,6 @@ def _lml_and_grad(y, lengthscales, signal_variance, noise_variance, sqdiff):
     return lml, grad
 
 
-def _standardize(y):
-    mean = float(np.mean(y))
-    std = float(np.std(y))
-    if std < 1e-12:
-        std = 1.0  # constant targets: keep the map well-defined
-    return (y - mean) / std, mean, std
-
-
 def gp_fit(
     X: np.ndarray, y: np.ndarray, config: GpFitConfig | None = None, seed: int = 0
 ) -> GpModel:
@@ -466,7 +413,10 @@ def gp_fit(
         raise ValueError(f"invalid shapes: X {X.shape}, y {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    y_std, mean, std = _standardize(y)
+    mean, std = float(np.mean(y)), float(np.std(y))
+    if std < 1e-12:
+        std = 1.0  # constant targets: keep the map well-defined
+    y_std = (y - mean) / std
     d = X.shape[1]
 
     lo = np.log(

@@ -12,7 +12,7 @@ import pytest
 
 from analogopt.acquisition import AcquisitionConfig, ei, propose_batch, qei_mc
 from analogopt.config import RunConfig, build_model, build_task_card
-from analogopt.core import DesignPoint, Region, design_space_contains
+from analogopt.core import DesignPoint, Region, design_space_contains, from_unit_cube
 from analogopt.evaluator import (
     circuit_model,
     classify_regions,
@@ -29,7 +29,6 @@ from analogopt.llm import (
 from analogopt.orchestrator import run
 from analogopt.surrogate import (
     GpFitConfig,
-    from_unit_cube,
     gp_fit,
     gp_predict,
     log_marginal_likelihood,

@@ -26,7 +26,7 @@ from analogopt.acquisition import (
     trust_region,
     trust_region_box,
 )
-from analogopt.core import DesignSpace, Parameter, design_space_contains
+from analogopt.core import DesignSpace, Parameter, design_space_contains, to_unit_cube
 from analogopt.fom import FOM_PRESETS, FomConfig, failed_metrics
 from analogopt.surrogate import (
     GpFitConfig,
@@ -35,7 +35,6 @@ from analogopt.surrogate import (
     _chol_with_jitter,
     gp_fit,
     gp_predict,
-    to_unit_cube,
 )
 
 from conftest import model_with_prior
@@ -516,6 +515,34 @@ def test_slot_scorer_keeps_its_bits_at_r2_k3_d14():
     assert (
         tuple(v.hex() for v in values), tuple(g.hex() for g in grad.ravel())
     ) == SCORE_R2_K3_D14
+
+
+@pytest.mark.parametrize(
+    "k, strides, c_order",
+    [(0, (224, 112, 8), True), (1, (224, 112, 8), True),
+     (2, (8, 336, 24), False), (3, (8, 448, 32), False)],
+)
+def test_joint_sample_keeps_the_memory_layout_of_its_factor_derivative(
+    k, strides, c_order
+):
+    # dfactor, (k + 1, R, d), is laid out as np.concatenate lays out dW's
+    # strides: C order up to one prefix point, the prefix index innermost
+    # from two on. That layout fixes the order in which the chain rule's
+    # einsum adds its terms, and with it SCORE_R2_K3_D14 and the golden run
+    # logs; a numpy that lays concatenate's result out otherwise fails here.
+    rng = np.random.default_rng(3)
+    X = rng.uniform(size=(30, 14))
+    y = np.sin(3.0 * X[:, 0]) * np.cos(2.0 * X[:, 1])
+    model = _model_at(X, y, np.linspace(0.4, 1.7, 14), 1.1, 1e-3)
+    prefix = np.random.default_rng(8).uniform(size=(k, 14))
+    cands = np.random.default_rng(103).uniform(size=(2, 14))
+    _, sample = _joint_sample(model, prefix, _base_draws(5, k + 1, 512))
+    _, (_, dfactor) = sample(cands, grad=True)
+    assert dfactor.shape == (k + 1, 2, 14)
+    flags = dfactor.flags
+    assert (dfactor.strides, flags.c_contiguous, flags.f_contiguous) == (
+        strides, c_order, False
+    ), "np.concatenate changed the layout of the scorer's dfactor"
 
 
 def test_propose_batch_propagates_prefix_factor_failure(unit_space):

@@ -4,13 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from analogopt.core import ConfigError, DesignPoint, RangeError, Region, StructuralError
+from analogopt.core import (
+    ConfigError,
+    DesignPoint,
+    RangeError,
+    Region,
+    StructuralError,
+    from_unit_cube,
+)
 from analogopt import evaluator
 from analogopt.config import PRESETS
 from analogopt.evaluator import circuit_model, classify_regions, evaluate
 from analogopt.fom import FOM_PRESETS, compute_fom, failed_metrics
 from analogopt.orchestrator import _preset_checksum
-from analogopt.surrogate import from_unit_cube
 
 
 AMP2 = circuit_model("amp2")

@@ -24,6 +24,8 @@ from analogopt.core import (
     RangeError,
     Scale,
     design_space_contains,
+    from_unit_cube,
+    to_unit_cube,
 )
 from analogopt.evaluator import circuit_model
 from analogopt.fom import FOM_PRESETS
@@ -37,12 +39,10 @@ from analogopt.surrogate import (
     NumericalError,
     _chol_with_jitter,
     _lbfgsb,
-    from_unit_cube,
     gp_fit,
     gp_predict,
     log_marginal_likelihood,
     rbf_kernel,
-    to_unit_cube,
 )
 
 
@@ -477,6 +477,42 @@ def test_factorization_reproduces_kernel():
     K = rbf_kernel(X, X, model.lengthscales, model.signal_variance)
     target = K + (model.noise_variance + model.jitter) * np.eye(len(y))
     assert np.allclose(model.chol @ model.chol.T, target, atol=1e-8)
+
+
+def test_gp_fit_that_ends_on_a_jittered_factor_keeps_its_jitter(monkeypatch):
+    # Benchmark fits and degenerate data never reach the jitter ladder in
+    # gp_fit, so here the first potrf attempt of every _chol_with_jitter call
+    # reports failure (info 1): each factorization of the fit takes the
+    # ladder's first step, and the model must say so.
+    chol_with_jitter, dpotrf = surrogate._chol_with_jitter, surrogate.dpotrf
+    first_attempt = []
+
+    def chol_failing_first(matrix):
+        first_attempt.append(None)
+        return chol_with_jitter(matrix)
+
+    def potrf(matrix, lower):
+        if first_attempt:
+            first_attempt.pop()
+            return matrix, 1
+        return dpotrf(matrix, lower=lower)
+
+    monkeypatch.setattr(surrogate, "_chol_with_jitter", chol_failing_first)
+    monkeypatch.setattr(surrogate, "dpotrf", potrf)
+    X, y = _training_set(n=6, d=2, seed=12)
+    model = gp_fit(X, y, GpFitConfig(restarts=3), seed=3)
+    monkeypatch.undo()
+    assert model.jitter == JITTER_START == 1e-10
+    ref = _dense_lml(
+        X, model.train_targets, model.lengthscales, model.signal_variance,
+        model.noise_variance + model.jitter,
+    )
+    assert model.log_marginal == pytest.approx(ref, rel=1e-10)
+    Q = np.random.default_rng(9).uniform(size=(4, 2))
+    mean, cov = gp_predict(model, Q)
+    mean_ref, cov_ref = dense_posterior(model, Q)
+    assert np.allclose(mean, mean_ref, atol=1e-8)
+    assert np.allclose(cov, cov_ref, atol=1e-8)
 
 
 def test_constant_targets_fit():
