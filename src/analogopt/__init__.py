@@ -12,6 +12,6 @@ from .fom import compute_fom, count_missed_specs
 from .surrogate import gp_fit, gp_predict
 from .acquisition import ei, propose_batch, qei_mc
 from .evaluator import circuit_model, evaluate
-from .sampler import top_k, uniform_k
+from .core import top_k, uniform_k
 from .config import RunConfig
 from .orchestrator import report, run

@@ -20,13 +20,18 @@ from .fom import FOM_PRESETS
 from .llm import LlmConfig, TaskCard, _read_text, _template
 from .surrogate import GpFitConfig
 
-METHODS = ("ado_llm", "gp_bo", "llm_only")
+# Each method's protocol: (llm_queries_per_step, gp_queries_per_step,
+# init_strategy). A RunConfig takes the row's values for the fields it leaves
+# unset, and a count the row has at 0 must stay 0, one it has >= 1 stay >= 1.
+METHODS = {
+    "ado_llm": (1, 4, "llm_zero_shot"),
+    "gp_bo": (0, 5, "uniform_random"),
+    "llm_only": (1, 0, "llm_zero_shot"),
+}
 INIT_STRATEGIES = ("llm_zero_shot", "uniform_random")
 SAMPLER_KINDS = ("top_k", "uniform", "none")
 PRESETS = tuple(FOM_PRESETS)
-
-# Default per-iteration query split for each method.
-_METHOD_QUERIES = {"ado_llm": (1, 4), "gp_bo": (0, 5), "llm_only": (1, 0)}
+_PROTOCOL = ("llm_queries_per_step", "gp_queries_per_step", "init_strategy")
 
 
 @dataclass(frozen=True)
@@ -35,9 +40,9 @@ class RunConfig:
     preset: str
     n_init: int = 5
     n_iter: int = 20
-    llm_queries_per_step: int = 1
-    gp_queries_per_step: int = 4
-    init_strategy: str = "llm_zero_shot"
+    llm_queries_per_step: int | None = None
+    gp_queries_per_step: int | None = None
+    init_strategy: str | None = None
     sampler_kind: str = "top_k"
     sampler_k: int = 5
     seed: int = 0
@@ -50,7 +55,13 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; expected {METHODS}")
+            raise ConfigError(
+                f"unknown method {self.method!r}; expected {tuple(METHODS)}"
+            )
+        row = METHODS[self.method]
+        for name, default in zip(_PROTOCOL, row):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; expected {PRESETS}")
         if self.init_strategy not in INIT_STRATEGIES:
@@ -63,16 +74,11 @@ class RunConfig:
             raise ConfigError("n_init must be >= 1 and n_iter >= 0")
         if self.sampler_k < 1:
             raise ConfigError("[sampler] k must be >= 1")
-        if self.method == "gp_bo" and self.llm_queries_per_step != 0:
-            raise ConfigError("gp_bo runs with llm_queries_per_step = 0")
-        if self.method == "llm_only" and self.gp_queries_per_step != 0:
-            raise ConfigError("llm_only runs with gp_queries_per_step = 0")
-        if self.method == "ado_llm" and (
-            self.llm_queries_per_step < 1 or self.gp_queries_per_step < 1
-        ):
-            raise ConfigError("ado_llm needs both llm and gp queries per step")
-        if self.llm_queries_per_step + self.gp_queries_per_step < 1:
-            raise ConfigError("at least one query per step is required")
+        for name, default in zip(_PROTOCOL[:2], row):
+            count = getattr(self, name)
+            if count < 0 or (count >= 1) != (default >= 1):
+                need = ">= 1" if default else "= 0"
+                raise ConfigError(f"{self.method} runs with {name} {need}, got {count}")
 
     @property
     def batch_size(self) -> int:
@@ -163,9 +169,11 @@ def _check_section(name: str, section) -> None:
 
 
 def _convert(cls, name: str, raw):
-    """INI text as its field's type: int and float fields convert, text stays."""
-    default = cls.__dataclass_fields__[name].default
-    return type(default)(raw) if isinstance(default, (int, float)) else raw
+    """INI text as its field's declared type: int and float fields (optional
+    or not) convert, text stays."""
+    declared = cls.__dataclass_fields__[name].type.split(" | ")[0]
+    kind = {"int": int, "float": float}.get(declared)
+    return kind(raw) if kind else raw
 
 
 def _from_parser(parser: configparser.ConfigParser, overrides: dict) -> RunConfig:
@@ -179,23 +187,14 @@ def _from_parser(parser: configparser.ConfigParser, overrides: dict) -> RunConfi
     sections = {name: parser[name] for name in INI_KEYS if name in parser}
     for name, section in sections.items():
         _check_section(name, section)
-    method = overrides.get("method", sections["run"].get("method"))
-    preset = overrides.get("preset", sections["run"].get("preset"))
-    if not method or not preset:
-        raise ConfigError("[run] must set both method and preset")
-
-    llm_q, gp_q = _METHOD_QUERIES.get(method, (1, 4))
     raw: dict[str, dict] = {target: {} for target in _TARGETS}
-    raw["run"] = {
-        "llm_queries_per_step": llm_q,
-        "gp_queries_per_step": gp_q,
-        "init_strategy": "uniform_random" if method == "gp_bo" else "llm_zero_shot",
-    }
     for name, section in sections.items():
         for key, value in section.items():
             target, field_name = INI_KEYS[name][key]
             raw[target][field_name] = value
     raw["run"].update(overrides)
+    if not raw["run"].get("method") or not raw["run"].get("preset"):
+        raise ConfigError("[run] must set both method and preset")
 
     # Nested configs first, each validating itself; RunConfig takes them all.
     built = {}

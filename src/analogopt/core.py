@@ -1,5 +1,6 @@
 """Shared domain types: design spaces, points, metrics, and the run dataset,
-and the maps between a space's points and the unit cube the GP works on.
+the maps between a space's points and the unit cube the GP works on, and the
+demonstration samplers over the dataset's FOM ranking.
 
 All types are immutable values except :class:`Dataset`, which is append-only.
 Parameter values are stored in SI base units (meters, ohms, farads); metric
@@ -213,7 +214,7 @@ class Dataset:
     """Insertion-ordered, append-only collection of evaluation records.
 
     Alongside the records it keeps their ranking, the sorted list of
-    ``(-fom, index)`` pairs, so descending-FOM queries need no re-sort.
+    ``(-fom, index)`` pairs, so :func:`top_k` needs no re-sort.
     """
 
     __slots__ = ("_records", "_ranking")
@@ -240,10 +241,6 @@ class Dataset:
             raise EmptyDatasetError("an empty dataset has no best record")
         return self._ranking[0][1]
 
-    def ranked(self, k: int) -> list[EvalRecord]:
-        """The k highest-FOM records, descending; ties keep earlier insertions."""
-        return [self._records[i] for _, i in self._ranking[:k]]
-
 
 def design_space_contains(space: DesignSpace, point: DesignPoint) -> bool:
     """True iff every coordinate lies within its parameter's closed interval."""
@@ -262,3 +259,26 @@ def dataset_append(dataset: Dataset, record: EvalRecord) -> Dataset:
     dataset._records.append(record)
     return dataset
 
+
+def top_k(dataset: Dataset, k: int) -> list[EvalRecord]:
+    """The k highest-FOM records, descending; ties keep earlier insertions.
+
+    Failed evaluations participate with their (all-failed) FOM rather than
+    being filtered. Returns all records, descending, when the dataset is
+    smaller than k.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if len(dataset) == 0:
+        raise EmptyDatasetError("top_k needs at least one record")
+    return [dataset._records[i] for _, i in dataset._ranking[:k]]
+
+
+def uniform_k(dataset: Dataset, k: int, rng: np.random.Generator) -> list[EvalRecord]:
+    """k records sampled uniformly without replacement (all when fewer exist)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if len(dataset) == 0:
+        raise EmptyDatasetError("uniform_k needs at least one record")
+    indices = rng.permutation(len(dataset))[: min(k, len(dataset))]
+    return [dataset[int(i)] for i in indices]

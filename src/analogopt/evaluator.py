@@ -3,11 +3,12 @@ circuits plus the Branin function for validating the optimizer.
 
 Each preset's :class:`CircuitModel` is built once at import and
 :func:`circuit_model` looks it up by name. A model carries its own solver,
-``solve(point) -> (metrics, overdrives, ok)``, which unpacks the point in
+``solve(point) -> (metrics, overdrives)``, which unpacks the point in
 design-space order; :func:`evaluate` runs it, then applies the headroom check
 and the region classification of the model's devices and stacks (Branin has
-none). The process is a set of module constants (``VDD``, ``KP_N``, ...)
-that the solvers and the headroom check read directly.
+none); it alone decides whether the evaluation succeeded. The process is a
+set of module constants (``VDD``, ``KP_N``, ...) that the solvers and the
+headroom check read directly.
 
 The circuit models use textbook square-law device physics:
 
@@ -81,7 +82,7 @@ class Stack:
 class CircuitModel:
     name: str
     space: DesignSpace
-    solve: Callable[[DesignPoint], tuple[dict, dict, bool]]
+    solve: Callable[[DesignPoint], tuple[dict, dict]]
     fom: FomConfig
     devices: tuple[str, ...] = ()
     stacks: tuple[Stack, ...] = ()
@@ -139,8 +140,7 @@ def _amp2_solve(point: DesignPoint):
         "M7": V_OV_BIAS,
         "Mb": V_OV_BIAS,
     }
-    ok = i_tail > 0 and i_stage2 > 0
-    return metrics, overdrives, ok
+    return metrics, overdrives
 
 
 def _comparator_solve(point: DesignPoint):
@@ -191,8 +191,7 @@ def _comparator_solve(point: DesignPoint):
         "M11": V_OV_BIAS,
         "Mb": V_OV_BIAS,
     }
-    ok = i_tail > 0 and i_out > 0
-    return metrics, overdrives, ok
+    return metrics, overdrives
 
 
 def _branin_solve(point: DesignPoint):
@@ -201,7 +200,7 @@ def _branin_solve(point: DesignPoint):
     a, b, c = 1.0, 5.1 / (4.0 * math.pi**2), 5.0 / math.pi
     r, s, t = 6.0, 10.0, 1.0 / (8.0 * math.pi)
     value = a * (x2 - b * x1**2 + c * x1 - r) ** 2 + s * (1.0 - t) * math.cos(x1) + s
-    return {"objective": -value}, {}, True
+    return {"objective": -value}, {}
 
 
 _AMP2_W = dict(lower=120e-9, upper=50e-6, scale=Scale.LOG, unit="m")
@@ -328,17 +327,18 @@ def evaluate(
 ) -> EvalRecord:
     """Evaluate one design point: metrics, operating regions, FOM.
 
-    A failed evaluation (headroom violation in a gain path, non-positive
-    bias current, or a domain error in the formulas) scores every metric at
-    its configured failure value; the region report is still populated.
+    A failed evaluation (headroom violation in a gain path, a non-finite
+    metric, or a domain error in the formulas) scores every metric at its
+    configured failure value; the region report is still populated.
     """
     if not design_space_contains(model.space, point):
         raise RangeError(f"point outside the {model.name} design space")
     try:
-        metrics, overdrives, ok = model.solve(point)
+        metrics, overdrives = model.solve(point)
         crowded = _crowded_stacks(model, overdrives)
-        headroom_ok = not any(stack.gain_path for stack in crowded)
-        ok = ok and headroom_ok and all(math.isfinite(m) for m in metrics.values())
+        ok = not any(stack.gain_path for stack in crowded) and all(
+            math.isfinite(m) for m in metrics.values()
+        )
     except (ValueError, ZeroDivisionError, OverflowError):
         metrics, ok = {}, False
         overdrives = {d: 0.0 for d in model.devices}

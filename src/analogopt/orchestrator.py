@@ -39,6 +39,8 @@ from .core import (
     dataset_append,
     from_unit_cube,
     to_unit_cube,
+    top_k,
+    uniform_k,
 )
 from .evaluator import CircuitModel, evaluate
 from .fom import FOM_PRESETS, compute_fom, count_missed_specs, hits_spec
@@ -50,7 +52,6 @@ from .llm import (
     propose,
     propose_init,
 )
-from .sampler import top_k, uniform_k
 from .surrogate import NumericalError, gp_fit
 
 _SEED_STREAMS = ("init", "llm", "acquisition", "surrogate", "sampler")

@@ -12,6 +12,7 @@ from analogopt.acquisition import AcquisitionConfig
 from analogopt.config import (
     _TARGETS,
     INI_KEYS,
+    METHODS,
     PRESETS,
     RunConfig,
     build_model,
@@ -21,6 +22,7 @@ from analogopt.config import (
 from analogopt.core import ConfigError
 from analogopt.fom import FOM_PRESETS
 from analogopt.llm import LlmConfig
+from analogopt.orchestrator import run
 from analogopt.surrogate import GpFitConfig
 
 # Every accepted key, each set to a value that differs from its default.
@@ -136,6 +138,21 @@ def test_method_sets_the_default_query_split_and_init(tmp_path):
         assert config.init_strategy == init
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_a_python_config_takes_the_ini_defaults_of_its_method(tmp_path, method):
+    text = f"[run]\nmethod = {method}\npreset = amp2\n"
+    assert RunConfig(method=method, preset="amp2") == _load(tmp_path, text)
+    short = dict(n_iter=0, mock="random")
+    headers = [
+        run(config).text().splitlines()[0]
+        for config in (
+            RunConfig(method=method, preset="amp2", **short),
+            _load(tmp_path, text, **short),
+        )
+    ]
+    assert headers[0] == headers[1]
+
+
 _RUN = "[run]\nmethod = ado_llm\npreset = amp2\n"
 _ALLOWED_RUN = (
     "['gp_queries_per_step', 'init_strategy', 'llm_queries_per_step', "
@@ -224,6 +241,22 @@ MALFORMED = {
     "negative_maxiter": (
         _RUN + "[acquisition]\nmaxiter = -1\n",
         "{path}: maxiter must be >= 0",
+    ),
+    "gp_bo_with_llm_queries": (
+        "[run]\nmethod = gp_bo\npreset = amp2\nllm_queries_per_step = 1\n",
+        "gp_bo runs with llm_queries_per_step = 0, got 1",
+    ),
+    "llm_only_with_gp_queries": (
+        "[run]\nmethod = llm_only\npreset = amp2\ngp_queries_per_step = 2\n",
+        "llm_only runs with gp_queries_per_step = 0, got 2",
+    ),
+    "ado_llm_without_gp_queries": (
+        _RUN + "gp_queries_per_step = 0\n",
+        "ado_llm runs with gp_queries_per_step >= 1, got 0",
+    ),
+    "negative_llm_queries": (
+        "[run]\nmethod = gp_bo\npreset = amp2\nllm_queries_per_step = -1\n",
+        "gp_bo runs with llm_queries_per_step = 0, got -1",
     ),
     "zero_sampler_k": (
         _RUN + "[sampler]\nk = 0\n",

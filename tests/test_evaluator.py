@@ -1,3 +1,4 @@
+import dataclasses
 import dis
 import math
 
@@ -104,6 +105,32 @@ def test_headroom_violation_fails_with_failed_metrics():
     assert set(record.regions) == set(AMP2.devices)
 
 
+def test_a_solver_exception_fails_the_evaluation_with_every_device_in_cutoff():
+    def solve(point):
+        raise ZeroDivisionError("float division by zero")
+
+    record = evaluate(dataclasses.replace(AMP2, solve=solve), AMP2_POINT)
+    assert not record.simulation_ok
+    assert record.metrics == failed_metrics(AMP2.fom)
+    assert record.regions == {device: Region.CUTOFF for device in AMP2.devices}
+    assert record.fom == compute_fom(failed_metrics(AMP2.fom), AMP2.fom)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_metric_fails_the_evaluation_and_keeps_its_regions(bad):
+    metrics, overdrives = AMP2.solve(AMP2_POINT)
+
+    def solve(point):
+        return {**metrics, "gain": bad}, overdrives
+
+    record = evaluate(dataclasses.replace(AMP2, solve=solve), AMP2_POINT)
+    assert not record.simulation_ok
+    assert record.metrics == failed_metrics(AMP2.fom)
+    assert record.regions == classify_regions(AMP2, overdrives)
+    assert set(record.regions.values()) == {Region.SATURATION}
+    assert record.fom == compute_fom(failed_metrics(AMP2.fom), AMP2.fom)
+
+
 def test_classify_regions_constructed_cases():
     overdrives = {d: 0.2 for d in AMP2.devices}
     # first-stage stack Mb + M1 + M3 sums to 0.6 V against a 1.0 V budget
@@ -139,7 +166,7 @@ def test_evaluate_checks_the_stacks_once_and_classifies_as_classify_regions(
     assert len(calls) == len(points)
     monkeypatch.undo()
     for point, record in zip(points, records):
-        metrics, overdrives, _ = model.solve(point)
+        metrics, overdrives = model.solve(point)
         assert record.regions == classify_regions(model, overdrives)
 
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from analogopt.core import Dataset, EmptyDatasetError, dataset_append
-from analogopt.sampler import top_k, uniform_k
+from analogopt.core import Dataset, EmptyDatasetError, dataset_append, top_k, uniform_k
 
 from conftest import make_dataset, make_record
 
