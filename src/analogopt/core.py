@@ -132,7 +132,7 @@ class DesignSpace:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DesignPoint:
     """A concrete assignment, one value per parameter, in SI units."""
 
@@ -188,13 +188,14 @@ MetricVector = Mapping[str, float]
 DeviceRegionReport = Mapping[str, Region]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalRecord:
     """One evaluated design point with its metrics, regions, and FOM.
 
     ``iteration`` 0 is reserved for initialization records. ``fom`` must
     equal the FOM recomputed from ``metrics`` under the active configuration;
-    the evaluator guarantees this at construction time.
+    the evaluator guarantees this at construction time. Records share equal
+    ``regions`` reports and failure vectors, so neither mapping is mutated.
     """
 
     point: DesignPoint

@@ -26,6 +26,7 @@ feedback channel without a transistor-level simulator.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -48,7 +49,6 @@ from .fom import (
     SYNTHETIC_FOM,
     FomConfig,
     compute_fom,
-    failed_metrics,
 )
 
 
@@ -86,6 +86,11 @@ class CircuitModel:
     fom: FomConfig
     devices: tuple[str, ...] = ()
     stacks: tuple[Stack, ...] = ()
+
+    @functools.cached_property
+    def region_reports(self) -> dict[tuple[Region, ...], dict[str, Region]]:
+        """Device regions in ``devices`` order -> the report records share."""
+        return {}
 
 
 def _parallel(a: float, b: float) -> float:
@@ -293,24 +298,24 @@ def classify_regions(
     a stack whose summed overdrives exceed VDD - V_HEADROOM; saturation
     otherwise.
     """
-    return _regions(model, overdrives, _crowded_stacks(model, overdrives))
+    return dict(_regions(model, overdrives, _crowded_stacks(model, overdrives)))
 
 
 def _regions(
     model: CircuitModel, overdrives: dict[str, float], crowded_stacks: list[Stack]
 ) -> dict[str, Region]:
-    """``classify_regions`` given the model's crowded stacks."""
+    """The model's shared ``classify_regions`` report, given its crowded stacks."""
     crowded = {d for stack in crowded_stacks for d in stack.members}
-    report = {}
-    for device in model.devices:
-        vov = overdrives[device]
-        if vov <= 0:
-            report[device] = Region.CUTOFF
-        elif device in crowded:
-            report[device] = Region.TRIODE
-        else:
-            report[device] = Region.SATURATION
-    return report
+    assignment = tuple(
+        Region.CUTOFF if overdrives[device] <= 0
+        else Region.TRIODE if device in crowded
+        else Region.SATURATION
+        for device in model.devices
+    )
+    reports = model.region_reports
+    if assignment not in reports:
+        reports[assignment] = dict(zip(model.devices, assignment))
+    return reports[assignment]
 
 
 def _crowded_stacks(model: CircuitModel, overdrives: dict[str, float]) -> list[Stack]:
@@ -345,7 +350,7 @@ def evaluate(
         crowded = _crowded_stacks(model, overdrives)
     regions = _regions(model, overdrives, crowded)
     if not ok:
-        metrics = failed_metrics(model.fom)
+        metrics = model.fom.failure_vector
     return EvalRecord(
         point=point,
         metrics=metrics,

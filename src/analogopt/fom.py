@@ -92,6 +92,12 @@ class FomConfig:
             for m in self.metrics
         )
 
+    @functools.cached_property
+    def failure_vector(self) -> dict[str, float]:
+        """The metrics of every failed evaluation, one dict that their records
+        share; ``failed_metrics`` returns a copy to mutate."""
+        return {m.name: float(m.failed) for m in self.metrics}
+
 
 def hits_spec(value: float, spec: MetricSpec) -> bool:
     """Inclusive spec check; magnitude metrics compare ``abs(value)``."""
@@ -135,7 +141,7 @@ def count_missed_specs(metrics: MetricVector, config: FomConfig) -> int:
 
 def failed_metrics(config: FomConfig) -> dict[str, float]:
     """Metric vector scoring a failed evaluation: every metric at its failure value."""
-    return {m.name: m.failed for m in config.metrics}
+    return dict(config.failure_vector)
 
 
 # Built-in presets. Metric units follow the reporting convention of the

@@ -152,16 +152,17 @@ def _header_line(config: RunConfig, model: CircuitModel) -> dict:
 
 
 def _eval_line(index: int, record) -> dict:
+    # the record's own mappings, not copies: a Region encodes as its text
     return {
         "type": "eval",
         "index": index,
         "iteration": record.iteration,
         "source": record.source.value,
         "point": list(record.point.values),
-        "metrics": {k: float(v) for k, v in record.metrics.items()},
-        "regions": {k: v.value for k, v in record.regions.items()},
+        "metrics": record.metrics,
+        "regions": record.regions,
         "simulation_ok": record.simulation_ok,
-        "fom": float(record.fom),
+        "fom": record.fom,
     }
 
 

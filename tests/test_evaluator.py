@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from analogopt.core import (
     ConfigError,
@@ -168,6 +170,34 @@ def test_evaluate_checks_the_stacks_once_and_classifies_as_classify_regions(
     for point, record in zip(points, records):
         metrics, overdrives = model.solve(point)
         assert record.regions == classify_regions(model, overdrives)
+
+
+# The run log writes a record's metrics and FOM as they are: an int metric
+# would be written as 80 where the log has 80.0.
+def _assert_python_floats(record):
+    assert [type(v) for v in record.metrics.values()] == [float] * len(record.metrics)
+    assert type(record.fom) is float
+
+
+@settings(max_examples=300, deadline=None)
+@given(preset=st.sampled_from(PRESETS), data=st.data())
+def test_every_metric_and_the_fom_are_python_floats(preset, data):
+    model = circuit_model(preset)
+    coordinate = st.floats(0.0, 1.0) | st.sampled_from((0.0, 1.0))
+    u = data.draw(st.lists(coordinate, min_size=model.space.dimension,
+                           max_size=model.space.dimension))
+    _assert_python_floats(evaluate(model, from_unit_cube(model.space, np.array(u))))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_box_corners_score_python_floats_also_when_they_fail(name):
+    model = circuit_model(name)
+    corners = np.random.default_rng(0).integers(0, 2, size=(64, model.space.dimension))
+    records = [evaluate(model, from_unit_cube(model.space, c)) for c in corners]
+    for record in records:
+        _assert_python_floats(record)
+    if model.devices:
+        assert not all(r.simulation_ok for r in records)
 
 
 def test_comparator_hysteresis_zero_at_unity_ratio():

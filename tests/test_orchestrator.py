@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -17,8 +19,9 @@ from analogopt import orchestrator
 from analogopt.acquisition import AcquisitionConfig, propose_batch, trust_region
 from analogopt.cli import main
 from analogopt.config import RunConfig, build_model, load_run_config
-from analogopt.core import ConfigError, Source
-from analogopt.fom import FOM_PRESETS, compute_fom, count_missed_specs
+from analogopt.core import ConfigError, Region, Source
+from analogopt.evaluator import circuit_model, classify_regions, evaluate
+from analogopt.fom import FOM_PRESETS, compute_fom, count_missed_specs, failed_metrics
 from analogopt.orchestrator import ReportError, report, run
 from analogopt.surrogate import GpFitConfig, gp_fit
 
@@ -806,6 +809,80 @@ def test_report_memory_is_bounded_by_a_line_not_the_log(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < os.path.getsize(path) / 4
+
+
+# ----------------------------------------------------------- shared values
+
+def _amp2_configs(n_iter):
+    """One ``ado_llm`` and one ``llm_only`` config on amp2 with mock random."""
+    return [
+        fast_config(preset="amp2", n_iter=n_iter),
+        fast_config(method="llm_only", preset="amp2", llm_queries_per_step=1,
+                    gp_queries_per_step=0, n_iter=5 * n_iter),
+    ]
+
+
+@pytest.mark.parametrize("config", _amp2_configs(4), ids=["ado_llm", "llm_only"])
+def test_eval_lines_and_records_share_each_distinct_mapping(config):
+    log = run(config)
+    records = list(log.dataset)
+    evals = [line for line in log.lines if line["type"] == "eval"]
+    assert len(evals) == len(records)
+    for line, record in zip(evals, records):
+        assert line["metrics"] is record.metrics
+        assert line["regions"] is record.regions
+    reports: dict[tuple, dict] = {}
+    for record in records:
+        key = tuple(record.regions.items())
+        assert reports.setdefault(key, record.regions) is record.regions
+    assert len(reports) < len(records)
+    failed = [r for r in records if not r.simulation_ok]
+    assert failed, "the run has no failed evaluation to check"
+    vector = FOM_PRESETS["amp2"].failure_vector
+    assert all(r.metrics is vector for r in failed)
+
+
+def test_mutating_returned_regions_and_failed_metrics_changes_no_record_or_log(
+    tmp_path,
+):
+    model = circuit_model("amp2")
+    config = _amp2_configs(4)[1]
+    path, log = _write_log(tmp_path, "before.jsonl", config)
+    before = Path(path).read_bytes()
+    points = [r.point for r in log.dataset]
+    snapshot = [(r.point, dict(r.metrics), dict(r.regions), r.simulation_ok, r.fom)
+                for r in log.dataset]
+    assert not all(ok for *_, ok, _ in snapshot)
+    overdrives = [model.solve(p)[1] for p in points]
+    overdrives.append(dict.fromkeys(model.devices, 0.0))  # a raising solver's
+    for vov in overdrives:
+        regions = classify_regions(model, vov)
+        regions.update(dict.fromkeys(regions, Region.CUTOFF), M0=Region.TRIODE)
+    for fom_config in FOM_PRESETS.values():
+        failed = failed_metrics(fom_config)
+        failed.update(dict.fromkeys(failed, 0.0), extra=1.0)
+    after = [evaluate(model, p, r.source, r.iteration)
+             for p, r in zip(points, log.dataset)]
+    assert [(r.point, dict(r.metrics), dict(r.regions), r.simulation_ok, r.fom)
+            for r in after] == snapshot
+    path, _ = _write_log(tmp_path, "after.jsonl", config)
+    assert Path(path).read_bytes() == before
+
+
+def test_long_llm_only_run_holds_under_3300_bytes_per_evaluation():
+    config = RunConfig(method="llm_only", preset="amp2", n_iter=500, mock="random",
+                       seed=0)
+    run(dataclasses.replace(config, n_iter=1))  # templates and caches, untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        log = run(config)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log.dataset) == 505
+    assert held / len(log.dataset) <= 3300
 
 
 # --------------------------------------------------------------------- CLI
