@@ -50,9 +50,22 @@ from .surrogate import (
     gp_predict,
 )
 
-# scipy.special's own ufuncs, without that package's __init__.
-_special = _scipy_extension("special", "_special_ufuncs")
-expit, logit, ndtr = _special.expit, _special.logit, _special.ndtr
+_SPECIAL = ("expit", "logit", "ndtr")
+
+
+def _load_special():
+    """Bind scipy.special's ``expit``, ``logit`` and ``ndtr`` as module
+    globals, once. :func:`ei` and :func:`propose_batch` call this first."""
+    if "ndtr" not in globals():
+        special = _scipy_extension("special", "_special_ufuncs")
+        globals().update({name: getattr(special, name) for name in _SPECIAL})
+
+
+def __getattr__(name):  # a special function read before the first GP call
+    if name not in _SPECIAL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_special()
+    return globals()[name]
 
 _SIGMA_FLOOR = 1e-12
 _LOGIT_EPS = 1e-9
@@ -95,6 +108,7 @@ class AcquisitionConfig:
 
 def ei(model: GpModel, x: np.ndarray, best: float) -> float:
     """Closed-form expected improvement over ``best`` at a single point."""
+    _load_special()
     mean, cov = gp_predict(model, np.atleast_2d(x))
     mu = float(mean[0])
     sigma = math.sqrt(max(float(cov[0, 0]), 0.0))
@@ -319,6 +333,7 @@ def propose_batch(
     candidates are ``lo + span * u`` and the logistic map becomes
     ``lo + span * expit(z)``. No box is the unit cube, on the same bits.
     """
+    _load_special()
     d = space.dimension
     lo, hi = box if box is not None else (np.zeros(d), np.ones(d))
     span = hi - lo

@@ -20,7 +20,6 @@ disk names it by id; the in-memory lines keep full transcripts.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Iterator
@@ -111,6 +110,8 @@ class RunLog:
 
 
 def _preset_checksum(model: CircuitModel) -> str:
+    import hashlib  # loads OpenSSL; only a run's header needs it, report does not
+
     payload = {
         "space": [
             [p.name, p.lower, p.upper, p.scale.value] for p in model.space.parameters
@@ -127,6 +128,8 @@ def _preset_checksum(model: CircuitModel) -> str:
 
 
 def _file_digest(path: str) -> str:
+    import hashlib
+
     with open(path, "rb") as handle:
         return "sha256:" + hashlib.sha256(handle.read()).hexdigest()
 

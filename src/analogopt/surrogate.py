@@ -44,7 +44,9 @@ scipy's own: the directory is located, not imported, and the version is read
 from scipy's metadata only to name it in an error.
 ``setulb`` from ``optimize/_lbfgsb``, the four LAPACK calls from
 ``linalg/_flapack``, and ``expit``, ``logit`` and ``ndtr`` (used by
-:mod:`analogopt.acquisition`) from ``special/_special_ufuncs``. These are the
+:mod:`analogopt.acquisition`) from ``special/_special_ufuncs``. They load on
+first use, not at import, so a process that fits no GP maps none of them;
+before that, a module ``__getattr__`` loads them on read. These are the
 objects ``scipy.optimize``, ``scipy.linalg.lapack`` and ``scipy.special``
 re-export, so every result is the same bits. The package ``__init__`` files
 are what a cold start would otherwise pay for: ``scipy.linalg`` alone pulls
@@ -138,11 +140,23 @@ def _load_setulb():
     return setulb
 
 
-_setulb = _load_setulb()
-_flapack = _scipy_extension("linalg", "_flapack")
-dpotrf, dpotrs, dtrtri, dtrtrs = (
-    _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtri, _flapack.dtrtrs
-)
+_LAPACK = ("dpotrf", "dpotrs", "dtrtri", "dtrtrs")
+
+
+def _load_kernels():
+    """Bind ``_setulb`` and the LAPACK calls as module globals, once. Each
+    helper that calls one of them calls this first."""
+    if "_setulb" not in globals():
+        flapack = _scipy_extension("linalg", "_flapack")
+        globals().update({name: getattr(flapack, name) for name in _LAPACK},
+                         _setulb=_load_setulb())
+
+
+def __getattr__(name):  # a kernel read before the first GP call
+    if name not in (*_LAPACK, "_setulb"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_kernels()
+    return globals()[name]
 
 
 def _lbfgsb(fun, x0, lower, upper, maxiter):
@@ -159,6 +173,7 @@ def _lbfgsb(fun, x0, lower, upper, maxiter):
     before the cap is checked, so ``maxiter`` 0 and 1 both run one
     iteration. Exceptions from ``fun`` propagate.
     """
+    _load_kernels()
     x = np.array(x0, dtype=np.float64).ravel()
     n = x.shape[0]
     if lower is None:
@@ -284,6 +299,7 @@ def _chol_with_jitter(matrix):
     """
     if not np.isfinite(matrix).all():
         raise ValueError("matrix must contain only finite values")
+    _load_kernels()
     L, info = dpotrf(matrix, lower=1)
     if info == 0:
         return L, 0.0
@@ -301,6 +317,7 @@ def _chol_with_jitter(matrix):
 def _solve_lower(L, B):
     """``L^-1 B`` for lower-triangular ``L`` (LAPACK ``trtrs``, the routine
     behind ``solve_triangular``, without its per-call validation)."""
+    _load_kernels()
     x, info = dtrtrs(L, B, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular triangular factor (trtrs info {info})")

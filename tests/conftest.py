@@ -1,6 +1,12 @@
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+# One BLAS thread, set before numpy loads OpenBLAS: on a shared host, spare
+# BLAS threads contend with other processes and slow the GP tests severalfold.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

@@ -5,17 +5,22 @@ imported cannot hide a regression.
 """
 
 import os
+import pickle
 import re
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
 import pytest
 
+from analogopt.config import RunConfig
+from analogopt.orchestrator import run
 from conftest import chat_body
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY_PACKAGES = ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy.stats")
+scipy_version = version("scipy")
 
 
 def _python(code: str, *args: str) -> str:
@@ -108,6 +113,127 @@ def test_scipy_extensions_are_shared_with_scipy_packages(first):
         first,
     )
     assert out.splitlines() == ["[]", "True True True True True True"]
+
+SCIPY_KERNELS = ("_lbfgsb", "_flapack", "_special_ufuncs")
+# Prints which scipy kernel extensions the interpreter has mapped, and whether
+# the modules hold a kernel as a global yet.
+PRINT_KERNELS = (
+    "import os\n"
+    "from analogopt import acquisition, surrogate\n"
+    "with open('/proc/self/maps') as handle:\n"
+    "    maps = handle.read()\n"
+    f"print([n for n in {SCIPY_KERNELS!r} if os.sep + n + '.' in maps])\n"
+    "print('dpotrf' in vars(surrogate), 'expit' in vars(acquisition))\n"
+)
+
+
+@pytest.mark.parametrize("method, loaded", [("llm_only", False), ("gp_bo", True)])
+def test_scipy_kernels_load_only_in_runs_that_fit_a_gp(tmp_path, method, loaded):
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("needs /proc/self/maps")
+    out = _python(
+        "import sys\n"
+        "from analogopt import cli\n"
+        "from analogopt.acquisition import AcquisitionConfig\n"
+        "from analogopt.config import RunConfig\n"
+        "from analogopt.orchestrator import run\n"
+        "from analogopt.surrogate import GpFitConfig\n"
+        "acq = AcquisitionConfig(mc_samples=16, restarts=1, raw_candidates=8, maxiter=3)\n"
+        "run(RunConfig(method=sys.argv[1], preset='branin', n_init=3, n_iter=2, seed=1,\n"
+        "              mock='random', acquisition=acq,\n"
+        "              gp_fit=GpFitConfig(restarts=1, maxiter=5))).write(sys.argv[2])\n"
+        "assert cli.main(['report', sys.argv[2]]) == 0\n" + PRINT_KERNELS,
+        method, str(tmp_path / "run.jsonl"),
+    )
+    mapped = list(SCIPY_KERNELS) if loaded else []
+    assert out.splitlines()[-2:] == [str(mapped), f"{loaded} {loaded}"]
+
+
+def test_report_loads_no_openssl(tmp_path):
+    log = tmp_path / "run.jsonl"
+    run(RunConfig(method="llm_only", preset="amp2", n_init=3, n_iter=1, seed=0,
+                  mock="random")).write(str(log))
+    out = _python(
+        "import sys\n"
+        "from analogopt import cli\n"
+        "assert cli.main(['report', sys.argv[1]]) == 0\n"
+        "print('_hashlib' in sys.modules)\n",
+        str(log),
+    )
+    assert out.endswith("\nFalse\n")
+
+
+FIRST_CALL_SETUP = """
+import pickle
+import numpy as np
+from analogopt import acquisition, surrogate
+from analogopt.core import DesignSpace, Parameter
+X = np.random.default_rng(0).uniform(size=(6, 2))
+y = np.sin(6.0 * X).sum(axis=1)
+ls = np.array([0.3, 0.5])
+K = surrogate.rbf_kernel(X, X, ls, 1.0) + 1e-3 * np.eye(6)
+L = np.linalg.cholesky(K)
+model = surrogate.GpModel(X, y, ls, 1.0, 1e-3, L, np.linalg.solve(K, y), 0.0, 1.0, 0.0)
+space = DesignSpace((Parameter("a", 0.0, 1.0), Parameter("b", 0.0, 1.0)))
+acq = acquisition.AcquisitionConfig(mc_samples=64, restarts=2, raw_candidates=16, maxiter=5)
+"""
+FIRST_CALLS = {
+    "_chol_with_jitter": "surrogate._chol_with_jitter(K)",
+    "_solve_lower": "surrogate._solve_lower(L, K)",
+    "_factor": "surrogate._factor(y, ls, 1.0, 1e-3, surrogate._fit_invariants(X))",
+    "_lml_and_grad": "surrogate._lml_and_grad(y, ls, 1.0, 1e-3, surrogate._fit_invariants(X))",
+    "_lbfgsb": "surrogate._lbfgsb(lambda x: (x @ x, 2.0 * x), y, None, None, 20)",
+    "log_marginal_likelihood": "surrogate.log_marginal_likelihood(X, y, ls, 1.0, 1e-3)",
+    "gp_predict": "surrogate.gp_predict(model, X[:2] + 0.1)",
+    "ei": "acquisition.ei(model, X[0] + 0.1, 0.5)",
+    "qei_mc": "acquisition.qei_mc(model, X[:2] + 0.1, 0.5, acq, 0)",
+    "propose_batch": (
+        "acquisition.propose_batch(model, space, 0.5, 2, acq, np.random.default_rng(0), 0)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_CALLS)
+def test_kernel_users_work_as_the_first_call_of_an_interpreter(name):
+    # Each function that calls a scipy kernel loads it when nothing has yet,
+    # and returns the bits it returns in this session, where the kernels are
+    # loaded.
+    code = FIRST_CALL_SETUP + f"result = {FIRST_CALLS[name]}\n"
+    namespace = {}
+    exec(code, namespace)
+    out = _python(code + "print(pickle.dumps(result).hex())\n")
+    assert out.strip() == pickle.dumps(namespace["result"]).hex()
+
+
+@pytest.mark.parametrize("fault", ["signature", "missing"])
+def test_refused_or_missing_kernel_fails_the_first_gp_call(tmp_path, fault):
+    # A kernel that cannot be used stops only what needs it: import, an LLM-only
+    # run and report succeed, and the first GP call raises the loader's error.
+    out = _python(
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import analogopt\n"
+        "from analogopt import cli, surrogate\n"
+        "from analogopt.config import RunConfig\n"
+        "if sys.argv[1] == 'signature':\n"
+        "    surrogate._SETULB_SIGNATURE = 'setulb(m,x,l,u,nbd,f,g)'\n"
+        "else:\n"
+        "    surrogate._SCIPY_DIR = Path(sys.argv[2])  # holds no extension\n"
+        "analogopt.run(RunConfig(method='llm_only', preset='branin', n_init=3,\n"
+        "                        n_iter=1, seed=0, mock='random')).write(sys.argv[2] + '/run.jsonl')\n"
+        "assert cli.main(['report', sys.argv[2] + '/run.jsonl']) == 0\n"
+        "try:\n"
+        "    analogopt.gp_fit([[0.1], [0.5], [0.9]], [1.0, 2.0, 0.5])\n"
+        "except ImportError as error:\n"
+        "    print(error)\n",
+        fault, str(tmp_path),
+    )
+    message = {
+        "signature": f"scipy {scipy_version}: L-BFGS-B kernel signature",
+        "missing": f"scipy {scipy_version} has no linalg/_flapack extension",
+    }[fault]
+    assert out.splitlines()[-1].startswith(message)
+
 
 def test_chat_complete_imports_requests_on_first_call(stub_server):
     server = stub_server([(200, chat_body("deferred reply"))])
