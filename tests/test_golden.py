@@ -15,6 +15,10 @@ run without LLM queries has no prompt lines, so its two hashes are equal.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,37 @@ def test_golden_log_hash(tmp_path, fields, expanded, written):
         acquisition=TINY_ACQ, gp_fit=TINY_FIT,
     )
     assert _hashes(run(config), tmp_path / "run.jsonl") == (expanded, written)
+
+
+GP_GOLDEN = [entry for entry in GOLDEN if entry[0]["method"] != "llm_only"]
+
+
+@pytest.mark.parametrize(
+    "index", range(len(GP_GOLDEN)), ids=[fields["method"] for fields, *_ in GP_GOLDEN]
+)
+def test_golden_log_hash_at_two_blas_threads(tmp_path, index):
+    # conftest pins one BLAS thread for the session; a fresh interpreter at
+    # two threads must write the same log through the GP's solves and products.
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")])
+    )
+    path = tmp_path / "run.jsonl"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from analogopt.config import RunConfig\n"
+         "from analogopt.orchestrator import run\n"
+         "from test_golden import GP_GOLDEN, TINY_ACQ, TINY_FIT\n"
+         "fields = GP_GOLDEN[int(sys.argv[1])][0]\n"
+         "run(RunConfig(**fields, n_init=5, seed=7, mock='random',\n"
+         "              acquisition=TINY_ACQ, gp_fit=TINY_FIT)).write(sys.argv[2])\n",
+         str(index), str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GP_GOLDEN[index][2]
 
 
 def test_golden_scripted_retry_log_hash(tmp_path):

@@ -100,6 +100,11 @@ def test_scipy_extensions_are_shared_with_scipy_packages(first):
         "if sys.argv[1] == 'scipy':\n"
         "    scipy_packages()\n"
         "from analogopt import acquisition, surrogate\n"
+        "if sys.argv[1] == 'analogopt':\n"
+        "    # as a GP call does, before any scipy package is imported\n"
+        "    surrogate._load_kernels(), acquisition._load_special()\n"
+        "    assert {'_setulb', 'dpotrf'} <= set(vars(surrogate))\n"
+        "    assert 'expit' in vars(acquisition)\n"
         "scipy_packages()\n"
         "import scipy.linalg.lapack, scipy.special\n"
         "from scipy.optimize._lbfgsb import setulb\n"
