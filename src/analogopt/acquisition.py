@@ -43,29 +43,12 @@ from .surrogate import (
     NumericalError,
     _chol_with_jitter,
     _kernel_rows,
+    _kernels,
     _lbfgsb,
     _rbf_cross,
-    _scipy_extension,
     _solve_lower,
     gp_predict,
 )
-
-_SPECIAL = ("expit", "logit", "ndtr")
-
-
-def _load_special():
-    """Bind scipy.special's ``expit``, ``logit`` and ``ndtr`` as module
-    globals, once. :func:`ei` and :func:`propose_batch` call this first."""
-    if "ndtr" not in globals():
-        special = _scipy_extension("special", "_special_ufuncs")
-        globals().update({name: getattr(special, name) for name in _SPECIAL})
-
-
-def __getattr__(name):  # a special function read before the first GP call
-    if name not in _SPECIAL:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_special()
-    return globals()[name]
 
 _SIGMA_FLOOR = 1e-12
 _LOGIT_EPS = 1e-9
@@ -108,7 +91,6 @@ class AcquisitionConfig:
 
 def ei(model: GpModel, x: np.ndarray, best: float) -> float:
     """Closed-form expected improvement over ``best`` at a single point."""
-    _load_special()
     mean, cov = gp_predict(model, np.atleast_2d(x))
     mu = float(mean[0])
     sigma = math.sqrt(max(float(cov[0, 0]), 0.0))
@@ -118,7 +100,7 @@ def ei(model: GpModel, x: np.ndarray, best: float) -> float:
     # Bit-identical to scipy.stats.norm.cdf / .pdf at loc 0, scale 1, without
     # importing scipy.stats; ``z * z``, not ``z**2``, which rounds differently.
     pdf = np.exp(-(z * z) / 2.0) / np.sqrt(2.0 * np.pi)
-    return max(float((mu - best) * ndtr(z) + sigma * pdf), 0.0)
+    return max(float((mu - best) * _kernels().ndtr(z) + sigma * pdf), 0.0)
 
 
 def _base_draws(seed: int, q: int, mc_samples: int) -> np.ndarray:
@@ -333,7 +315,8 @@ def propose_batch(
     candidates are ``lo + span * u`` and the logistic map becomes
     ``lo + span * expit(z)``. No box is the unit cube, on the same bits.
     """
-    _load_special()
+    kernels = _kernels()
+    expit, logit = kernels.expit, kernels.logit
     d = space.dimension
     lo, hi = box if box is not None else (np.zeros(d), np.ones(d))
     span = hi - lo

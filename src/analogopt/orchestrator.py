@@ -8,7 +8,8 @@ iteration. All randomness derives from one master seed fanned out into fixed
 per-component streams, so a rerun with the same configuration reproduces the
 run log byte for byte (with a scripted or seeded mock client).
 
-Run logs are JSONL: one header line, then eval / prompt / iteration / summary lines.
+Run logs are JSONL: one header line, then init / eval / prompt / iteration /
+summary lines.
 Recomputing the FOM from any logged metric vector reproduces the logged FOM
 exactly; the report command verifies this replay invariant. Both ends stream:
 ``RunLog.write`` encodes one line at a time, and ``report`` parses and

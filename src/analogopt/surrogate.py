@@ -37,32 +37,33 @@ call in ~40 us of Python bookkeeping, on ~3,000 calls per 55-evaluation
 ``ado_llm`` run, and ``import scipy.optimize`` adds 0.25-0.4 s to every cold
 start.
 
-Every compiled scipy routine a run calls comes through one loader,
-:func:`_scipy_extension`, which loads an extension module from its file in
-scipy's package directory without running that package's ``__init__`` or
-scipy's own: the directory is located, not imported, and the version is read
-from scipy's metadata only to name it in an error.
-``setulb`` from ``optimize/_lbfgsb``, the four LAPACK calls from
-``linalg/_flapack``, and ``expit``, ``logit`` and ``ndtr`` (used by
-:mod:`analogopt.acquisition`) from ``special/_special_ufuncs``. They load on
-first use, not at import, so a process that fits no GP maps none of them;
-before that, a module ``__getattr__`` loads them on read. These are the
-objects ``scipy.optimize``, ``scipy.linalg.lapack`` and ``scipy.special``
-re-export, so every result is the same bits. The package ``__init__`` files
-are what a cold start would otherwise pay for: ``scipy.linalg`` alone pulls
-in ``numpy.f2py`` and ``numpy.testing`` through scipy's array-API layer
-(~0.3 s under ``python -X importtime``), ``scipy.special`` another ~0.08 s,
-and ``scipy`` itself 11-17 ms.
+Every compiled scipy routine a run calls is read off one cached accessor,
+:func:`_kernels`: ``setulb`` from ``optimize/_lbfgsb``, the four LAPACK
+calls from ``linalg/_flapack``, and ``expit``, ``logit`` and ``ndtr`` (used
+by :mod:`analogopt.acquisition`) from ``special/_special_ufuncs``. They load
+on its first call, not at import, so a process that fits no GP maps none of
+them. Each extension comes through one loader, :func:`_scipy_extension`,
+which loads it from its file in scipy's package directory without running
+that package's ``__init__`` or scipy's own: the directory is located, not
+imported, and the version is read from scipy's metadata only to name it in
+an error. These are the objects ``scipy.optimize``, ``scipy.linalg.lapack``
+and ``scipy.special`` re-export, so every result is the same bits. The
+package ``__init__`` files are what a cold start would otherwise pay for:
+``scipy.linalg`` alone pulls in ``numpy.f2py`` and ``numpy.testing`` through
+scipy's array-API layer (~0.3 s under ``python -X importtime``),
+``scipy.special`` another ~0.08 s, and ``scipy`` itself 11-17 ms.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -123,12 +124,16 @@ def _scipy_extension(package: str, name: str):
     return module
 
 
-def _load_setulb():
-    """scipy's L-BFGS-B kernel, from its ``optimize/_lbfgsb`` extension.
+@functools.cache
+def _kernels():
+    """Every compiled scipy routine a run calls, loaded on the first call:
+    ``setulb``, the four LAPACK calls and ``expit``, ``logit`` and ``ndtr``.
 
-    The driver passes arguments by position, so a kernel whose signature
-    differs from the one it was written against is refused.
+    The L-BFGS-B driver passes arguments by position, so a ``setulb`` whose
+    signature differs from the one it was written against is refused. A
+    failed load is not cached: the next call tries again.
     """
+    flapack = _scipy_extension("linalg", "_flapack")
     setulb = _scipy_extension("optimize", "_lbfgsb").setulb
     if setulb.__doc__ != _SETULB_SIGNATURE:
         from importlib.metadata import version
@@ -137,26 +142,12 @@ def _load_setulb():
             f"scipy {version('scipy')}: L-BFGS-B kernel signature "
             f"{setulb.__doc__!r}, expected {_SETULB_SIGNATURE!r}"
         )
-    return setulb
-
-
-_LAPACK = ("dpotrf", "dpotrs", "dtrtri", "dtrtrs")
-
-
-def _load_kernels():
-    """Bind ``_setulb`` and the LAPACK calls as module globals, once. Each
-    helper that calls one of them calls this first."""
-    if "_setulb" not in globals():
-        flapack = _scipy_extension("linalg", "_flapack")
-        globals().update({name: getattr(flapack, name) for name in _LAPACK},
-                         _setulb=_load_setulb())
-
-
-def __getattr__(name):  # a kernel read before the first GP call
-    if name not in (*_LAPACK, "_setulb"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_kernels()
-    return globals()[name]
+    special = _scipy_extension("special", "_special_ufuncs")
+    return SimpleNamespace(
+        setulb=setulb, dpotrf=flapack.dpotrf, dpotrs=flapack.dpotrs,
+        dtrtri=flapack.dtrtri, dtrtrs=flapack.dtrtrs, expit=special.expit,
+        logit=special.logit, ndtr=special.ndtr,
+    )
 
 
 def _lbfgsb(fun, x0, lower, upper, maxiter):
@@ -173,7 +164,7 @@ def _lbfgsb(fun, x0, lower, upper, maxiter):
     before the cap is checked, so ``maxiter`` 0 and 1 both run one
     iteration. Exceptions from ``fun`` propagate.
     """
-    _load_kernels()
+    setulb = _kernels().setulb
     x = np.array(x0, dtype=np.float64).ravel()
     n = x.shape[0]
     if lower is None:
@@ -197,8 +188,8 @@ def _lbfgsb(fun, x0, lower, upper, maxiter):
     g = np.zeros(n)
     n_iter = 0
     while True:
-        _setulb(m, x, lower, upper, nbd, f, g, factr, LBFGSB_GTOL, wa, iwa, task,
-                lsave, isave, dsave, LBFGSB_MAXLS, ln_task)
+        setulb(m, x, lower, upper, nbd, f, g, factr, LBFGSB_GTOL, wa, iwa, task,
+               lsave, isave, dsave, LBFGSB_MAXLS, ln_task)
         if task[0] == _TASK_FG:
             if not (x == x_eval).all():
                 x_eval = x.copy()
@@ -299,7 +290,7 @@ def _chol_with_jitter(matrix):
     """
     if not np.isfinite(matrix).all():
         raise ValueError("matrix must contain only finite values")
-    _load_kernels()
+    dpotrf = _kernels().dpotrf
     L, info = dpotrf(matrix, lower=1)
     if info == 0:
         return L, 0.0
@@ -317,8 +308,7 @@ def _chol_with_jitter(matrix):
 def _solve_lower(L, B):
     """``L^-1 B`` for lower-triangular ``L`` (LAPACK ``trtrs``, the routine
     behind ``solve_triangular``, without its per-call validation)."""
-    _load_kernels()
-    x, info = dtrtrs(L, B, lower=1)
+    x, info = _kernels().dtrtrs(L, B, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular triangular factor (trtrs info {info})")
     return x
@@ -380,7 +370,7 @@ def _factor(y, lengthscales, signal_variance, noise_variance, sqdiff):
     K *= signal_variance
     K = K.reshape(n, n)
     L, jitter = _chol_with_jitter(_with_noise(K, noise_variance))
-    alpha = dpotrs(L, y, lower=1)[0]
+    alpha = _kernels().dpotrs(L, y, lower=1)[0]
     lml = (
         -0.5 * float(y @ alpha)
         - float(np.log(L.diagonal()).sum())
@@ -401,9 +391,10 @@ def _lml_and_grad(y, lengthscales, signal_variance, noise_variance, sqdiff):
     # diagonal, so trtri cannot find it singular) and one transposed
     # triangular solve applies L^-T. With OpenBLAS at 1, 2 and 4 threads
     # (n <= 120) both give the same bits; potri (via lauum) and syrk do not.
-    L_inv = dtrtri(L, lower=1)[0]
+    kernels = _kernels()
+    L_inv = kernels.dtrtri(L, lower=1)[0]
     W = alpha[:, None] * alpha
-    W -= dtrtrs(L, L_inv, lower=1, trans=1, overwrite_b=1)[0]  # solved in L_inv
+    W -= kernels.dtrtrs(L, L_inv, lower=1, trans=1, overwrite_b=1)[0]  # solved in L_inv
     grad = np.empty(lengthscales.shape[0] + 2)
     grad[-1] = 0.5 * noise_variance * float(W.trace())
     W *= K  # now (alpha alpha^T - K^-1) . K, C-ordered as W was

@@ -16,6 +16,7 @@ import pytest
 
 from analogopt.config import RunConfig
 from analogopt.orchestrator import run
+from analogopt.surrogate import gp_fit
 from conftest import chat_body
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -99,36 +100,36 @@ def test_scipy_extensions_are_shared_with_scipy_packages(first):
         "    import scipy.linalg.lapack, scipy.optimize, scipy.special\n"
         "if sys.argv[1] == 'scipy':\n"
         "    scipy_packages()\n"
-        "from analogopt import acquisition, surrogate\n"
+        "from analogopt import surrogate\n"
         "if sys.argv[1] == 'analogopt':\n"
         "    # as a GP call does, before any scipy package is imported\n"
-        "    surrogate._load_kernels(), acquisition._load_special()\n"
-        "    assert {'_setulb', 'dpotrf'} <= set(vars(surrogate))\n"
-        "    assert 'expit' in vars(acquisition)\n"
+        "    surrogate._kernels()\n"
+        "    assert surrogate._kernels.cache_info().currsize == 1\n"
         "scipy_packages()\n"
         "import scipy.linalg.lapack, scipy.special\n"
         "from scipy.optimize._lbfgsb import setulb\n"
         "print(sorted({'_lbfgsb', '_flapack', '_special_ufuncs'} & set(sys.modules)))\n"
-        "print(scipy.special.expit is acquisition.expit,\n"
-        "      scipy.linalg.lapack.dpotrf is surrogate.dpotrf,\n"
-        "      setulb is surrogate._setulb,\n"
-        "      scipy.optimize._lbfgsb.setulb is surrogate._setulb,\n"
-        "      scipy.linalg._flapack.dpotrf is surrogate.dpotrf,\n"
-        "      scipy.special._special_ufuncs.expit is acquisition.expit)\n",
+        "kernels = surrogate._kernels()\n"
+        "print(scipy.special.expit is kernels.expit,\n"
+        "      scipy.linalg.lapack.dpotrf is kernels.dpotrf,\n"
+        "      setulb is kernels.setulb,\n"
+        "      scipy.optimize._lbfgsb.setulb is kernels.setulb,\n"
+        "      scipy.linalg._flapack.dpotrf is kernels.dpotrf,\n"
+        "      scipy.special._special_ufuncs.expit is kernels.expit)\n",
         first,
     )
     assert out.splitlines() == ["[]", "True True True True True True"]
 
 SCIPY_KERNELS = ("_lbfgsb", "_flapack", "_special_ufuncs")
 # Prints which scipy kernel extensions the interpreter has mapped, and whether
-# the modules hold a kernel as a global yet.
+# the kernel accessor has loaded them yet (1) or not (0).
 PRINT_KERNELS = (
     "import os\n"
-    "from analogopt import acquisition, surrogate\n"
+    "from analogopt import surrogate\n"
     "with open('/proc/self/maps') as handle:\n"
     "    maps = handle.read()\n"
     f"print([n for n in {SCIPY_KERNELS!r} if os.sep + n + '.' in maps])\n"
-    "print('dpotrf' in vars(surrogate), 'expit' in vars(acquisition))\n"
+    "print(surrogate._kernels.cache_info().currsize)\n"
 )
 
 
@@ -151,7 +152,7 @@ def test_scipy_kernels_load_only_in_runs_that_fit_a_gp(tmp_path, method, loaded)
         method, str(tmp_path / "run.jsonl"),
     )
     mapped = list(SCIPY_KERNELS) if loaded else []
-    assert out.splitlines()[-2:] == [str(mapped), f"{loaded} {loaded}"]
+    assert out.splitlines()[-2:] == [str(mapped), str(int(loaded))]
 
 
 def test_report_loads_no_openssl(tmp_path):
@@ -210,16 +211,23 @@ def test_kernel_users_work_as_the_first_call_of_an_interpreter(name):
     assert out.strip() == pickle.dumps(namespace["result"]).hex()
 
 
+FIT_DATA = ([[0.1], [0.5], [0.9]], [1.0, 2.0, 0.5])
+
+
 @pytest.mark.parametrize("fault", ["signature", "missing"])
 def test_refused_or_missing_kernel_fails_the_first_gp_call(tmp_path, fault):
     # A kernel that cannot be used stops only what needs it: import, an LLM-only
     # run and report succeed, and the first GP call raises the loader's error.
+    # The failure is not kept: once the fault is undone, the next GP call
+    # loads the kernels and returns the bits it returns in this session.
     out = _python(
         "import sys\n"
         "from pathlib import Path\n"
         "import analogopt\n"
         "from analogopt import cli, surrogate\n"
         "from analogopt.config import RunConfig\n"
+        f"FIT_DATA = {FIT_DATA!r}\n"
+        "original = surrogate._SETULB_SIGNATURE, surrogate._SCIPY_DIR\n"
         "if sys.argv[1] == 'signature':\n"
         "    surrogate._SETULB_SIGNATURE = 'setulb(m,x,l,u,nbd,f,g)'\n"
         "else:\n"
@@ -228,16 +236,20 @@ def test_refused_or_missing_kernel_fails_the_first_gp_call(tmp_path, fault):
         "                        n_iter=1, seed=0, mock='random')).write(sys.argv[2] + '/run.jsonl')\n"
         "assert cli.main(['report', sys.argv[2] + '/run.jsonl']) == 0\n"
         "try:\n"
-        "    analogopt.gp_fit([[0.1], [0.5], [0.9]], [1.0, 2.0, 0.5])\n"
+        "    analogopt.gp_fit(*FIT_DATA)\n"
         "except ImportError as error:\n"
-        "    print(error)\n",
+        "    print(error)\n"
+        "surrogate._SETULB_SIGNATURE, surrogate._SCIPY_DIR = original\n"
+        "print(analogopt.gp_fit(*FIT_DATA).log_marginal.hex())\n",
         fault, str(tmp_path),
     )
     message = {
         "signature": f"scipy {scipy_version}: L-BFGS-B kernel signature",
         "missing": f"scipy {scipy_version} has no linalg/_flapack extension",
     }[fault]
-    assert out.splitlines()[-1].startswith(message)
+    lines = out.splitlines()
+    assert lines[-2].startswith(message)
+    assert lines[-1] == gp_fit(*FIT_DATA).log_marginal.hex()
 
 
 def test_chat_complete_imports_requests_on_first_call(stub_server):

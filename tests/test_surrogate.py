@@ -484,7 +484,8 @@ def test_gp_fit_that_ends_on_a_jittered_factor_keeps_its_jitter(monkeypatch):
     # gp_fit, so here the first potrf attempt of every _chol_with_jitter call
     # reports failure (info 1): each factorization of the fit takes the
     # ladder's first step, and the model must say so.
-    chol_with_jitter, dpotrf = surrogate._chol_with_jitter, surrogate.dpotrf
+    chol_with_jitter = surrogate._chol_with_jitter
+    dpotrf = surrogate._kernels().dpotrf
     first_attempt = []
 
     def chol_failing_first(matrix):
@@ -498,7 +499,7 @@ def test_gp_fit_that_ends_on_a_jittered_factor_keeps_its_jitter(monkeypatch):
         return dpotrf(matrix, lower=lower)
 
     monkeypatch.setattr(surrogate, "_chol_with_jitter", chol_failing_first)
-    monkeypatch.setattr(surrogate, "dpotrf", potrf)
+    monkeypatch.setattr(surrogate._kernels(), "dpotrf", potrf)
     X, y = _training_set(n=6, d=2, seed=12)
     model = gp_fit(X, y, GpFitConfig(restarts=3), seed=3)
     monkeypatch.undo()
@@ -688,10 +689,10 @@ def test_lbfgsb_propagates_numerical_error(lbfgsb_problems):
 
 
 def test_setulb_loader_refuses_an_unknown_signature(monkeypatch):
-    assert surrogate._load_setulb().__doc__ == surrogate._SETULB_SIGNATURE
+    assert surrogate._kernels().setulb.__doc__ == surrogate._SETULB_SIGNATURE
     monkeypatch.setattr(surrogate, "_SETULB_SIGNATURE", "setulb(m,x,l,u,nbd,f,g)")
     with pytest.raises(ImportError, match=f"scipy {scipy.__version__}:"):
-        surrogate._load_setulb()
+        surrogate._kernels.__wrapped__()  # past the session's cached kernels
 
 
 # ------------------------------------------------------ extension loading
@@ -707,7 +708,7 @@ def test_special_functions_equal_scipy_special_bitwise():
                         np.random.default_rng(0).uniform(size=1000)])
     with np.errstate(divide="ignore", invalid="ignore"):
         for name in ("expit", "logit", "ndtr"):
-            ours = getattr(acquisition, name)(x)
+            ours = getattr(surrogate._kernels(), name)(x)
             assert ours.tobytes() == getattr(scipy.special, name)(x).tobytes(), name
 
 
@@ -716,16 +717,17 @@ def test_lapack_calls_equal_scipy_linalg_lapack_bitwise():
     A = rng.standard_normal((55, 55))
     spd = A @ A.T + 55.0 * np.eye(55)
     B = rng.standard_normal((55, 3))
-    L, info = surrogate.dpotrf(spd, lower=1)
+    kernels = surrogate._kernels()
+    L, info = kernels.dpotrf(spd, lower=1)
     L_ref, info_ref = lapack.dpotrf(spd, lower=1)
     assert info == info_ref == 0
     assert L.tobytes() == L_ref.tobytes()
     pairs = [
-        (surrogate.dpotrs(L, B, lower=1), lapack.dpotrs(L, B, lower=1)),
-        (surrogate.dtrtri(L, lower=1), lapack.dtrtri(L, lower=1)),
+        (kernels.dpotrs(L, B, lower=1), lapack.dpotrs(L, B, lower=1)),
+        (kernels.dtrtri(L, lower=1), lapack.dtrtri(L, lower=1)),
     ]
     for trans in (0, 1):
-        pairs.append((surrogate.dtrtrs(L, B, lower=1, trans=trans),
+        pairs.append((kernels.dtrtrs(L, B, lower=1, trans=trans),
                       lapack.dtrtrs(L, B, lower=1, trans=trans)))
     for (ours, ours_info), (ref, ref_info) in pairs:
         assert ours_info == ref_info == 0
