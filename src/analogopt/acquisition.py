@@ -6,13 +6,13 @@ the call's seed, drawn block-wise per batch slot so that the draws for
 the first q slots coincide for every batch size >= q; a batch draws them once
 and slot j reads the first j + 1 columns. The batch is built greedily: each
 slot maximizes the qEI of (already chosen + candidate), which only needs a
-rank-one border on the fixed prefix Cholesky factor. A slot's scorer keeps
-the sample apart from the objective, as BoTorch does: :func:`_joint_sample`
-computes the prefix posterior and factor once, and each call adds only the
-candidate columns, vectorized over many candidates; :func:`_improvement`
-maps the draws to the clipped improvement and its per-draw derivative u'.
-:func:`qei_mc` is that scorer's last slot: the qEI of a batch is the score
-of its last point behind the rest as prefix.
+rank-one border on the fixed prefix Cholesky factor. The model owns the
+posterior and the acquisition the draws and the utility, as in BoTorch: a
+slot's scorer takes the joint sample from
+:func:`analogopt.surrogate._joint_sample`, and :func:`_improvement` maps it
+to the clipped improvement and its per-draw derivative u'. :func:`qei_mc` is
+that scorer's last slot: the qEI of a batch is the score of its last point
+behind the rest as prefix.
 
 On the fixed draws the estimate is piecewise smooth in the candidate, so the
 scorer also returns its exact pathwise (reparameterization) gradient (Wilson,
@@ -38,17 +38,8 @@ import numpy as np
 
 from .core import DesignPoint, DesignSpace, from_unit_cube
 from .fom import FomConfig, count_missed_specs
-from .surrogate import (
-    GpModel,
-    NumericalError,
-    _chol_with_jitter,
-    _kernel_rows,
-    _kernels,
-    _lbfgsb,
-    _rbf_cross,
-    _solve_lower,
-    gp_predict,
-)
+from .surrogate import GpModel, NumericalError, gp_predict
+from .surrogate import _joint_sample, _kernels, _lbfgsb
 
 _SIGMA_FLOOR = 1e-12
 _LOGIT_EPS = 1e-9
@@ -120,78 +111,6 @@ def qei_mc(
     X = np.atleast_2d(np.asarray(batch, dtype=float))
     Z = _base_draws(seed, X.shape[0], config.mc_samples)
     return float(_slot_scorer(model, X[:-1], Z, best)(X[-1:])[0])
-
-
-def _joint_sample(model, prefix, Z):
-    """Joint posterior sample of ``prefix`` and one candidate on the base
-    draws ``Z`` (a column per prefix point, then the candidate's), as
-    ``(prefix_draws, sample)``. The candidate borders the prefix's factor by
-    one row, so the prefix posterior and factor are computed here once, off
-    the kernel block training inputs and prefix share with each candidate.
-
-    ``sample(cands)`` returns the (draws, R) candidate coordinate ``f_last``;
-    with ``grad``, also ``(dmean, dfactor)``, closed-form RBF derivatives
-    with df_last[s, r]/dcands[r, a] = dmean[r, a] + Z[s] @ dfactor[:, r, a].
-    """
-    std2 = model.target_std**2
-    sv = model.signal_variance
-    inv_l2 = model.lengthscales**-2.0
-    n, k = model.train_inputs.shape[0], prefix.shape[0]
-    chol = np.asfortranarray(model.chol)
-    points = np.vstack([model.train_inputs, prefix])
-    rows = _kernel_rows(points, model.lengthscales)
-    prefix_draws = Z[:, :0]
-    if k:
-        K_P = _rbf_cross(rows, prefix, model.lengthscales, sv)
-        V_P = _solve_lower(chol, K_P[:n])
-        mean_P = model.target_mean + model.target_std * (K_P[:n].T @ model.alpha)
-        cov_PP = std2 * (K_P[n:] - V_P.T @ V_P)
-        L_A = np.asfortranarray(_chol_with_jitter(0.5 * (cov_PP + cov_PP.T))[0])
-        prefix_draws = mean_P[None, :] + Z[:, :k] @ L_A.T
-
-    def sample(cands: np.ndarray, grad: bool = False):
-        R, d = cands.shape
-        cols = _rbf_cross(rows, cands, model.lengthscales, sv)
-        if grad:
-            # The right-hand side of both solves: the kernel values, then
-            # dk(p, x)/dx_a = k(p, x) (p_a - x_a) / l_a^2 as column R + r*d + a.
-            # dK is built contiguous and joined after: ufuncs writing into a
-            # strided view of a preallocated right-hand side run twice as long.
-            dK = points[:, None, :] - cands
-            dK *= cols[:, :, None]
-            dK *= inv_l2
-            cols = np.concatenate((cols, dK.reshape(n + k, R * d)), axis=1)
-        V = _solve_lower(chol, cols[:n])
-        V_C = V[:, :R]
-        mean_C = model.target_mean + model.target_std * (cols[:n, :R].T @ model.alpha)
-        var_C = std2 * np.maximum(sv - (V_C**2).sum(axis=0), 0.0)
-        # Rows of L_A^-1 cov(prefix, candidate), then with grad their derivatives.
-        sol = _solve_lower(L_A, std2 * (cols[n:] - V_P.T @ V)) if k else cols[n:]
-        W = sol[:, :R]
-        # The candidate's conditional sd borders the factor. concatenate lays
-        # the factor out after sol's strides (Fortran order from two prefix
-        # rows on), which sets the transposition of the gemm with Z.
-        border = var_C - (W**2).sum(axis=0)
-        np.maximum(border, 0.0, out=border)
-        np.sqrt(border, out=border)
-        factor = np.concatenate((W, border[None]))
-        f_last = Z @ factor
-        f_last += mean_C
-        if not grad:
-            return f_last
-        dmean = model.target_std * (model.alpha @ cols[:n, R:]).reshape(R, d)
-        dvar = -2.0 * std2 * np.einsum("nr,nra->ra", V_C, V[:, R:].reshape(n, R, d))
-        dW = sol[:, R:].reshape(k, R, d)
-        dvar_border = dvar - 2.0 * np.einsum("jr,jra->ra", W, dW)
-        dborder = np.divide(
-            dvar_border, 2.0 * border[:, None],
-            out=np.zeros((R, d)), where=border[:, None] > 0.0,
-        )
-        # Laid out as concatenate lays out dW's strides, which fixes the order
-        # in which the chain rule's einsum adds its terms.
-        return f_last, (dmean, np.concatenate([dW, dborder[None]]))
-
-    return prefix_draws, sample
 
 
 def _improvement(f_last, threshold, best, grad=False):

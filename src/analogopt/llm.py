@@ -170,8 +170,7 @@ def format_si(value: float, unit: str = "") -> str:
     mag = abs(value)
     for prefix, factor in _SI_PREFIXES:
         if mag >= factor:
-            return f"{value / factor:.4g} {prefix}{unit}"
-    prefix, factor = _SI_PREFIXES[-1]
+            break
     return f"{value / factor:.4g} {prefix}{unit}"
 
 

@@ -23,9 +23,13 @@ builds K, its Cholesky factor, alpha and the LML; the objective adds the
 gradient to it and holds no state. A fit factors each restart's final x
 once more, whether or not the driver evaluated it last, and the model is
 the best restart's factorization, with no refit. Past the fit there is one
-cross kernel, :func:`rbf_kernel`; :func:`gp_predict` and the qEI sample of
-:mod:`analogopt.acquisition` each read their posterior off one kernel block
-of training and query rows.
+cross kernel, :func:`rbf_kernel`, and one posterior, :func:`_posterior`,
+read off a kernel block of training rows, then query rows. :func:`gp_predict`
+reads it at points. :func:`_joint_sample`, the sample behind the qEI of
+:mod:`analogopt.acquisition`, reads it at a batch prefix, factors the prefix
+covariance once, and borders that factor by one row per candidate,
+vectorized over many candidates, with the closed-form RBF derivatives of the
+pathwise gradient.
 
 Both L-BFGS-B problems of a run, this fit and the stacked qEI restarts of
 :mod:`analogopt.acquisition`, go through one driver, :func:`_lbfgsb`. It is
@@ -427,20 +431,12 @@ def gp_fit(
     y_std = (y - mean) / std
     d = X.shape[1]
 
-    lo = np.log(
-        np.concatenate(
-            [
-                np.full(d, LENGTHSCALE_BOUNDS[0]),
-                [SIGNAL_BOUNDS[0]],
-                [NOISE_FLOOR],
-            ]
-        )
-    )
-    hi = np.log(
-        np.concatenate(
-            [np.full(d, LENGTHSCALE_BOUNDS[1]), [SIGNAL_BOUNDS[1]], [NOISE_CEILING]]
-        )
-    )
+    lo = np.log(np.concatenate(
+        [np.full(d, LENGTHSCALE_BOUNDS[0]), [SIGNAL_BOUNDS[0], NOISE_FLOOR]]
+    ))
+    hi = np.log(np.concatenate(
+        [np.full(d, LENGTHSCALE_BOUNDS[1]), [SIGNAL_BOUNDS[1], NOISE_CEILING]]
+    ))
     sqdiff = _fit_invariants(X)
 
     def hyperparameters(theta):
@@ -454,9 +450,7 @@ def gp_fit(
         return -lml, -grad
 
     rng = np.random.default_rng(seed)
-    starts = [
-        np.concatenate([np.full(d, math.log(0.5)), [0.0], [math.log(1e-3)]])
-    ]
+    starts = [np.concatenate([np.full(d, math.log(0.5)), [0.0, math.log(1e-3)]])]
     for _ in range(config.restarts - 1):
         ls0 = rng.uniform(math.log(0.05), math.log(2.0), size=d)
         sv0 = rng.uniform(math.log(0.2), math.log(5.0))
@@ -479,17 +473,9 @@ def gp_fit(
 
     (ls, sv, nv), L, alpha, jitter = best
     return GpModel(
-        train_inputs=X,
-        train_targets=y_std,
-        lengthscales=ls,
-        signal_variance=sv,
-        noise_variance=nv,
-        chol=L,
-        alpha=alpha,
-        target_mean=mean,
-        target_std=std,
-        log_marginal=best_lml,
-        jitter=jitter,
+        train_inputs=X, train_targets=y_std, lengthscales=ls, signal_variance=sv,
+        noise_variance=nv, chol=L, alpha=alpha, target_mean=mean, target_std=std,
+        log_marginal=best_lml, jitter=jitter,
     )
 
 
@@ -500,12 +486,89 @@ def gp_predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndar
     symmetrized to guard against round-off.
     """
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
-    n = model.train_inputs.shape[0]
     K = rbf_kernel(
         np.vstack([model.train_inputs, Q]), Q, model.lengthscales,
         model.signal_variance,
     )
+    return _posterior(model, K)[1:]
+
+
+def _posterior(model, K):
+    """``(V, mean, cov)`` of the queries in ``K``, the kernel block of the
+    training rows, then the query rows, against the queries: V = L^-1 K[:n],
+    the mean in target units and the latent covariance, symmetrized."""
+    n = model.train_inputs.shape[0]
     V = _solve_lower(model.chol, K[:n])
     mean = model.target_mean + model.target_std * (K[:n].T @ model.alpha)
     cov = model.target_std**2 * (K[n:] - V.T @ V)
-    return mean, 0.5 * (cov + cov.T)
+    return V, mean, 0.5 * (cov + cov.T)
+
+
+def _joint_sample(model, prefix, Z):
+    """Joint posterior sample of ``prefix`` and one candidate on the base
+    draws ``Z`` (a column per prefix point, then the candidate's), as
+    ``(prefix_draws, sample)``. The candidate borders the prefix's factor by
+    one row, so the prefix posterior and factor are computed here once, off
+    the kernel block training inputs and prefix share with each candidate.
+
+    ``sample(cands)`` returns the (draws, R) candidate coordinate ``f_last``;
+    with ``grad``, also ``(dmean, dfactor)``, closed-form RBF derivatives
+    with df_last[s, r]/dcands[r, a] = dmean[r, a] + Z[s] @ dfactor[:, r, a].
+    """
+    std2 = model.target_std**2
+    sv = model.signal_variance
+    inv_l2 = model.lengthscales**-2.0
+    n, k = model.train_inputs.shape[0], prefix.shape[0]
+    points = np.vstack([model.train_inputs, prefix])
+    rows = _kernel_rows(points, model.lengthscales)
+    prefix_draws = Z[:, :0]
+    if k:
+        V_P, mean_P, cov_PP = _posterior(
+            model, _rbf_cross(rows, prefix, model.lengthscales, sv)
+        )
+        L_A = _chol_with_jitter(cov_PP)[0]
+        prefix_draws = mean_P[None, :] + Z[:, :k] @ L_A.T
+
+    def sample(cands: np.ndarray, grad: bool = False):
+        R, d = cands.shape
+        cols = _rbf_cross(rows, cands, model.lengthscales, sv)
+        if grad:
+            # The right-hand side of both solves: the kernel values, then
+            # dk(p, x)/dx_a = k(p, x) (p_a - x_a) / l_a^2 as column R + r*d + a.
+            # dK is built contiguous and joined after: ufuncs writing into a
+            # strided view of a preallocated right-hand side run twice as long.
+            dK = points[:, None, :] - cands
+            dK *= cols[:, :, None]
+            dK *= inv_l2
+            cols = np.concatenate((cols, dK.reshape(n + k, R * d)), axis=1)
+        V = _solve_lower(model.chol, cols[:n])
+        V_C = V[:, :R]
+        mean_C = model.target_mean + model.target_std * (cols[:n, :R].T @ model.alpha)
+        var_C = std2 * np.maximum(sv - (V_C**2).sum(axis=0), 0.0)
+        # Rows of L_A^-1 cov(prefix, candidate), then with grad their derivatives.
+        sol = _solve_lower(L_A, std2 * (cols[n:] - V_P.T @ V)) if k else cols[n:]
+        W = sol[:, :R]
+        # The candidate's conditional sd borders the factor. concatenate lays
+        # the factor out after sol's strides (Fortran order from two prefix
+        # rows on), which sets the transposition of the gemm with Z.
+        border = var_C - (W**2).sum(axis=0)
+        np.maximum(border, 0.0, out=border)
+        np.sqrt(border, out=border)
+        factor = np.concatenate((W, border[None]))
+        f_last = Z @ factor
+        f_last += mean_C
+        if not grad:
+            return f_last
+        dmean = model.target_std * (model.alpha @ cols[:n, R:]).reshape(R, d)
+        dvar = -2.0 * std2 * np.einsum("nr,nra->ra", V_C, V[:, R:].reshape(n, R, d))
+        dW = sol[:, R:].reshape(k, R, d)
+        dvar_border = dvar - 2.0 * np.einsum("jr,jra->ra", W, dW)
+        dborder = np.divide(
+            dvar_border, 2.0 * border[:, None],
+            out=np.zeros((R, d)), where=border[:, None] > 0.0,
+        )
+        # Laid out as concatenate lays out dW's strides, which fixes the order
+        # in which the chain rule's einsum adds its terms.
+        return f_last, (dmean, np.concatenate([dW, dborder[None]]))
+
+    return prefix_draws, sample

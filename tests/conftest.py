@@ -69,6 +69,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         self.rfile.read(length)
+        self.server.headers.append(dict(self.headers))
         status, body = self.server.script[min(self.server.hits, len(self.server.script) - 1)]
         self.server.hits += 1
         payload = body.encode("utf-8")
@@ -83,12 +84,14 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 class StubServer:
-    """Minimal chat-completions endpoint replaying (status, body) pairs."""
+    """Minimal chat-completions endpoint replaying (status, body) pairs; it
+    records each request's headers, in order."""
 
     def __init__(self, script):
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         self.server.script = script
         self.server.hits = 0
+        self.server.headers = []
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
 
@@ -99,6 +102,10 @@ class StubServer:
     @property
     def hits(self):
         return self.server.hits
+
+    @property
+    def headers(self):
+        return self.server.headers
 
     def close(self):
         self.server.shutdown()

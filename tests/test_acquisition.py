@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from analogopt.acquisition import (
     AcquisitionConfig,
     _base_draws,
     _improvement,
-    _joint_sample,
     _slot_scorer,
     ei,
     propose_batch,
@@ -26,13 +27,16 @@ from analogopt.acquisition import (
     trust_region,
     trust_region_box,
 )
-from analogopt.core import DesignSpace, Parameter, design_space_contains, to_unit_cube
+from analogopt.core import (
+    DesignSpace, Parameter, design_space_contains, from_unit_cube, to_unit_cube,
+)
 from analogopt.fom import FOM_PRESETS, FomConfig, failed_metrics
 from analogopt.surrogate import (
     GpFitConfig,
     GpModel,
     NumericalError,
     _chol_with_jitter,
+    _joint_sample,
     gp_fit,
     gp_predict,
 )
@@ -364,6 +368,49 @@ def test_propose_batch_handles_tiny_search_budget(fitted_model):
     assert all(design_space_contains(space, p) for p in batch)
 
 
+def _batch_with_optimizer(monkeypatch, model, space, best, optimizer):
+    monkeypatch.setattr(acquisition, "_lbfgsb", optimizer)
+    config = AcquisitionConfig(mc_samples=128, restarts=2, raw_candidates=32, maxiter=5)
+    return propose_batch(model, space, best, 3, config, np.random.default_rng(4), seed=2)
+
+
+@pytest.mark.parametrize(
+    "error", [NumericalError, FloatingPointError, np.linalg.LinAlgError]
+)
+def test_propose_batch_keeps_the_best_raw_candidate_when_a_run_fails(
+    fitted_model, unit_space, monkeypatch, error
+):
+    model, best = fitted_model
+
+    def failing(fun, x0, lower, upper, maxiter):
+        raise error("injected")
+
+    def non_finite(fun, x0, lower, upper, maxiter):
+        return np.full_like(x0, np.nan)
+
+    batch = _batch_with_optimizer(monkeypatch, model, unit_space, best, failing)
+    reference = _batch_with_optimizer(monkeypatch, model, unit_space, best, non_finite)
+    assert batch == reference
+    # slot 0, rebuilt: the highest-scoring of its raw candidates
+    cands = np.random.default_rng(4).uniform(size=(32, 2))
+    score = _slot_scorer(model, np.empty((0, 2)), _base_draws(2, 3, 128)[:, :1], best)
+    assert batch[0] == from_unit_cube(unit_space, cands[np.argmax(score(cands))])
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ArithmeticError, ValueError])
+def test_propose_batch_propagates_other_optimizer_errors(
+    fitted_model, unit_space, monkeypatch, error
+):
+    # The parents of the three caught types, so only those three are caught.
+    model, best = fitted_model
+
+    def failing(fun, x0, lower, upper, maxiter):
+        raise error("injected")
+
+    with pytest.raises(error, match="injected"):
+        _batch_with_optimizer(monkeypatch, model, unit_space, best, failing)
+
+
 # ------------------------------------------- premises of the per-slot scorer
 
 @pytest.mark.parametrize("q", [1, 2, 4, 5])
@@ -567,3 +614,18 @@ def test_propose_batch_propagates_prefix_factor_failure(unit_space):
         propose_batch(
             bogus, unit_space, 0.0, 2, config, np.random.default_rng(0), seed=0
         )
+
+
+def test_acquisition_imports_only_the_sample_and_the_optimizer_privately():
+    # The GP posterior lives in surrogate: acquisition reads it through
+    # _joint_sample and gp_predict, not through surrogate's linear algebra.
+    tree = ast.parse(Path(acquisition.__file__).read_text(encoding="utf-8"))
+    private = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in (("surrogate", 1), ("analogopt.surrogate", 0))
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private <= {"_joint_sample", "_kernels", "_lbfgsb"}, sorted(private)

@@ -222,6 +222,38 @@ MALFORMED = {
         "[run]\nmethod = annealing\npreset = amp2\n",
         "unknown method 'annealing'; expected ('ado_llm', 'gp_bo', 'llm_only')",
     ),
+    "unknown_preset": (
+        "[run]\nmethod = ado_llm\npreset = opamp\n",
+        "unknown preset 'opamp'; expected ('amp2', 'comparator', 'branin')",
+    ),
+    "unknown_init_strategy": (
+        _RUN + "init_strategy = grid\n",
+        "unknown init_strategy 'grid'",
+    ),
+    "unknown_sampler_kind": (
+        _RUN + "[sampler]\nkind = best\n",
+        "unknown sampler kind 'best'",
+    ),
+    "zero_n_init": (
+        _RUN + "n_init = 0\n",
+        "n_init must be >= 1 and n_iter >= 0",
+    ),
+    "negative_n_iter": (
+        _RUN + "n_iter = -1\n",
+        "n_init must be >= 1 and n_iter >= 0",
+    ),
+    "zero_mc_samples": (
+        _RUN + "[acquisition]\nmc_samples = 0\n",
+        "{path}: mc_samples must be >= 1",
+    ),
+    "zero_gp_restarts": (
+        _RUN + "[acquisition]\ngp_restarts = 0\n",
+        "{path}: restarts must be >= 1",
+    ),
+    "zero_retry_limit": (
+        _RUN + "[llm]\nretry_limit = 0\n",
+        "{path}: retry_limit must be >= 1",
+    ),
     "negative_temperature": (
         _RUN + "[llm]\ntemperature = -1\n",
         "{path}: temperature must be >= 0",

@@ -18,6 +18,8 @@ from conftest import make_dataset, make_record
 
 
 def test_parameter_invariants():
+    with pytest.raises(ValueError, match="^parameter name must be non-empty$"):
+        Parameter("", 0.0, 1.0)
     with pytest.raises(ValueError):
         Parameter("w", 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -30,6 +32,11 @@ def test_parameter_invariants():
 def test_design_space_unique_names():
     with pytest.raises(ValueError):
         DesignSpace((Parameter("x", 0, 1), Parameter("x", 0, 1)))
+
+
+def test_design_space_needs_a_parameter():
+    with pytest.raises(ValueError, match="^design space needs at least one parameter$"):
+        DesignSpace(())
 
 
 @pytest.mark.parametrize("values", [
@@ -62,6 +69,11 @@ def test_contains_dimension_mismatch():
     space = circuit_model("amp2").space
     with pytest.raises(StructuralError):
         design_space_contains(space, DesignPoint(tuple([1e-6] * 13)))
+
+
+def test_record_iteration_is_not_negative():
+    with pytest.raises(ValueError, match="^iteration must be >= 0$"):
+        make_record(1.0, iteration=-1)
 
 
 def test_append_grows_by_one():

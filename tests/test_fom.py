@@ -161,6 +161,13 @@ def test_metric_spec_validation():
                    failed=-1.0, bound=0.0)
 
 
+def test_fom_config_rejects_duplicate_metric_names():
+    spec = MetricSpec("m", Direction.AT_LEAST, spec=1.0, norm_min=0.0, norm_max=2.0,
+                      failed=-1.0)
+    with pytest.raises(ValueError, match=r"^duplicate metric names: \['m', 'm'\]$"):
+        FomConfig((spec, spec))
+
+
 # The parity reference: the bodies of compute_fom and count_missed_specs
 # before compute_fom read the config's precomputed terms, one hits_spec /
 # normalize_metric / bound_value call per metric, with those two helpers here.

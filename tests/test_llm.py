@@ -193,6 +193,7 @@ def test_format_si_round_trip():
     assert format_si(4.7e3, "ohm") == "4.7 kohm"
     assert format_si(10e-12, "F") == "10 pF"
     assert format_si(0.0, "m") == "0 m"
+    assert format_si(2e-18, "F") == "0.002 fF"  # below the smallest prefix
 
 
 # ----------------------------------------------------------------- prompts
@@ -409,6 +410,17 @@ def test_proposers_return_points_within_their_retry_budget(
     _assert_logged_completions(transcript, client)
 
 
+def test_init_prompt_needs_a_point(amp2):
+    _, card = amp2
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        build_init_prompt(card, 0)
+
+
+def test_scripted_client_needs_a_response():
+    with pytest.raises(ValueError, match="^script needs at least one response$"):
+        ScriptedLlmClient([])
+
+
 def test_scripted_client_cycles():
     client = ScriptedLlmClient(["a", "b"])
     out = [client.complete([{"role": "user", "content": "x"}]) for _ in range(5)]
@@ -497,5 +509,32 @@ def test_chat_complete_malformed_response(stub_server):
     server = stub_server([(200, '{"nope": true}')])
     config = LlmConfig(endpoint=server.endpoint)
     with pytest.raises(ProtocolError):
+        chat_complete(config, HI)
+
+
+def test_chat_complete_sends_the_api_key_as_a_bearer_token(stub_server, monkeypatch):
+    server = stub_server([(200, chat_body("ok"))])
+    config = LlmConfig(endpoint=server.endpoint, api_key_env="ANALOGOPT_TEST_KEY")
+    monkeypatch.setenv("ANALOGOPT_TEST_KEY", "sk-test")
+    assert chat_complete(config, HI) == "ok"
+    monkeypatch.delenv("ANALOGOPT_TEST_KEY")
+    assert chat_complete(config, HI) == "ok"
+    assert server.headers[0]["Authorization"] == "Bearer sk-test"
+    assert "Authorization" not in server.headers[1]
+
+
+def test_chat_complete_does_not_retry_another_status(stub_server):
+    server = stub_server([(404, '{"error": "no such model"}')])
+    config = LlmConfig(endpoint=server.endpoint, backoff=0.0, transport_attempts=3)
+    with pytest.raises(ProtocolError) as excinfo:
+        chat_complete(config, HI)
+    assert str(excinfo.value) == 'unexpected HTTP 404: {"error": "no such model"}'
+    assert server.hits == 1
+
+
+def test_chat_complete_rejects_empty_content(stub_server):
+    server = stub_server([(200, chat_body(""))])
+    config = LlmConfig(endpoint=server.endpoint)
+    with pytest.raises(ProtocolError, match="^chat completion returned empty content$"):
         chat_complete(config, HI)
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from analogopt import orchestrator
+from analogopt import orchestrator, surrogate
 from analogopt.acquisition import AcquisitionConfig, propose_batch, trust_region
 from analogopt.cli import main
 from analogopt.config import RunConfig, build_model, load_run_config
@@ -23,7 +23,7 @@ from analogopt.core import ConfigError, Region, Source
 from analogopt.evaluator import circuit_model, classify_regions, evaluate
 from analogopt.fom import FOM_PRESETS, compute_fom, count_missed_specs, failed_metrics
 from analogopt.orchestrator import ReportError, report, run
-from analogopt.surrogate import GpFitConfig, gp_fit
+from analogopt.surrogate import GpFitConfig, NumericalError, gp_fit
 
 from conftest import RETRY_SCRIPT, _amp2_reply, expand, expanded_text
 
@@ -624,6 +624,14 @@ def test_report_corrupt_log_names_line(tmp_path):
     assert ":4:" in str(excinfo.value)
 
 
+def test_report_on_a_missing_log_names_it(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    with pytest.raises(ReportError, match=f"^{re.escape(str(missing))}: "):
+        report([str(missing)])
+    assert main(["report", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {missing}: ")
+
+
 def test_report_detects_fom_tampering(tmp_path):
     path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=1))
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -1003,6 +1011,22 @@ def test_cli_llm_failure_exit_code(tmp_path, capsys, monkeypatch):
     )
     assert main(["run", "--config", str(ini), "--out", str(tmp_path / "x.jsonl")]) == 3
     assert "LLM error" in capsys.readouterr().err
+
+
+def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # Every kernel factorization fails: each fit objective call returns the
+    # failure value, every restart's end point is dropped, and the fit raises.
+    def unfactorable(*args):
+        raise NumericalError("injected")
+
+    monkeypatch.setattr(surrogate, "_factor", unfactorable)
+    ini = tmp_path / "gp.ini"
+    ini.write_text("[run]\nmethod = gp_bo\npreset = branin\nn_iter = 1\n",
+                   encoding="utf-8")
+    assert main(["run", "--config", str(ini), "--out", str(tmp_path / "x.jsonl")]) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: all hyperparameter restarts failed\n"
+    )
 
 
 def test_cli_ablate_init(tmp_path, capsys):

@@ -93,6 +93,11 @@ def test_uniform_k_frequencies_uniform():
     assert np.all(np.abs(counts - expected) <= 3.0 * sigma)
 
 
+def test_uniform_k_needs_k_of_at_least_one():
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        uniform_k(make_dataset([1.0]), 0, np.random.default_rng(0))
+
+
 def test_uniform_k_empty_dataset():
     with pytest.raises(EmptyDatasetError):
         uniform_k(Dataset(), 2, np.random.default_rng(0))

@@ -105,6 +105,14 @@ def test_unit_cube_rejects_outside():
         to_unit_cube(space, DesignPoint(tuple(values)))
 
 
+def test_unit_cube_maps_reject_a_point_of_another_dimension():
+    space = DesignSpace((Parameter("a", 0.0, 1.0), Parameter("b", 0.0, 1.0)))
+    with pytest.raises(ValueError, match=r"^point has 3 values, space has dimension 2$"):
+        to_unit_cube(space, DesignPoint((0.5, 0.5, 0.5)))
+    with pytest.raises(ValueError, match=r"^expected shape \(2,\), got \(1,\)$"):
+        from_unit_cube(space, np.array([0.5]))
+
+
 def _reference_to_unit_cube(space, point):
     """The per-parameter formulas on numpy scalars, kept as the reference."""
     out = np.empty(space.dimension)
@@ -514,6 +522,42 @@ def test_gp_fit_that_ends_on_a_jittered_factor_keeps_its_jitter(monkeypatch):
     mean_ref, cov_ref = dense_posterior(model, Q)
     assert np.allclose(mean, mean_ref, atol=1e-8)
     assert np.allclose(cov, cov_ref, atol=1e-8)
+
+
+def test_gp_fit_drops_a_restart_whose_end_point_cannot_be_factored(monkeypatch):
+    # The restart that wins an unwrapped two-restart fit fails the
+    # factorization of its end point here, so the fit keeps the other one.
+    X, y = _training_set(n=8, d=2, seed=5)
+    factor = surrogate._factor
+    end_points, failing = [], []
+
+    def factor_end_points(targets, *args):
+        if sys._getframe(1).f_code.co_name == "gp_fit":  # not the objective
+            end_points.append(args[:3])
+            if len(end_points) in failing:
+                raise NumericalError("injected")
+        return factor(targets, *args)
+
+    monkeypatch.setattr(surrogate, "_factor", factor_end_points)
+    winner = gp_fit(X, y, GpFitConfig(restarts=2), seed=4)
+    won = [
+        np.array_equal(ls, winner.lengthscales) and sv == winner.signal_variance
+        for ls, sv, _ in end_points
+    ]
+    assert len(end_points) == 2 and won.count(True) == 1
+    failing.append(won.index(True) + 1)
+    ((ls, sv, nv),) = [hyper for hyper, w in zip(end_points, won) if not w]
+    end_points.clear()
+    model = gp_fit(X, y, GpFitConfig(restarts=2), seed=4)
+    monkeypatch.undo()
+    assert len(end_points) == 2
+    assert model.lengthscales.tobytes() == ls.tobytes()
+    assert (model.signal_variance, model.noise_variance) == (sv, nv)
+    assert model.log_marginal < winner.log_marginal
+    assert model.log_marginal == log_marginal_likelihood(
+        X, model.train_targets, model.lengthscales, model.signal_variance,
+        model.noise_variance,
+    )[0]
 
 
 def test_constant_targets_fit():
