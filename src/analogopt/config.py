@@ -9,7 +9,6 @@ them, so a log's ``preset`` names the circuit it evaluated.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -145,6 +144,8 @@ INI_KEYS = {
 def load_run_config(path: str, **overrides) -> RunConfig:
     """Parse a UTF-8 INI experiment file; keyword overrides win over file
     values. Values are read literally: ``%`` does not interpolate."""
+    import configparser  # only an INI file needs it; a Python RunConfig does not
+
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#", ";"), interpolation=None
     )

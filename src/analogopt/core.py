@@ -214,17 +214,19 @@ class EvalRecord:
 class Dataset:
     """Insertion-ordered, append-only collection of evaluation records.
 
-    Alongside the records it keeps their ranking, the sorted list of
-    ``(-fom, index)`` pairs, so :func:`top_k` needs no re-sort.
+    Alongside the records it keeps their ranking: the record indices sorted
+    by ``(-fom, index)``, highest FOM first and ties in insertion order, so
+    :func:`top_k` needs no re-sort.
     """
 
     __slots__ = ("_records", "_ranking")
 
     def __init__(self, records: Sequence[EvalRecord] = ()) -> None:
         self._records: list[EvalRecord] = list(records)
-        self._ranking: list[tuple[float, int]] = sorted(
-            (-r.fom, i) for i, r in enumerate(self._records)
-        )
+        self._ranking: list[int] = sorted(range(len(self._records)), key=self._rank_key)
+
+    def _rank_key(self, index: int) -> float:
+        return -self._records[index].fom
 
     def __len__(self) -> int:
         return len(self._records)
@@ -240,7 +242,7 @@ class Dataset:
         """Index of the highest-FOM record; ties go to the earliest insertion."""
         if not self._records:
             raise EmptyDatasetError("an empty dataset has no best record")
-        return self._ranking[0][1]
+        return self._ranking[0]
 
 
 def design_space_contains(space: DesignSpace, point: DesignPoint) -> bool:
@@ -256,8 +258,9 @@ def design_space_contains(space: DesignSpace, point: DesignPoint) -> bool:
 
 def dataset_append(dataset: Dataset, record: EvalRecord) -> Dataset:
     """Append one record; existing records are never touched."""
-    bisect.insort(dataset._ranking, (-record.fom, len(dataset._records)))
     dataset._records.append(record)
+    # insort_right places the new, highest index after every tied record
+    bisect.insort(dataset._ranking, len(dataset._records) - 1, key=dataset._rank_key)
     return dataset
 
 
@@ -272,7 +275,7 @@ def top_k(dataset: Dataset, k: int) -> list[EvalRecord]:
         raise ValueError("k must be >= 1")
     if len(dataset) == 0:
         raise EmptyDatasetError("top_k needs at least one record")
-    return [dataset._records[i] for _, i in dataset._ranking[:k]]
+    return [dataset._records[i] for i in dataset._ranking[:k]]
 
 
 def uniform_k(dataset: Dataset, k: int, rng: np.random.Generator) -> list[EvalRecord]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import json
-import logging
 import operator
 import os
 import re
@@ -27,7 +26,14 @@ import numpy as np
 from .core import ConfigError, DesignPoint, DesignSpace, EvalRecord, from_unit_cube
 from .fom import FomConfig
 
-logger = logging.getLogger("analogopt.llm")
+
+@functools.cache
+def _logger():
+    """The ``analogopt.llm`` logger; :mod:`logging` loads at the first message."""
+    import logging
+
+    return logging.getLogger("analogopt.llm")
+
 
 _LOCAL_HOSTS = {"localhost", "127.0.0.1", "::1"}
 
@@ -386,8 +392,8 @@ def chat_complete(config: LlmConfig, messages: list[dict]) -> str:
             if status != 429 and status < 500:
                 break
             last_error = ProtocolError(f"HTTP {status}")
-        logger.info("chat attempt %d/%d failed: %s",
-                    attempt, config.transport_attempts, last_error)
+        _logger().info("chat attempt %d/%d failed: %s",
+                       attempt, config.transport_attempts, last_error)
         if attempt < config.transport_attempts:
             time.sleep(config.backoff * 2 ** (attempt - 1))
     else:
@@ -403,7 +409,7 @@ def chat_complete(config: LlmConfig, messages: list[dict]) -> str:
         raise ProtocolError(f"malformed chat completion response: {exc}") from exc
     if not isinstance(content, str) or not content:
         raise ProtocolError("chat completion returned empty content")
-    logger.info("chat completed after %d attempt(s)", attempt)
+    _logger().info("chat completed after %d attempt(s)", attempt)
     return content
 
 
@@ -514,7 +520,7 @@ def _ask(
             return parse_response(text, card.space), error
         except ParseError as exc:
             error = exc
-        logger.info("proposal rejected: %s", error)
+        _logger().info("proposal rejected: %s", error)
         transcript.append(_corrective_message(error, card))
     return None, error
 

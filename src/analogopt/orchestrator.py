@@ -156,13 +156,14 @@ def _header_line(config: RunConfig, model: CircuitModel) -> dict:
 
 
 def _eval_line(index: int, record) -> dict:
-    # the record's own mappings, not copies: a Region encodes as its text
+    # the record's own values, not copies: a Region encodes as its text and
+    # the point's tuple as a JSON list
     return {
         "type": "eval",
         "index": index,
         "iteration": record.iteration,
         "source": record.source.value,
-        "point": list(record.point.values),
+        "point": record.point.values,
         "metrics": record.metrics,
         "regions": record.regions,
         "simulation_ok": record.simulation_ok,

@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, so modules this test session already
 imported cannot hide a regression.
 """
 
+import logging
 import os
 import pickle
 import re
@@ -14,10 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from analogopt.config import RunConfig
+from analogopt.config import RunConfig, build_model, build_task_card
+from analogopt.llm import LlmConfig, ScriptedLlmClient, propose
 from analogopt.orchestrator import run
 from analogopt.surrogate import gp_fit
-from conftest import chat_body
+from conftest import _amp2_reply, chat_body
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY_PACKAGES = ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy.stats")
@@ -167,6 +169,51 @@ def test_report_loads_no_openssl(tmp_path):
         str(log),
     )
     assert out.endswith("\nFalse\n")
+
+
+STDLIB_UNUSED = ("logging", "configparser")
+
+
+def test_import_llm_only_run_and_report_skip_logging_and_configparser(tmp_path):
+    out = _python(
+        "import sys\n"
+        "import analogopt\n"
+        "from analogopt import cli\n"
+        "from analogopt.config import RunConfig\n"
+        "analogopt.run(RunConfig(method='llm_only', preset='amp2', n_init=3, n_iter=20,\n"
+        "                        seed=0, mock='random')).write(sys.argv[1])\n"
+        "assert cli.main(['report', sys.argv[1]]) == 0\n"
+        "for name in sys.argv[2:]:\n"
+        "    print(name, name in sys.modules)\n",
+        str(tmp_path / "run.jsonl"), *STDLIB_UNUSED,
+    )
+    loaded = dict(line.split() for line in out.splitlines()[-len(STDLIB_UNUSED):])
+    assert loaded == dict.fromkeys(STDLIB_UNUSED, "False")
+
+
+def test_load_run_config_imports_configparser(tmp_path):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[run]\nmethod = llm_only\npreset = amp2\n", encoding="utf-8")
+    out = _python(
+        "import sys\n"
+        "from analogopt.config import load_run_config\n"
+        "assert 'configparser' not in sys.modules\n"
+        "print(load_run_config(sys.argv[1]).method, 'configparser' in sys.modules)\n",
+        str(ini),
+    )
+    assert out.split() == ["llm_only", "True"]
+
+
+def test_rejected_proposal_is_logged_at_info(caplog):
+    # in this session: a logger got on first use still reaches pytest's handler
+    config = RunConfig(method="llm_only", preset="amp2", mock="random")
+    card = build_task_card(config, build_model(config))
+    client = ScriptedLlmClient(["not a design", _amp2_reply()])
+    with caplog.at_level(logging.INFO, logger="analogopt.llm"):
+        point, _ = propose(client, card, [], LlmConfig(retry_limit=2))
+    assert point is not None
+    rejected = [r for r in caplog.records if r.getMessage().startswith("proposal rejected")]
+    assert [(r.name, r.levelno) for r in rejected] == [("analogopt.llm", logging.INFO)]
 
 
 FIRST_CALL_SETUP = """

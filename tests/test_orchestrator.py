@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -342,7 +343,7 @@ def test_transcript_replay_reproduces_point():
             m for m in line["llm_transcripts"][0] if m["role"] == "assistant"
         ][-1]
         point = parse_response(last_assistant["content"], model.space)
-        assert list(point.values) == llm_eval["point"]
+        assert point.values == llm_eval["point"]
 
 
 def test_best_so_far_is_monotone():
@@ -837,6 +838,7 @@ def test_eval_lines_and_records_share_each_distinct_mapping(config):
     evals = [line for line in log.lines if line["type"] == "eval"]
     assert len(evals) == len(records)
     for line, record in zip(evals, records):
+        assert line["point"] is record.point.values
         assert line["metrics"] is record.metrics
         assert line["regions"] is record.regions
     reports: dict[tuple, dict] = {}
@@ -877,7 +879,10 @@ def test_mutating_returned_regions_and_failed_metrics_changes_no_record_or_log(
     assert Path(path).read_bytes() == before
 
 
-def test_long_llm_only_run_holds_under_3300_bytes_per_evaluation():
+@functools.cache
+def _llm_only_bytes_per_evaluation() -> float:
+    """Live bytes per evaluation that a 500-iteration amp2 ``llm_only`` run
+    leaves allocated, its returned log included."""
     config = RunConfig(method="llm_only", preset="amp2", n_iter=500, mock="random",
                        seed=0)
     run(dataclasses.replace(config, n_iter=1))  # templates and caches, untraced
@@ -890,7 +895,18 @@ def test_long_llm_only_run_holds_under_3300_bytes_per_evaluation():
     finally:
         tracemalloc.stop()
     assert len(log.dataset) == 505
-    assert held / len(log.dataset) <= 3300
+    return held / len(log.dataset)
+
+
+def test_long_llm_only_run_holds_under_3300_bytes_per_evaluation():
+    assert _llm_only_bytes_per_evaluation() <= 3300
+
+
+def test_eval_lines_and_ranking_hold_no_copies_under_2750_bytes_per_evaluation():
+    # ~2640 B: an eval line holds the point's own values tuple and the
+    # ranking one index per record; a list copy of a 14-value point and a
+    # (-fom, index) pair per record add ~250 B
+    assert _llm_only_bytes_per_evaluation() <= 2750
 
 
 # --------------------------------------------------------------------- CLI

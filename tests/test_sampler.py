@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from analogopt.core import Dataset, EmptyDatasetError, dataset_append, top_k, uniform_k
 
@@ -116,3 +118,23 @@ def test_top_k_after_interleaved_tied_appends_matches_sort_reference():
             assert [id(r) for r in top_k(dataset, k)] == [id(dataset[i]) for i in order]
     copy = Dataset(list(dataset))
     assert [id(r) for r in top_k(copy, 12)] == [id(r) for r in top_k(dataset, 12)]
+
+
+# a few repeated values, signed zeros among them, force ties
+FOMS = st.one_of(st.sampled_from([-9.5, -2.0, -0.0, 0.0, 1.5]), st.floats(allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FOMS, min_size=1, max_size=30), st.integers(1, 32))
+def test_ranking_after_any_appends_matches_sort_oracle(foms, k):
+    dataset = Dataset()
+    for n, fom in enumerate(foms, 1):
+        dataset_append(dataset, make_record(fom))
+        order = [i for _, i in sorted((-f, i) for i, f in enumerate(foms[:n]))]
+        assert [id(r) for r in top_k(dataset, k)] == [id(dataset[i]) for i in order[:k]]
+        assert dataset.best_index == order[0]
+    built = Dataset(list(dataset))
+    assert [id(r) for r in top_k(built, len(foms))] == [
+        id(r) for r in top_k(dataset, len(foms))
+    ]
+    assert built.best_index == dataset.best_index
