@@ -1,12 +1,15 @@
 """Experiment engine: the hybrid loop, both baselines, run logs, and reports.
 
 Every run follows the same skeleton: initialize ``n_init`` points (LLM
-zero-shot or uniform random), then iterate proposing a fixed per-iteration
-batch (LLM proposals first, then the GP acquisition batch), evaluating, and
-appending to the shared dataset. The GP is refit on the entire dataset every
-iteration. All randomness derives from one master seed fanned out into fixed
-per-component streams, so a rerun with the same configuration reproduces the
-run log byte for byte (with a scripted or seeded mock client).
+zero-shot or uniform random), then iterate. An iteration evaluates the
+proposals of ``_llm_step`` (the LLM, shown demonstrations from the dataset),
+then of ``_gp_step`` (a qEI batch from a GP refit on the entire dataset), and
+appends them to the shared dataset. All randomness derives from one master
+seed fanned out into fixed per-component streams: ``init`` (uniform initial
+points); ``sampler`` and ``llm`` in ``_llm_step`` (uniform demonstrations;
+stand-ins for failed queries, a stream the random mock also draws from); and
+``surrogate`` and ``acquisition`` in ``_gp_step``. A rerun with the same
+configuration reproduces the run log byte for byte (scripted or seeded mock).
 
 Run logs are JSONL: one header line, then init / eval / prompt / iteration /
 summary lines.
@@ -183,13 +186,70 @@ def _uniform_point(space, rng) -> DesignPoint:
     return from_unit_cube(space, rng.uniform(size=space.dimension))
 
 
-def _select_demos(config: RunConfig, dataset: Dataset, sampler_rng) -> list[EvalRecord]:
-    if config.sampler_kind == "none" or len(dataset) == 0:
-        return []
+def _llm_step(config: RunConfig, client, card, streams: dict, dataset: Dataset):
+    """The iteration's LLM proposals and their part of the iteration line."""
+    if config.llm_queries_per_step == 0:
+        return [], {}
+    demos: list[EvalRecord] = []
     if config.sampler_kind == "top_k":
-        return top_k(dataset, config.sampler_k)
-    records = uniform_k(dataset, config.sampler_k, sampler_rng)
-    return sorted(records, key=lambda r: -r.fom)
+        demos = top_k(dataset, config.sampler_k)
+    elif config.sampler_kind == "uniform":
+        records = uniform_k(dataset, config.sampler_k, streams["sampler"])
+        demos = sorted(records, key=lambda r: -r.fom)
+    proposals: list[tuple[DesignPoint, Source]] = []
+    transcripts = []
+    for _ in range(config.llm_queries_per_step):
+        point, transcript = propose(client, card, demos, config.llm)
+        proposals.append(
+            (point, Source.LLM) if point is not None
+            else (_uniform_point(card.space, streams["llm"]), Source.RANDOM)
+        )
+        transcripts.append(transcript)
+    substituted = sum(source is Source.RANDOM for _, source in proposals)
+    return proposals, {"llm_transcripts": transcripts, "llm_substituted": substituted}
+
+
+def _gp_step(config: RunConfig, model: CircuitModel, streams: dict, dataset: Dataset):
+    """The iteration's qEI batch and its part of the iteration line."""
+    if config.gp_queries_per_step == 0:
+        return [], {}
+    space = model.space
+    X = np.array([to_unit_cube(space, r.point) for r in dataset])
+    y = np.array([r.fom for r in dataset])
+    fit_seed = int(streams["surrogate"].integers(2**31 - 1))
+    gp = gp_fit(X, y, config.gp_fit, fit_seed)
+    best = dataset[dataset.best_index].fom
+    # The region is centred on the incumbent only once it meets every spec
+    # (SCBO's rule); until then the batch searches the whole cube.
+    region = trust_region(dataset, model.fom, config.batch_size, space.dimension)
+    box = None
+    if region is not None:
+        box = trust_region_box(gp, X[dataset.best_index], region["length"])
+    acq_seed = int(streams["acquisition"].integers(2**31 - 1))
+    batch = propose_batch(
+        gp, space, best, config.gp_queries_per_step, config.acquisition,
+        streams["acquisition"], acq_seed, box,
+    )
+    batch_u = np.array([to_unit_cube(space, p) for p in batch])
+    part = {
+        "trust_region": region,
+        "gp": {
+            "lengthscales": [float(v) for v in gp.lengthscales],
+            "signal_variance": float(gp.signal_variance),
+            "noise_variance": float(gp.noise_variance),
+            "log_marginal": float(gp.log_marginal),
+        },
+    }
+    # A diagnostic only: the prefix factor, the one factorization in qei_mc
+    # that can fail, is logged on failure, not fatal.
+    try:
+        part["acquisition_value"] = float(
+            qei_mc(gp, batch_u, best, config.acquisition, acq_seed)
+        )
+    except NumericalError as exc:
+        part["acquisition_value"] = None
+        part["acquisition_error"] = str(exc)
+    return [(p, Source.GP_BO) for p in batch], part
 
 
 def run(config: RunConfig) -> RunLog:
@@ -197,13 +257,8 @@ def run(config: RunConfig) -> RunLog:
     model = build_model(config)
     space = model.space
     card = build_task_card(config, model)
-    streams = dict(
-        zip(
-            _SEED_STREAMS,
-            (np.random.default_rng(s)
-             for s in np.random.SeedSequence(config.seed).spawn(len(_SEED_STREAMS))),
-        )
-    )
+    seeds = np.random.SeedSequence(config.seed).spawn(len(_SEED_STREAMS))
+    streams = {name: np.random.default_rng(s) for name, s in zip(_SEED_STREAMS, seeds)}
     needs_llm = (
         config.llm_queries_per_step > 0 or config.init_strategy == "llm_zero_shot"
     )
@@ -236,66 +291,10 @@ def run(config: RunConfig) -> RunLog:
     lines.append(init_line)
 
     for iteration in range(1, config.n_iter + 1):
-        diag: dict = {"type": "iteration", "iteration": iteration}
-        proposals: list[tuple[DesignPoint, Source]] = []
-
-        if config.llm_queries_per_step > 0:
-            demos = _select_demos(config, dataset, streams["sampler"])
-            transcripts = []
-            substituted = 0
-            for _ in range(config.llm_queries_per_step):
-                point, transcript = propose(client, card, demos, config.llm)
-                if point is None:
-                    substituted += 1
-                    proposals.append((_uniform_point(space, streams["llm"]),
-                                      Source.RANDOM))
-                else:
-                    proposals.append((point, Source.LLM))
-                transcripts.append(transcript)
-            diag["llm_transcripts"] = transcripts
-            diag["llm_substituted"] = substituted
-
-        if config.gp_queries_per_step > 0:
-            X = np.array([to_unit_cube(space, r.point) for r in dataset])
-            y = np.array([r.fom for r in dataset])
-            fit_seed = int(streams["surrogate"].integers(2**31 - 1))
-            gp = gp_fit(X, y, config.gp_fit, fit_seed)
-            best = dataset[dataset.best_index].fom
-            # The region is centred on the incumbent only once it meets every
-            # spec (SCBO's rule); until then the batch searches the whole cube.
-            region = trust_region(
-                dataset, model.fom, config.batch_size, space.dimension
-            )
-            box = (
-                None if region is None
-                else trust_region_box(gp, X[dataset.best_index], region["length"])
-            )
-            diag["trust_region"] = region
-            acq_seed = int(streams["acquisition"].integers(2**31 - 1))
-            batch = propose_batch(
-                gp, space, best, config.gp_queries_per_step, config.acquisition,
-                streams["acquisition"], acq_seed, box,
-            )
-            batch_u = np.array([to_unit_cube(space, p) for p in batch])
-            diag["gp"] = {
-                "lengthscales": [float(v) for v in gp.lengthscales],
-                "signal_variance": float(gp.signal_variance),
-                "noise_variance": float(gp.noise_variance),
-                "log_marginal": float(gp.log_marginal),
-            }
-            # A diagnostic only: the prefix factor, the one factorization in
-            # qei_mc that can fail, is logged on failure, not fatal.
-            try:
-                diag["acquisition_value"] = float(
-                    qei_mc(gp, batch_u, best, config.acquisition, acq_seed)
-                )
-            except NumericalError as exc:
-                diag["acquisition_value"] = None
-                diag["acquisition_error"] = str(exc)
-            proposals.extend((p, Source.GP_BO) for p in batch)
-
-        lines.append(diag)
-        evaluate_all(proposals, iteration)
+        llm_proposals, llm_part = _llm_step(config, client, card, streams, dataset)
+        gp_proposals, gp_part = _gp_step(config, model, streams, dataset)
+        lines.append({"type": "iteration", "iteration": iteration} | llm_part | gp_part)
+        evaluate_all(llm_proposals + gp_proposals, iteration)
 
     expected = config.total_evaluations
     if len(dataset) != expected:

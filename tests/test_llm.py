@@ -362,6 +362,25 @@ def test_propose_init_exhaustion_carries_partial(amp2):
     assert [m["role"] for m in transcript].count("assistant") == 3
 
 
+def test_propose_init_keeps_the_first_n_blocks_of_one_completion(amp2):
+    _, card = amp2
+    blocks = [GOOD_BLOCK.replace("w1 = 2.5 um", f"w1 = {w} um") for w in range(1, 6)]
+
+    class FiveBlocks:
+        def __init__(self):
+            self.calls = 0
+
+        def complete(self, messages):
+            self.calls += 1
+            return "\n\n".join(blocks)
+
+    client = FiveBlocks()
+    points, transcript = propose_init(client, card, 3, LlmConfig())
+    assert points == [parse_response(block, card.space) for block in blocks[:3]]
+    assert client.calls == 1
+    assert [m["role"] for m in transcript] == ["system", "user", "assistant"]
+
+
 # Every kind of reply a proposer has to survive, by name.
 REPLIES = {
     "valid": GOOD_BLOCK,

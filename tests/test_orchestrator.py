@@ -146,6 +146,53 @@ def test_llm_only_variants():
         ), kind
 
 
+@pytest.mark.parametrize("kind", ["top_k", "uniform", "none"])
+def test_each_sampler_hands_propose_its_demonstrations(monkeypatch, kind):
+    handed = []
+    original = orchestrator.propose
+
+    def recording_propose(client, card, demos, config):
+        handed.append(list(demos))
+        return original(client, card, demos, config)
+
+    monkeypatch.setattr(orchestrator, "propose", recording_propose)
+    config = fast_config(
+        method="llm_only", llm_queries_per_step=2, gp_queries_per_step=0,
+        sampler_kind=kind, sampler_k=3, n_iter=5,
+    )
+    log = run(config)
+    assert len(handed) == 2 * 5
+    for query, demos in enumerate(handed):
+        iteration = query // 2 + 1
+        # the dataset as the step saw it: every record of an earlier iteration
+        seen = [r for r in log.dataset if r.iteration < iteration]
+        if kind == "top_k":
+            ranked = sorted(seen, key=lambda r: -r.fom)  # stable: ties keep order
+            assert [id(r) for r in demos] == [id(r) for r in ranked[:3]], query
+        elif kind == "uniform":
+            assert len({id(r) for r in demos}) == 3, query
+            assert {id(r) for r in demos} <= {id(r) for r in seen}, query
+            foms = [r.fom for r in demos]
+            assert foms == sorted(foms, reverse=True), query
+        else:
+            assert demos == [], query
+    # both queries of an iteration see the same demonstrations
+    assert all(
+        [id(r) for r in handed[q]] == [id(r) for r in handed[q + 1]]
+        for q in range(0, len(handed), 2)
+    )
+
+
+def test_run_raises_when_the_records_miss_the_budget(monkeypatch):
+    def short_propose_batch(*args):
+        return propose_batch(*args)[:-1]  # one point too few
+
+    monkeypatch.setattr(orchestrator, "propose_batch", short_propose_batch)
+    with pytest.raises(RuntimeError) as info:
+        run(fast_config(n_iter=2))  # 5 + 5 x 2 evaluations, one short in each batch
+    assert str(info.value) == "budget accounting broken: 13 records, expected 15"
+
+
 def test_proposer_exhaustion_substitutes_random(tmp_path):
     script = tmp_path / "bad.txt"
     script.write_text("never a valid point\n", encoding="utf-8")
@@ -1065,3 +1112,18 @@ def test_cli_ablate_icl(tmp_path, capsys):
     assert "sampler=top_k" in captured
     for tag in ("no_icl", "rand_k", "top_k"):
         assert (tmp_path / f"icl_{tag}.jsonl").exists()
+
+
+@pytest.mark.parametrize("command, stem, tags", [
+    ("ablate-init", "ablate_init", ["uniform_random", "llm_zero_shot"]),
+    ("ablate-icl", "ablate_icl", ["no_icl", "rand_k", "top_k"]),
+])
+def test_cli_ablation_without_out_writes_to_the_working_directory(
+    tmp_path, monkeypatch, command, stem, tags
+):
+    ini = _ini(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", ini]) == 0
+    expected = [f"{stem}_{tag}.jsonl" for tag in tags]
+    assert sorted(p.name for p in tmp_path.glob("*.jsonl")) == sorted(expected)
+    report(expected)  # each is a whole run log
