@@ -10,11 +10,12 @@ none); it alone decides whether the evaluation succeeded. The process is a
 set of module constants (``VDD``, ``KP_N``, ...) that the solvers and the
 headroom check read directly.
 
-The circuit models use textbook square-law device physics:
+The circuit models use textbook square-law device physics. Both solvers
+take every transistor's gm, V_ov and r_o from :func:`_saturated`:
 
     I_D = 0.5 * k' * (W/L) * V_ov^2
     gm  = sqrt(2 * k' * (W/L) * I_D)
-    r_o = 1 / (lambda * I_D),   lambda = LAMBDA0 / L
+    r_o = 1 / (lambda * I_D),   lambda * L = LAMBDA0
 
 Bias currents are mirrored from a diode-referenced bias device Mb whose gate
 overdrive is pinned at ``V_OV_BIAS``, so every mirrored branch current is
@@ -56,7 +57,7 @@ from .fom import (
 VDD = 1.2
 KP_N = 200e-6
 KP_P = 80e-6
-LAMBDA0 = 0.1e-6  # V^-1 * m; channel-length modulation lambda = LAMBDA0 / L
+LAMBDA0 = 0.1e-6  # V^-1 * m; channel-length modulation lambda times L
 C_LOAD = 1e-12
 C_NODE = 0.5e-12
 V_OV_BIAS = 0.2
@@ -97,6 +98,15 @@ def _parallel(a: float, b: float) -> float:
     return a * b / (a + b)
 
 
+def _saturated(kp: float, w: float, l: float, current: float):
+    """``(gm, v_ov, r_o)`` of a saturated device of aspect ``w / l``."""
+    return (
+        math.sqrt(2.0 * kp * (w / l) * current),
+        math.sqrt(2.0 * current / (kp * (w / l))),
+        1.0 / (LAMBDA0 / l * current),
+    )
+
+
 def _amp2_solve(point: DesignPoint):
     # w5/l5 are not read: M5 is not modelled yet.
     w1, l1, w3, l3, _w5, _l5, w6, l6, w7, l7, wb, lb, rz, cc = point.values
@@ -105,15 +115,11 @@ def _amp2_solve(point: DesignPoint):
     i_stage2 = i_tail * (w7 / l7) / (wb / lb)
     i_d1 = 0.5 * i_tail
 
-    gm1 = math.sqrt(2.0 * KP_N * (w1 / l1) * i_d1)
-    gm3 = math.sqrt(2.0 * KP_P * (w3 / l3) * i_d1)
-    gm6 = math.sqrt(2.0 * KP_P * (w6 / l6) * i_stage2)
-    lam = lambda length: LAMBDA0 / length
-    ro2 = 1.0 / (lam(l1) * i_d1)
-    ro4 = 1.0 / (lam(l3) * i_d1)
-    ro6 = 1.0 / (lam(l6) * i_stage2)
-    ro7 = 1.0 / (lam(l7) * i_stage2)
-    rob = 1.0 / (lam(lb) * i_tail)
+    gm1, vov1, ro2 = _saturated(KP_N, w1, l1, i_d1)
+    gm3, vov3, ro4 = _saturated(KP_P, w3, l3, i_d1)
+    gm6, vov6, ro6 = _saturated(KP_P, w6, l6, i_stage2)
+    ro7 = _saturated(KP_N, w7, l7, i_stage2)[2]
+    rob = _saturated(KP_N, wb, lb, i_tail)[2]
 
     stage1 = gm1 * _parallel(ro2, ro4)
     stage2 = gm6 * _parallel(ro6, ro7)
@@ -132,9 +138,6 @@ def _amp2_solve(point: DesignPoint):
         "pm": pm_deg,
         "power": VDD * (i_tail + i_stage2) * 1e6,
     }
-    vov1 = math.sqrt(2.0 * i_d1 / (KP_N * (w1 / l1)))
-    vov3 = math.sqrt(2.0 * i_d1 / (KP_P * (w3 / l3)))
-    vov6 = math.sqrt(2.0 * i_stage2 / (KP_P * (w6 / l6)))
     overdrives = {
         "M1": vov1,
         "M2": vov1,
@@ -159,14 +162,11 @@ def _comparator_solve(point: DesignPoint):
     i_diode = i_branch / (1.0 + alpha)
     i_out = i_tail * (w9 / l9) / (wb / lb)
 
-    gm1 = math.sqrt(2.0 * KP_N * (w1 / l1) * i_branch)
-    gm9 = math.sqrt(2.0 * KP_N * (w9 / l9) * i_out)
-    lam = lambda length: LAMBDA0 / length
-    ro2 = 1.0 / (lam(l1) * i_branch)
-    ro4 = 1.0 / (lam(l3) * i_diode)
-    ro9 = 1.0 / (lam(l9) * i_out)  # M9 and M11 share sizes, so ro11 == ro9
+    gm1, vov1, ro2 = _saturated(KP_N, w1, l1, i_branch)
+    _, vov_load, ro4 = _saturated(KP_P, w3, l3, i_diode)
+    vov7 = _saturated(KP_P, w7, l7, i_out)[1]
+    gm9, _, ro9 = _saturated(KP_N, w9, l9, i_out)  # M9 and M11 share sizes: ro11 == ro9
 
-    vov1 = math.sqrt(2.0 * i_branch / (KP_N * (w1 / l1)))
     v_hys = (
         vov1 * (math.sqrt(alpha) - 1.0) / math.sqrt(alpha + 1.0)
         if alpha > 1.0
@@ -180,8 +180,6 @@ def _comparator_solve(point: DesignPoint):
         "v_offset": OFFSET_COEFF / math.sqrt(w1 * l1) * 1e3,
         "power": VDD * (i_tail + 2.0 * i_out) * 1e6,
     }
-    vov_load = math.sqrt(2.0 * i_diode / (KP_P * (w3 / l3)))
-    vov7 = math.sqrt(2.0 * i_out / (KP_P * (w7 / l7)))
     overdrives = {
         "M1": vov1,
         "M2": vov1,

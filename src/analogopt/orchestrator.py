@@ -324,9 +324,9 @@ def _scan_log(path: str) -> tuple[str, list[str], float, list[tuple[int, float]]
 
     Returns the preset, the log's report row (method, protocol, best metrics,
     FOM and missed specs, as text), its best FOM, and ``(index, fom)`` of
-    every eval line.
+    every eval line. The summary must agree with the eval lines it sums up.
     """
-    preset = last = fom_config = None
+    preset = last = fom_config = top = None  # top: the earliest best eval line
     evals: list[tuple[int, float]] = []
     n_prompts = 0
     try:
@@ -365,6 +365,8 @@ def _scan_log(path: str) -> tuple[str, list[str], float, list[tuple[int, float]]
                             f"match recomputed {recomputed!r}"
                         )
                     evals.append((entry["index"], entry["fom"]))
+                    if top is None or entry["fom"] > top["fom"]:
+                        top = entry
                 elif kind == "prompt":
                     if entry["id"] != n_prompts:
                         raise ReportError(f"{path}:{lineno}: prompt id {entry['id']!r}"
@@ -407,10 +409,23 @@ def _scan_log(path: str) -> tuple[str, list[str], float, list[tuple[int, float]]
             row.append(f"{value:.4g}{mark}")
         best_fom = last["best_fom"]
         row += [f"{best_fom:.4g}", str(last["missed_specs"])]
+        top = top or dict.fromkeys(("fom", "index", "metrics"))
+        claims = [
+            ("n_evals", last["n_evals"], len(evals)),
+            ("best_fom", best_fom, top["fom"]),
+            ("best_index", last["best_index"], top["index"]),
+            ("best_metrics", last["best_metrics"], top["metrics"]),
+            ("missed_specs", last["missed_specs"],
+             count_missed_specs(last["best_metrics"], fom_config)),
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ReportError(
             f"{path}:{last_lineno}: malformed line ({type(exc).__name__}: {exc})"
         ) from exc
+    for name, claimed, replayed in claims:
+        if claimed != replayed:
+            raise ReportError(f"{path}:{last_lineno}: summary {name} is {claimed!r},"
+                              f" the eval lines give {replayed!r}")
     return preset, row, best_fom, evals
 
 

@@ -92,7 +92,9 @@ class StubServer:
         self.server.script = script
         self.server.hits = 0
         self.server.headers = []
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # close() waits up to one poll interval for serve_forever to notice
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.01}, daemon=True)
         self.thread.start()
 
     @property

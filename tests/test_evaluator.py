@@ -1,5 +1,7 @@
 import dataclasses
 import dis
+import hashlib
+import inspect
 import math
 
 import numpy as np
@@ -250,12 +252,60 @@ def test_every_process_constant_is_read():
         if name.isupper() and type(value) is float
     }
     assert {"VDD", "KP_N", "V_HEADROOM"} <= constants
+    # the solvers and the headroom check, and every evaluator function they
+    # load, followed call by call
     read = set()
-    for function in (
-        evaluator._amp2_solve, evaluator._comparator_solve, evaluator._crowded_stacks
-    ):
-        read |= _loaded_globals(function.__code__)
+    pending = [evaluator._amp2_solve, evaluator._comparator_solve,
+               evaluator._crowded_stacks]
+    seen = set()
+    while pending:
+        function = pending.pop()
+        if function in seen:
+            continue
+        seen.add(function)
+        names = _loaded_globals(function.__code__)
+        read |= names
+        pending += [
+            value for value in map(vars(evaluator).get, names)
+            if inspect.isfunction(value) and value.__module__ == evaluator.__name__
+        ]
+    assert evaluator._saturated in seen
     assert sorted(constants - read) == []
+
+
+# sha256 of every evaluation that _evaluation_digest makes; a change of
+# device physics moves these on purpose
+EVALUATION_DIGESTS = {
+    "amp2": "8916698419e93ee90beb9c48ae521979997018aa7fda0d13da19ff5921a4d48c",
+    "comparator": "1a098c400754c106eca3b7511552107855eed2731a1858af108b9ce3aee0415c",
+    "branin": "3900032340b5a626bce575001d485d77a7c9b03386162bae98f38c96198ee79b",
+}
+
+
+def _evaluation_digest(model):
+    """sha256 of the evaluations of 2,000 ``default_rng(0)`` points in the box,
+    then of both its corners."""
+    space = model.space
+    units = np.random.default_rng(0).uniform(size=(2000, space.dimension))
+    points = [from_unit_cube(space, u) for u in units] + [
+        DesignPoint(tuple(getattr(p, corner) for p in space.parameters))
+        for corner in ("lower", "upper")
+    ]
+    digest = hashlib.sha256()
+    for point in points:
+        record = evaluate(model, point)
+        digest.update(repr((
+            sorted((name, value.hex()) for name, value in record.metrics.items()),
+            sorted((device, region.value) for device, region in record.regions.items()),
+            record.simulation_ok,
+            record.fom.hex(),
+        )).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_evaluate_keeps_its_recorded_bits(preset):
+    assert _evaluation_digest(circuit_model(preset)) == EVALUATION_DIGESTS[preset]
 
 
 # every log header pins its preset's space and FOM by this checksum, so these

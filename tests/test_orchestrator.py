@@ -766,6 +766,32 @@ def test_report_rejects_malformed_logs(tmp_path, edit, message):
     assert main(["report", str(broken)]) == 2
 
 
+# (summary field, its tampered value as a function of the summary)
+@pytest.mark.parametrize("field, tamper", [
+    ("n_evals", lambda summary: summary["n_evals"] + 2),
+    ("best_fom", lambda summary: 99.0),
+    ("best_index", lambda summary: (summary["best_index"] + 1) % summary["n_evals"]),
+    ("best_metrics",
+     lambda summary: {name: v - 1.0 for name, v in summary["best_metrics"].items()}),
+    ("missed_specs", lambda summary: summary["missed_specs"] + 1),
+], ids=["n_evals", "best_fom", "best_index", "best_metrics", "missed_specs"])
+def test_report_rejects_a_summary_that_its_eval_lines_do_not_give(
+    tmp_path, field, tamper
+):
+    path, _ = _write_log(tmp_path, "a.jsonl", fast_config(n_iter=1))
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    summary = json.loads(lines[-1])
+    claimed = tamper(summary)
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("".join(line + "\n" for line in lines[:-1])
+                      + json.dumps({**summary, field: claimed}) + "\n", encoding="utf-8")
+    with pytest.raises(ReportError) as excinfo:
+        report([str(broken)])
+    assert str(excinfo.value) == (f"{broken}:{len(lines)}: summary {field} is "
+                                  f"{claimed!r}, the eval lines give {summary[field]!r}")
+    assert main(["report", str(broken)]) == 2
+
+
 # (edit of the log's lines, the message after the path as a function of the
 # length n of line 2 before the edit). The messages are json.loads's own.
 @pytest.mark.parametrize("edit, message", [

@@ -296,6 +296,24 @@ def test_non_finite_targets_rejected():
         gp_fit(np.array([[0.1], [0.2]]), np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lml_rejects_non_finite_targets(bad):
+    with pytest.raises(ValueError, match="^targets must be finite$"):
+        log_marginal_likelihood(np.array([[0.1], [0.2]]), np.array([1.0, bad]),
+                                0.5, 1.0, 1e-6)
+
+
+@pytest.mark.parametrize("X, y", [
+    (np.zeros((3, 2)), np.zeros(2)),
+    (np.zeros((0, 2)), np.zeros(0)),
+], ids=["mismatched", "empty"])
+def test_gp_fit_rejects_mismatched_or_empty_rows(X, y):
+    with pytest.raises(ValueError, match=re.escape(
+        f"invalid shapes: X {X.shape}, y {y.shape}"
+    )):
+        gp_fit(X, y)
+
+
 # ----------------------------------------------------------------- predict
 
 def test_predict_matches_dense_oracle():
@@ -617,15 +635,16 @@ def _counted(fun):
     return counted, calls
 
 
-def _assert_matches_minimize(fun, x0, lower, upper, maxiter):
+def _assert_matches_minimize(fun, x0, lower, upper, maxiter, **options):
     """Run the driver and ``minimize`` on one problem; both must end on the
-    same x bits after the same objective calls. Returns minimize's result."""
+    same x bits after the same objective calls. Returns minimize's result.
+    ``options`` are further ``minimize`` options beside ``maxiter``."""
     driven, calls = _counted(fun)
     x = _lbfgsb(driven, x0, lower, upper, maxiter)
     referenced, reference_calls = _counted(fun)
     bounds = None if lower is None else list(zip(lower, upper))
     reference = minimize(referenced, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                         options={"maxiter": maxiter})
+                         options={"maxiter": maxiter, **options})
     assert x.tobytes() == reference.x.tobytes()
     assert len(calls) == len(reference_calls) == reference.nfev
     return reference
@@ -698,6 +717,15 @@ def test_lbfgsb_matches_scipy_minimize_bitwise(lbfgsb_problems, problem, maxiter
 def test_lbfgsb_matches_scipy_minimize_on_an_abnormal_exit(lbfgsb_problems):
     reference = _assert_matches_minimize(*lbfgsb_problems["fit_n30_d2"], 100)
     assert reference.message.startswith("ABNORMAL")
+
+
+@pytest.mark.parametrize("maxfun", [1, 3, 8])
+def test_lbfgsb_matches_scipy_minimize_at_its_maxfun_stop(lbfgsb_problems, monkeypatch,
+                                                          maxfun):
+    monkeypatch.setattr(surrogate, "LBFGSB_MAXFUN", maxfun)
+    reference = _assert_matches_minimize(*lbfgsb_problems["fit_n55_d14"], 100,
+                                         maxfun=maxfun)
+    assert reference.message.startswith("STOP: TOTAL NO. OF F,G EVALUATIONS")
 
 
 def test_lbfgsb_matches_scipy_minimize_on_failure_values(lbfgsb_problems):
